@@ -4,7 +4,8 @@
 
 Run from the repository root; the package is imported from ``src/``.
 With ``--trace 0`` the run reports the end-to-end metrics of an
-untraced, closed-loop run with one caller; with ``--trace 1`` it runs a
+untraced, closed-loop run with one caller, with every time scaled to a
+core of reference speed (see speed.py); with ``--trace 1`` it runs a
 fixed set of operations in alternating untraced and traced passes and
 reports the per-layer metrics.  Every outcome is checked against the
 independent reference.  The last line of standard output is the JSON result; the
@@ -16,13 +17,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import shutil
 import statistics
 import subprocess
 import sys
 import time
+
+import speed
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
@@ -32,39 +34,33 @@ OUT = os.path.join(ROOT, ".bench_out")
 SETUP_SPAWNS = 9
 SPAWN_TIMEOUT_S = 60
 
-# Shared hosts slow a core down to about half speed for seconds at a
-# time, because of load outside the virtual machine.  The timed loop therefore
-# runs in slices of about SLICE_S.  Before each slice a fixed loop of
-# CALIBRATION_LOOP iterations runs on every allowed CPU, and the slice
-# runs on the CPU that finished fastest; after the slice the loop runs
-# once more on that CPU.  Slices where either calibration took more than
-# CONTENDED times the run's fastest are left out of the metrics, unless
-# the slices kept would cover less than MIN_KEPT of the loop, in which
-# case all are used.  ops_per_s is the median completion rate of the
-# kept slices, so that like latency_p50_ms it follows the usual state
-# of the kept time.  Set-up probes are picked and filtered the same way,
-# one probe per slice.
-SLICE_S = 0.1
-CALIBRATION_LOOP = 2000
-CONTENDED = 1.35
+# The timed loop runs in slices of about SLICE_S, with a calibration
+# (speed.calibrate) between every two slices.  Each slice's wall time,
+# and the latency of each operation in it, is scaled to reference speed
+# by the calibrations just before and just after it (speed.scale).  The
+# host's speed changes within tens of milliseconds, so a slice whose two
+# calibrations differ by more than SPEED_CHANGE times changed speed
+# inside it and cannot be scaled: it is left out of the metrics, unless
+# the slices kept would hold less than MIN_KEPT of the operations, in
+# which case all are used.  Set-up probes calibrate around their own
+# timing.
+SLICE_S = 0.05
+SPEED_CHANGE = 1.3
 MIN_KEPT = 0.25
 
-# latency_tail_ms is taken per group of this many operations, so that
-# its percentile does not move when the program gets faster and more
-# operations fit in a run; the median over the groups is reported.
-TAIL_GROUP = 1000
-
 # A fresh interpreter imports numpy, reads its inputs, then times
-# ``import signalbox`` plus the workload's warm-up.  It then runs any
-# further operations it was given.
+# ``import signalbox`` plus the workload's warm-up between two
+# calibrations.  It then runs any further operations it was given.
 SETUP_PROBE = r"""
 import json, sys, time
 import numpy
 payload = json.loads(sys.stdin.read())
 sys.path.insert(0, payload["bench"])
-import workloads
+import speed, workloads
 items = [workloads.decode(d) for d in payload["items"]]
 warm = payload["warmup"]
+speed.calibrate()
+before = speed.calibrate()
 start = time.perf_counter()
 sys.path.insert(0, payload["src"])
 import signalbox
@@ -72,9 +68,10 @@ op = workloads.make_op(payload["workload"], signalbox)
 for item in items[:warm]:
     op(item)
 setup_s = time.perf_counter() - start
+after = speed.calibrate()
 for item in items[warm:]:
     op(item)
-print(json.dumps({"setup_s": setup_s}))
+print(json.dumps({"setup_s": setup_s, "scale": speed.scale(before, after)}))
 """
 
 # Linux carries a process's peak resident set across fork and exec, so a
@@ -87,54 +84,6 @@ RSS_LAUNCHER = (
     f"subprocess.run(sys.argv[1:], check=True, timeout={SPAWN_TIMEOUT_S - 10}); "
     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
 )
-
-
-def calibrate():
-    """Seconds a fixed pure-Python loop takes, best of two."""
-    best = math.inf
-    for _ in range(2):
-        start = time.perf_counter()
-        total = 0
-        for i in range(CALIBRATION_LOOP):
-            total += i * i
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-class CpuPicker:
-    """Pins this process, and children it starts, to its fastest CPU now."""
-
-    def __init__(self):
-        try:
-            self.cpus = sorted(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            self.cpus = []
-
-    def pick(self):
-        """Pin to the CPU that runs the calibration fastest; return that time."""
-        if len(self.cpus) < 2:
-            return calibrate()
-        timed = []
-        try:
-            for cpu in self.cpus:
-                os.sched_setaffinity(0, {cpu})
-                timed.append((calibrate(), cpu))
-            best, cpu = min(timed)
-            os.sched_setaffinity(0, {cpu})
-        except OSError:  # pinning refused: calibrate where the process runs
-            self.cpus = []
-            return calibrate()
-        return best
-
-    def release(self):
-        if self.cpus:
-            os.sched_setaffinity(0, set(self.cpus))
-
-
-def uncontended(calibrations):
-    """Indices of the calibrations within CONTENDED of the fastest."""
-    fastest = min(calibrations)
-    return [i for i, c in enumerate(calibrations) if c <= CONTENDED * fastest]
 
 
 def import_package():
@@ -175,20 +124,20 @@ def setup_probe(workload, items, with_rss):
     return json.loads(lines[-1]), None
 
 
-def timed_loop(op, items, seconds, picker):
+def timed_loop(op, items, seconds):
     """Closed loop with one caller: each operation starts when the last ends.
 
-    Runs slices of about SLICE_S, each on the CPU ``picker`` finds fastest
-    just before it, and calibrates that CPU again just after it.  Returns
-    the latency and outcome of every operation and, per slice, ``(slower
-    calibration, first op, end op, busy seconds)``.
+    Runs slices of about SLICE_S with a calibration between every two.
+    Returns the latency and outcome of every operation and, per slice,
+    ``(first op, end op, wall seconds, scale to reference speed, steady)``,
+    where ``steady`` is false when the speed changed during the slice.
     """
     latencies, outcomes, slices = [], [], []
     clock = time.perf_counter
     deadline = clock() + seconds
     index = 0
+    before = speed.calibrate()
     while index < len(items) and clock() < deadline:
-        calibration = picker.pick()
         first = index
         slice_start = clock()
         slice_end = slice_start + SLICE_S
@@ -201,7 +150,10 @@ def timed_loop(op, items, seconds, picker):
             index += 1
             if t1 >= slice_end:
                 break
-        slices.append((max(calibration, calibrate()), first, index, t1 - slice_start))
+        after = speed.calibrate()
+        steady = max(before, after) <= SPEED_CHANGE * min(before, after)
+        slices.append((first, index, t1 - slice_start, speed.scale(before, after), steady))
+        before = after
     return latencies, outcomes, slices
 
 
@@ -218,64 +170,64 @@ def failures_of(workload, items, refs, outcomes):
     return failures
 
 
-def tail(latencies):
-    """Highest percentile with ten samples beyond it, per group of TAIL_GROUP.
+def tail(latencies, group):
+    """Highest percentile with ten samples beyond it, per group of ``group``.
 
     Returns the median over the groups, the percentile and the group count.
     """
     n = len(latencies)
     if n < 11:
         raise RuntimeError(f"only {n} operations ran; the tail needs at least 11")
-    size = min(n, TAIL_GROUP)
+    size = min(n, group)
     groups = [sorted(latencies[k : k + size]) for k in range(0, n - size + 1, size)]
     return statistics.median(g[size - 11] for g in groups), 100.0 * (size - 10) / size, len(groups)
 
 
 def run_untraced(workload, items, op, seconds, notes):
-    picker = CpuPicker()
-    try:
-        probes = []
-        for k in range(SETUP_SPAWNS):
-            calibration = picker.pick()
-            probes.append((calibration,) + setup_probe(workload, items, with_rss=k == SETUP_SPAWNS - 1))
-        warm = items[: workload.warmup]
-        warm_out = [op(item) for item in warm]
-        rest = items[workload.warmup :]
-        # The inputs and references are this harness's, not the program's:
-        # keep them out of the garbage collector's full passes.
-        gc.collect()
-        gc.freeze()
-        latencies, outcomes, slices = timed_loop(op, rest, seconds, picker)
-    finally:
-        picker.release()
+    probes = [setup_probe(workload, items, with_rss=k == SETUP_SPAWNS - 1) for k in range(SETUP_SPAWNS)]
+    warm = items[: workload.warmup]
+    warm_out = [op(item) for item in warm]
+    rest = items[workload.warmup :]
+    # The inputs and references are this harness's, not the program's:
+    # keep them out of the garbage collector's full passes.
+    gc.collect()
+    gc.freeze()
+    latencies, outcomes, slices = timed_loop(op, rest, seconds)
     if len(outcomes) == len(rest):
         notes.append(f"input pool of {len(rest)} ran out")
     ran = warm + rest[: len(outcomes)]
     failures = failures_of(workload, ran, workload.prepare(ran), warm_out + outcomes)
 
-    busy = sum(s[3] for s in slices)
-    kept = [slices[i] for i in uncontended([s[0] for s in slices])]
-    if sum(s[3] for s in kept) < MIN_KEPT * busy:
-        notes.append("contended throughout: every slice is used")
+    kept = [s for s in slices if s[4]]
+    if sum(s[1] - s[0] for s in kept) < MIN_KEPT * len(latencies):
+        notes.append("the host changed speed in most slices: every slice is used")
         kept = slices
-    kept_latencies = [latencies[j] for s in kept for j in range(s[1], s[2])]
-    kept_busy = sum(s[3] for s in kept)
-    rate = statistics.median((s[2] - s[1]) / s[3] for s in kept)
-    value, pct, groups = tail(kept_latencies)
-    n = len(kept_latencies)
-    setups = [probes[i][1]["setup_s"] for i in uncontended([p[0] for p in probes])]
+    scaled = [latencies[j] * s[3] for s in kept for j in range(s[0], s[1])]
+    n = len(scaled)
+    wall = sum(s[2] for s in slices)
+    reference = sum(s[2] * s[3] for s in kept)
+    value, pct, groups = tail(scaled, workload.tail_group)
+    factors = [s[3] for s in slices]
+    setups = [probe["setup_s"] * probe["scale"] for probe, _ in probes]
     notes.append(
-        f"{len(kept)} of {len(slices)} slices uncontended (fastest calibration {min(s[0] for s in slices) * 1e3:.4f} ms): "
-        f"{n} operations over {kept_busy:.3f} s, {n / kept_busy:.6g} ops/s; all slices: {len(latencies) / busy:.6g} ops/s"
+        f"{n} operations in {len(kept)} of {len(slices)} slices, {reference:.3f} s at reference speed; "
+        f"all slices wall-clock: {len(latencies) / wall:.6g} ops/s, p50 {statistics.median(latencies) * 1e3:.6g} ms"
     )
-    notes.append(f"latency_tail_ms is the median over {groups} groups of {min(n, TAIL_GROUP)} operations of their p{pct:.2f}")
-    notes.append(f"setup_s is the median of {len(setups)} of {SETUP_SPAWNS} fresh interpreters; peak_rss_mb is from the last")
+    notes.append(
+        f"host speed against reference: median {statistics.median(factors):.3f}, "
+        f"range {min(factors):.3f} to {max(factors):.3f}"
+    )
+    notes.append(f"latency_tail_ms is the median over {groups} groups of {min(n, workload.tail_group)} operations of their p{pct:.2f}")
+    notes.append(
+        f"setup_s is the median of {SETUP_SPAWNS} fresh interpreters (wall-clock median "
+        f"{statistics.median(p['setup_s'] for p, _ in probes):.6g} s); peak_rss_mb is from the last"
+    )
     metrics = {
-        "ops_per_s": (rate, "1/s"),
-        "latency_p50_ms": (statistics.median(kept_latencies) * 1e3, "ms"),
+        "ops_per_s": (n / reference, "1/s"),
+        "latency_p50_ms": (statistics.median(scaled) * 1e3, "ms"),
         "latency_tail_ms": (value * 1e3, "ms"),
         "setup_s": (statistics.median(setups), "s"),
-        "peak_rss_mb": (probes[-1][2], "MB"),
+        "peak_rss_mb": (probes[-1][1], "MB"),
     }
     return metrics, len(ran), failures
 

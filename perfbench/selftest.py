@@ -38,7 +38,7 @@ COUNTS = (
     "correlation.strategy_tables.calls",
     "quantum.crossover_holevo_calls",
 )
-SMALL_TRACE = {"classify": 40, "decompose": 40, "cli": 2 * len(workloads.CLI_SLOTS)}
+SMALL_TRACE = {"classify": 40, "decompose": 40, "sweep": 3, "cli": 2 * len(workloads.CLI_SLOTS)}
 
 
 # Prints a digest of the inputs that one workload and seed generate.
@@ -103,6 +103,15 @@ def test_perturbed_results_fail():
     dec = op(item)
     assert wl.check(item, ref, dec) is None, "unperturbed decomposition failed"
     expect_failure(wl, item, ref, dataclasses.replace(dec, cost=dec.cost + 1e-6), "decomposition cost + 1e-6")
+
+    wl, items, op = fresh("sweep")
+    item = items[1]  # the second window of each five brackets the crossover
+    ref = wl.prepare([item])[0]
+    rows, crossover = op(item)
+    assert wl.check(item, ref, (rows, crossover)) is None, "unperturbed sweep failed"
+    expect_failure(wl, item, ref, (rows, None), "a missing crossover")
+    moved = [dataclasses.replace(rows[0], holevo_info=rows[0].holevo_info + 1e-6)] + rows[1:]
+    expect_failure(wl, item, ref, (moved, crossover), "holevo_info + 1e-6")
 
     wl, items, op = fresh("cli")
     try:

@@ -77,6 +77,17 @@ def make_op(name, sb):
             return sb.lp_min_cost(table)
 
         return guarded(decompose)
+    if name == "sweep":
+
+        def sweep(it):
+            rows = sb.theta_sweep(it["lo"], it["hi"], SWEEP_STEPS)
+            try:
+                crossover = sb.find_crossover(it["lo"], it["hi"])
+            except sb.NoCrossoverError:
+                crossover = None
+            return rows, crossover
+
+        return guarded(sweep)
     if name == "cli":
         cli = importlib.import_module("signalbox.cli")
 
@@ -91,7 +102,7 @@ def make_op(name, sb):
 
 
 # What an operation reads from its input; the rest is reference data.
-OP_KEYS = ("p", "measure", "closed", "sigma", "argv")
+OP_KEYS = ("p", "measure", "closed", "sigma", "argv", "lo", "hi")
 
 
 def encode(item):
@@ -384,10 +395,13 @@ def check_crossover(crossover, brackets):
 class Workload:
     """Seeded inputs plus the check of one workload.
 
-    ``pool`` inputs are drawn; at the seed commit a timed run uses about
-    half of them, so every operation gets a distinct input.  ``warmup``
+    ``pool`` inputs are drawn; at the seed commit a timed run uses at
+    most about two thirds of them, so every operation gets a distinct input.  ``warmup``
     inputs run before timing, ``rss_ops`` more in the set-up probe, and
-    ``traced_ops`` in each pass of the traced run.
+    ``traced_ops`` in each pass of the traced run.  ``latency_tail_ms`` is
+    taken per group of ``tail_group`` operations.  The group is sized so
+    that its eleventh largest latency falls inside a cluster of similar
+    operations, not in a gap between two, where it would jump.
     """
 
     name = ""
@@ -396,6 +410,7 @@ class Workload:
     warmup = 10
     rss_ops = 100
     traced_ops = 100
+    tail_group = 200
 
     def __init__(self, sb, seed, workdir):
         self.sb = sb
@@ -422,7 +437,7 @@ class Workload:
 
 class Classify(Workload):
     name = "classify"
-    pool_blocks = 3500
+    pool_blocks = 4000
     warmup = 20
     rss_ops = 200
     traced_ops = 300
@@ -465,10 +480,13 @@ class Classify(Workload):
 
 class Decompose(Workload):
     name = "decompose"
-    pool_blocks = 1400
+    pool_blocks = 2500
     warmup = 20
     rss_ops = 100
     traced_ops = 200
+    # No cluster of operations ends near the top: a smaller group puts
+    # the percentile at p90, which the host's bursts move less than p95.
+    tail_group = 100
     FAMILIES = ("sub", "sub", "super_bob", "super_alice", "bob_lp", "qubit", "qubit", "random", "bob_closed", "bob_closed")
 
     def generate(self):
@@ -526,6 +544,38 @@ def sweep_windows(rng, n):
     return windows
 
 
+SWEEP_STEPS = 61
+
+
+class Sweep(Workload):
+    """``theta_sweep(lo, hi, 61)`` plus ``find_crossover(lo, hi)``, as
+    ``signalbox sweep`` computes them, on seeded windows."""
+
+    name = "sweep"
+    block = 5
+    pool_blocks = 40
+    warmup = 1
+    rss_ops = 2
+    traced_ops = 10
+    # Two in five windows bracket the crossover and cost a bisection more:
+    # in a group of 50, p80 falls among them.
+    tail_group = 50
+
+    def generate(self):
+        return [{"lo": lo, "hi": hi} for lo, hi in sweep_windows(self.rng, self.block * self.pool_blocks)]
+
+    def prepare(self, items):
+        return [sweep_reference(it["lo"], it["hi"], SWEEP_STEPS) for it in items]
+
+    def check(self, item, ref, outcome):
+        if isinstance(outcome, Raised):
+            return f"raised {outcome!r}"
+        rows, crossover = outcome
+        ref_rows, brackets = ref
+        fields = [{key: getattr(row, key) for key in ROW_NUMBERS + ("classical",)} for row in rows]
+        return check_rows(fields, ref_rows) or check_crossover(crossover, brackets)
+
+
 # --------------------------------------------------------------- cli
 
 CLI_SLOTS = (
@@ -579,10 +629,13 @@ def check_sig12(values):
 class Cli(Workload):
     name = "cli"
     block = len(CLI_SLOTS)
-    pool_blocks = 280
+    pool_blocks = 400
     warmup = len(CLI_SLOTS)
     rss_ops = 2 * len(CLI_SLOTS)
     traced_ops = 3 * len(CLI_SLOTS)
+    # One sweep per block, two in five bracketing the crossover: the top
+    # 2 % are bracketing sweeps, and a group of 1000 puts p99 among them.
+    tail_group = 1000
 
     def __init__(self, sb, seed, workdir):
         super().__init__(sb, seed, workdir)
@@ -808,4 +861,4 @@ class Cli(Workload):
         return check_sig12(v for k, v in payload.items() if k in extra)
 
 
-WORKLOADS = {w.name: w for w in (Classify, Decompose, Cli)}
+WORKLOADS = {w.name: w for w in (Classify, Decompose, Sweep, Cli)}
