@@ -22,6 +22,7 @@ from .correlation import (
     Correlation,
     catalog,
     from_json_dict,
+    load_correlation,
     pr_box,
     to_json_dict,
 )
@@ -121,16 +122,22 @@ def _load_table(args) -> Correlation:
         raise _UsageError("give the input file either positionally or via --in, not both")
     path = positional or flagged
     if path is None:
-        payload = json.load(sys.stdin)
-        return from_json_dict(payload)
+        return from_json_dict(json.load(sys.stdin))
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        return load_correlation(path)
     except OSError as exc:
         raise SignalBoxError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_or_report(args):
+    """The input correlation, or None once the reason is on stderr."""
+    try:
+        return _load_table(args)
     except json.JSONDecodeError as exc:
-        raise SignalBoxError(f"{path}: invalid JSON: {exc}") from exc
-    return from_json_dict(payload)
+        print(f"signalbox: invalid JSON on stdin: {exc}", file=sys.stderr)
+    except SignalBoxError as exc:
+        print(f"signalbox: invalid input: {exc}", file=sys.stderr)
+    return None
 
 
 def _json_text(payload) -> str:
@@ -138,13 +145,8 @@ def _json_text(payload) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        table = _load_table(args)
-    except json.JSONDecodeError as exc:
-        print(f"signalbox: invalid JSON on stdin: {exc}", file=sys.stderr)
-        return 2
-    except SignalBoxError as exc:
-        print(f"signalbox: invalid input: {exc}", file=sys.stderr)
+    table = _load_or_report(args)
+    if table is None:
         return 2
     try:
         report = classify(table, measure=args.measure)
@@ -155,13 +157,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        table = _load_table(args)
-    except json.JSONDecodeError as exc:
-        print(f"signalbox: invalid JSON on stdin: {exc}", file=sys.stderr)
-        return 2
-    except SignalBoxError as exc:
-        print(f"signalbox: invalid input: {exc}", file=sys.stderr)
+    table = _load_or_report(args)
+    if table is None:
         return 2
     try:
         decomposition = lp_min_cost(table)
@@ -202,18 +199,18 @@ def cmd_sweep(args) -> int:
     return _emit(text, args.output_path)
 
 
+# Demos that print only a table and its report.
+_DEMO_TABLES = {
+    "pr-box": pr_box,
+    "d01": lambda: catalog("signal_0_anb").as_correlation(),
+    "tsirelson": quantum.tsirelson_box,
+    "tsirelson-signal": tsirelson_signal_box,
+}
+
+
 def _demo_payload(name: str, p: float) -> dict:
-    if name == "pr-box":
-        table = pr_box()
-        return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
-    if name == "d01":
-        table = catalog("signal_0_anb").as_correlation()
-        return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
-    if name == "tsirelson":
-        table = quantum.tsirelson_box()
-        return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
-    if name == "tsirelson-signal":
-        table = tsirelson_signal_box()
+    if name in _DEMO_TABLES:
+        table = _DEMO_TABLES[name]()
         return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
     if name == "sigma":
         state, a0, a1, b0, b1 = quantum.sigma_settings()

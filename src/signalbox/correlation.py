@@ -55,8 +55,9 @@ FUNCTIONAL_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0]])
 class Correlation:
     """Validated joint outcome table ``p[a][b][x][y]``.
 
-    The wrapped array is coerced to float64, checked for shape,
-    negativity and per-setting normalization, and frozen read-only.
+    The wrapped array is coerced to float64, checked for shape, NaN
+    entries, negativity and per-setting normalization, and frozen
+    read-only.
     Entries in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything more negative raises
     :class:`~signalbox.errors.NegativeProbabilityError`.
@@ -70,7 +71,10 @@ class Correlation:
             raise DomainError(
                 f"correlation table must have shape (2, 2, 2, 2), got {arr.shape}"
             )
+        # NaN propagates through min(), and infinities fail the checks below.
         low = float(arr.min())
+        if np.isnan(low):
+            raise DomainError("correlation table has a NaN entry")
         if low < -NEGATIVITY_TOL:
             raise NegativeProbabilityError(
                 f"probability entry {low} is negative beyond tolerance"

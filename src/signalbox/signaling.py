@@ -8,7 +8,8 @@ a binary channel: input ``a`` with prior ``(alpha, 1 - alpha)``, output
 * :func:`signal_strength` is the raw marginal shift, the largest change
   of ``P(y = 0)`` when alice flips her setting.
 * :func:`signal_info` is the largest mutual information the channel can
-  carry over any input prior, in bits.
+  carry over any input prior, in bits: the channel capacity, which with
+  its optimal prior has a closed form, so no search is involved.
 
 Both look only at the alice-to-bob direction, which is the one a
 sequential measurement can exercise.  Use
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 from .correlation import Correlation, catalog, marginal, mix
 from .errors import DomainError
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
+# weight comes from its series instead of the cancelling quotient.
+SERIES_GAP = 1e-3
 
 
 def binary_entropy(q: float) -> float:
@@ -54,51 +57,44 @@ def channel_mutual_info(alpha: float, p0: float, p1: float) -> float:
     )
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section maximum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+def _xlogx_slope(hi: float, lo: float, width: float) -> float:
+    """(hi ln hi - lo ln lo) / width for hi - lo = width > 0, without cancellation."""
+    if lo == 0.0:
+        return math.log(hi)
+    log_ratio = math.log1p(width / lo) if width < lo else math.log(hi) - math.log(lo)
+    return math.log(hi) + lo * log_ratio / width
 
 
-def _best_input_weight(p0: float, p1: float, tol: float):
-    """Maximize the channel information over the input prior."""
+def _best_input_weight(p0: float, p1: float):
+    """Capacity-achieving input weight of the channel and its information.
+
+    With ``s = (h(p0) - h(p1)) / (p0 - p1)`` the output that maximizes
+    the information is ``q* = 1 / (1 + 2**s)``, reached at input weight
+    ``alpha* = (q* - p1) / (p0 - p1)`` (Silverman, 1955).  The outputs are
+    relabelled so that the smaller probabilities carry the arithmetic,
+    and the divided difference ``s`` is taken through ``log1p``.  Below a
+    relative gap of ``SERIES_GAP`` the quotient for ``alpha*`` cancels,
+    so the odd series ``1/2 - (1 - 2m) d / (24 m (1 - m)) + O(d**3)`` in
+    the midpoint ``m`` and gap ``d`` takes over.
+    """
     if abs(p0 - p1) < 1e-15:
         return 0.5, 0.0
-
-    def fn(alpha: float) -> float:
-        return channel_mutual_info(alpha, p0, p1)
-
-    alpha, value = _golden_max(fn, 0.0, 1.0, tol)
-    # The objective is concave in alpha, so the search above is already
-    # global.  A coarse grid guards the implementation anyway: if the
-    # grid wins by more than rounding, refine around the grid optimum.
-    grid_alpha, grid_value = max(
-        ((k / 100.0, fn(k / 100.0)) for k in range(101)), key=lambda item: item[1]
-    )
-    if grid_value > value + 1e-9:
-        fine_alpha, fine_value = max(
-            ((k / 10000.0, fn(k / 10000.0)) for k in range(10001)),
-            key=lambda item: item[1],
-        )
-        lo = max(0.0, fine_alpha - 1e-4)
-        hi = min(1.0, fine_alpha + 1e-4)
-        alpha, value = _golden_max(fn, lo, hi, tol)
-        if fine_value > value:
-            alpha, value = fine_alpha, fine_value
-    return alpha, value
+    x0, x1 = min(1.0, max(0.0, p0)), min(1.0, max(0.0, p1))
+    if x0 + x1 > 1.0:
+        x0, x1 = 1.0 - x0, 1.0 - x1
+    lo, hi = min(x0, x1), max(x0, x1)
+    width = hi - lo
+    if width == 0.0:  # both marginals lay past the same end of [0, 1]
+        alpha = 0.5
+    elif width < SERIES_GAP * lo:
+        mid = 0.5 * (x0 + x1)
+        alpha = 0.5 - (1.0 - 2.0 * mid) * (x0 - x1) / (24.0 * mid * (1.0 - mid))
+    else:
+        # s in nats, so 2**s becomes exp(s)
+        s = _xlogx_slope(1.0 - lo, 1.0 - hi, width) - _xlogx_slope(hi, lo, width)
+        alpha = (1.0 / (1.0 + math.exp(s)) - x1) / (x0 - x1)
+    alpha = min(1.0, max(0.0, alpha))
+    return alpha, channel_mutual_info(alpha, p0, p1)
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,13 @@ def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
     return max(gaps)
 
 
-def signal_info(corr: Correlation, b_set=(0, 1), tol: float = 1e-10) -> SignalReport:
+def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     """Best-case information of the alice-to-bob channel, in bits.
 
     For each bob setting in ``b_set`` the pair of conditional marginals
-    forms a binary channel; the input prior is optimized to ``tol`` by
-    golden-section search.  The report keeps the winning setting and
-    prior.  Ties go to the setting listed first.
+    forms a binary channel; its capacity-achieving input prior has a
+    closed form (see :func:`_best_input_weight`).  The report keeps the
+    winning setting and prior.  Ties go to the setting listed first.
     """
     settings = _check_b_set(b_set)
     best = None
@@ -156,7 +152,7 @@ def signal_info(corr: Correlation, b_set=(0, 1), tol: float = 1e-10) -> SignalRe
     for b in settings:
         p0, p1 = _channel(corr, b)
         strength = max(strength, abs(p0 - p1))
-        alpha, value = _best_input_weight(p0, p1, tol)
+        alpha, value = _best_input_weight(p0, p1)
         if best is None or value > best[0] + 1e-15:
             best = (value, alpha, b)
     info, alpha_star, b_star = best

@@ -92,8 +92,12 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
     The weights are taken as given; they do not need to sum to one, so
     the function also measures deliberately wrong reconstructions.
     """
+    return _max_residual(corr, decomposition.weights)
+
+
+def _max_residual(corr: Correlation, weights: dict) -> float:
     total = np.zeros((2, 2, 2, 2))
-    for ident, weight in decomposition.weights.items():
+    for ident, weight in weights.items():
         total += weight * catalog(ident).as_correlation().p
     return float(np.max(np.abs(corr.p - total)))
 
@@ -180,8 +184,7 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     one_bit = sum(
         v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL
     )
-    result = Decomposition(weights=weights, cost=one_bit, residual=0.0)
-    residual = verify_reconstruction(corr, result)
+    residual = _max_residual(corr, weights)
     if residual > _RESIDUAL_TOL:
         raise InfeasibleError(
             f"closed-form reconstruction misses the table by {residual}"
@@ -213,13 +216,10 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     for ident, value in zip(ids, solution.x):
         if value > _WEIGHT_CUTOFF:
             weights[ident] = float(value)
-    result = Decomposition(
-        weights=weights, cost=float(solution.objective), residual=0.0
-    )
     return Decomposition(
         weights=weights,
         cost=float(solution.objective),
-        residual=verify_reconstruction(corr, result),
+        residual=_max_residual(corr, weights),
     )
 
 

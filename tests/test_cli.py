@@ -67,6 +67,18 @@ def test_analyze_invalid_table(tmp_path, capsys):
     assert run(["analyze", str(path)]) == 2
 
 
+def test_nan_table_is_invalid_input(tmp_path, capsys):
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[1, 0, 1, 0] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"p": p.tolist()}))
+    for argv in (["analyze", str(path)], ["decompose", str(path)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN" in captured.err
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = write_table(tmp_path, sb.tsirelson_box())
     out = tmp_path / "report.json"

@@ -39,6 +39,14 @@ def test_rejects_bad_normalization():
         sb.make_correlation(p)
 
 
+def test_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[1, 0, 1, 0] = bad
+        with pytest.raises(sb.DomainError if np.isnan(bad) else sb.SignalBoxError):
+            sb.make_correlation(p)
+
+
 def test_table_is_read_only():
     corr = sb.pr_box()
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Channel information, the unbalanced box family and the randomness trade-off."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_cloning_violation_values():
 
 
 def test_optimizer_matches_dense_grid(rng):
-    """Golden-section weight search agrees with a brute-force scan."""
+    """Closed-form optimal weight agrees with a brute-force scan."""
     from signalbox.signaling import _best_input_weight
 
     for _ in range(40):
@@ -152,7 +153,7 @@ def test_optimizer_matches_dense_grid(rng):
             sb.channel_mutual_info(float(a), p0, p1)
             for a in np.linspace(0.0, 1.0, 10001)
         )
-        alpha, info = _best_input_weight(p0, p1, 1e-10)
+        alpha, info = _best_input_weight(p0, p1)
         assert info == pytest.approx(best, abs=1e-6)
         assert 0.0 <= alpha <= 1.0
 
@@ -164,3 +165,79 @@ def test_signal_info_on_random_tables_is_bounded(rng):
         assert 0.0 <= report.info <= 1.0 + 1e-12
         assert report.b_star in (0, 1)
         assert report.strength <= 1.0 + 1e-12
+
+
+def _oracle_capacity(p0, p1):
+    """Optimal input weight and capacity of the (p0, p1) channel, 50 digits.
+
+    Evaluates the textbook closed form ``q* = 1 / (1 + 2**s)`` with
+    ``s = (h(p0) - h(p1)) / (p0 - p1)`` in decimal arithmetic, where the
+    cancellations the float code has to avoid cost nothing.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def h(q):
+            if q <= 0 or q >= 1:
+                return Decimal(0)
+            return -(q * q.ln() + (1 - q) * (1 - q).ln()) / ln2
+
+        x0, x1 = Decimal(p0), Decimal(p1)
+        if x0 == x1:
+            return 0.5, 0.0
+        s = (h(x0) - h(x1)) / (x0 - x1)
+        q = 1 / (1 + (s * ln2).exp())
+        alpha = (q - x1) / (x0 - x1)
+        info = h(alpha * x0 + (1 - alpha) * x1) - alpha * h(x0) - (1 - alpha) * h(x1)
+        return float(alpha), float(info)
+
+
+def _bob_channel_table(p0, p1):
+    """Table whose b=0 alice-to-bob channel has P(y=0 | a) = (p0, p1)."""
+    p = np.zeros((2, 2, 2, 2))
+    p[0, 0, 0] = (p0, 1.0 - p0)
+    p[1, 0, 0] = (p1, 1.0 - p1)
+    p[:, 1, 0, 0] = 1.0
+    return sb.Correlation(p)
+
+
+def test_capacity_matches_decimal_oracle(rng):
+    """Closed-form weight and capacity against a 50-digit decimal oracle.
+
+    Gaps |p0 - p1| are log-uniform on [1e-15, 1], with the pair near 0,
+    near 1 or in the middle of the unit interval; every pair of edge
+    values, denormals included, is added.  The weight is pinned to 1e-9
+    on every pair with a gap of at least 1e-15, the nonsignaling cutoff,
+    so also on every channel that carries 1e-9 bits or more.
+    """
+    edges = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-15, 0.5, 1.0 - 2**-53, 1.0)
+    cases = [(p0, p1) for p0 in edges for p1 in edges]
+    for _ in range(300):
+        gap = 10.0 ** rng.uniform(-15.0, 0.0)
+        near = 10.0 ** rng.uniform(-15.0, 0.0) * (1.0 - gap)
+        for low in (near, 1.0 - gap - near, rng.uniform(0.0, 1.0 - gap)):
+            pair = (float(low + gap), float(low))
+            cases.append(pair if rng.random() < 0.5 else pair[::-1])
+    worst = 0.0
+    for p0, p1 in cases:
+        report = sb.signal_info(_bob_channel_table(p0, p1), b_set=(0,))
+        alpha, info = _oracle_capacity(p0, p1)
+        assert 0.0 <= report.alpha_star <= 1.0
+        assert abs(report.info - info) <= 1e-14, (p0, p1, report.info, info)
+        if abs(p0 - p1) >= 1e-15:
+            worst = max(worst, abs(report.alpha_star - alpha))
+    assert worst <= 1e-9
+    report = sb.signal_info(_bob_channel_table(1.0, 0.5), b_set=(0,))
+    assert report.alpha_star == pytest.approx(0.6, abs=1e-15)
+    assert report.info == pytest.approx(MU, abs=1e-15)
+    for p0, p1 in ((1.0, 0.0), (0.0, 1.0)):
+        report = sb.signal_info(_bob_channel_table(p0, p1), b_set=(0,))
+        assert (report.alpha_star, report.info) == (0.5, 1.0)
+
+
+def test_capacity_rejects_marginals_past_the_unit_interval():
+    """Normalization slop can push a marginal past 1; that is a DomainError."""
+    table = _bob_channel_table(1.0 + 1e-10, 1.0)
+    with pytest.raises(sb.DomainError):
+        sb.signal_info(table, b_set=(0,))
