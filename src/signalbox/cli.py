@@ -179,6 +179,12 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         print("signalbox: sweep needs --steps of at least 2", file=sys.stderr)
         return 1
+    if args.steps > quantum.MAX_SWEEP_STEPS:
+        print(
+            f"signalbox: sweep allows --steps of at most {quantum.MAX_SWEEP_STEPS}",
+            file=sys.stderr,
+        )
+        return 1
     if not args.theta_max > args.theta_min:
         print(
             "signalbox: sweep needs --theta-min strictly below --theta-max",

@@ -8,9 +8,13 @@ what the rest of the package prices.
 
 Tables are produced by two independent routes and cross-checked on every
 call: an explicit project-then-measure computation with 2x2 matrices,
-and a closed-form expression that only touches Bloch vectors.  All
-observables are +/-1 valued (outcome label l means value (-1)**l), and
-all entropies are in bits.
+and a closed-form expression that only touches Bloch vectors.  Both
+routes are kernels over a batch of N instances given as Bloch vectors;
+the scalar functions are their N=1 case, and the angle sweep runs all
+its angles as one batch.  The Holevo optimisation works on Bloch
+vectors too, since a qubit with Bloch vector r has entropy
+h((1 + |r|)/2).  All observables are +/-1 valued (outcome label l means
+value (-1)**l), and all entropies are in bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .correlation import Correlation, disturbance_cost, functional_value
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
-from .signaling import binary_entropy, signal_info
+from .signaling import signal_info
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -32,8 +36,20 @@ IDENTITY = np.eye(2, dtype=complex)
 _UNIT_TOL = 1e-12
 _STATE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
+_ROUTE_TOL = 1e-8
+_PURE_GAP = 4.0 * np.finfo(float).eps
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Width at which the golden-section bracket of the Holevo weight stops.
+HOLEVO_BRACKET = 1e-10
+# Width at which the crossover bisection stops.
+CROSSOVER_TOL = 1e-4
+# Largest sweep; one batch holds a (steps, 2, 2, 2, 2) table array.
+MAX_SWEEP_STEPS = 100_000
+
+# Outcome value (-1)**label for labels 0 and 1.
+_SIGNS = np.array([1.0, -1.0])
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _hermitian_eigenvalues(m) -> tuple:
@@ -55,6 +71,8 @@ class Observable:
         vec = np.array(self.n, dtype=float)
         if vec.shape != (3,):
             raise DomainError(f"Bloch direction must be a 3-vector, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise DomainError("Bloch direction has a non-finite entry")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > _UNIT_TOL:
             raise DomainError(f"Bloch direction has norm {norm}, expected 1")
@@ -87,6 +105,8 @@ class QubitState:
         m = np.array(self.rho, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"density matrix must be 2x2, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > _STATE_TOL:
             raise DomainError("density matrix is not Hermitian")
         trace = float(m[0, 0].real + m[1, 1].real)
@@ -124,6 +144,64 @@ class QubitState:
         )
 
 
+def _sigma_dot(v: np.ndarray) -> np.ndarray:
+    """Matrices v.sigma for Bloch vectors ``v`` of shape (..., 3)."""
+    return np.tensordot(v, _PAULIS, axes=(-1, 0))
+
+
+def _projector_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`projector_update_table` for N instances at once.
+
+    ``r`` (N, 3) holds the states' Bloch vectors, ``a`` and ``b``
+    (N, 2, 3) alice's and bob's two unit directions; the result has
+    shape (N, 2, 2, 2, 2).
+    """
+    rho = 0.5 * (IDENTITY + _sigma_dot(r))
+    signs = _SIGNS[:, None, None]
+    alice = 0.5 * (IDENTITY + signs * _sigma_dot(a)[:, :, None])
+    bob = 0.5 * (IDENTITY + signs * _sigma_dot(b)[:, :, None])
+    return np.einsum("nbyij,naxjk,nkl,naxli->nabxy", bob, alice, rho, alice).real
+
+
+def _formula_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`expanded_formula_table` for N instances at once.
+
+    Shapes as in :func:`_projector_tables`, with which it shares no code.
+    """
+    a_r = np.einsum("nak,nk->na", a, r)[:, :, None, None, None]
+    b_r = np.einsum("nbk,nk->nb", b, r)[:, None, :, None, None]
+    a_b = np.einsum("nak,nbk->nab", a, b)[:, :, :, None, None]
+    u = _SIGNS[:, None]
+    v = _SIGNS[None, :]
+    sandwich = 2.0 * a_b * a_r - b_r
+    return 0.25 + u * a_r / 4.0 + v * b_r / 8.0 + u * v * a_b / 4.0 + v * sandwich / 8.0
+
+
+def _checked_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Projector-route tables of N instances, each checked by the closed form.
+
+    Raises :class:`~signalbox.errors.ConsistencyError` when the routes
+    disagree entrywise by more than 1e-8 on any instance; otherwise the
+    projector tables, clipped at 0, are returned.
+    """
+    direct = _projector_tables(r, a, b)
+    gap = float(np.max(np.abs(direct - _formula_tables(r, a, b))))
+    if gap > _ROUTE_TOL:
+        raise ConsistencyError(
+            f"projector and closed-form tables disagree by {gap}"
+        )
+    return np.clip(direct, 0.0, None)
+
+
+def _single(rho: QubitState, a0, a1, b0, b1):
+    """One state and four observables as the N=1 batch of Bloch vectors."""
+    return (
+        rho.bloch_vector[None],
+        np.stack([a0.n, a1.n])[None],
+        np.stack([b0.n, b1.n])[None],
+    )
+
+
 def projector_update_table(rho: QubitState, a0, a1, b0, b1) -> np.ndarray:
     """Joint table by the explicit two-step measurement computation.
 
@@ -131,10 +209,7 @@ def projector_update_table(rho: QubitState, a0, a1, b0, b1) -> np.ndarray:
     projectors of alice's and bob's chosen observables.  Alice always
     measures first; her projector sandwiches the state.
     """
-    alice = np.stack([np.stack([obs.projector(x) for x in (0, 1)]) for obs in (a0, a1)])
-    bob = np.stack([np.stack([obs.projector(y) for y in (0, 1)]) for obs in (b0, b1)])
-    table = np.einsum("byij,axjk,kl,axli->abxy", bob, alice, rho.rho, alice)
-    return table.real
+    return _projector_tables(*_single(rho, a0, a1, b0, b1))[0]
 
 
 def expanded_formula_table(rho: QubitState, a0, a1, b0, b1) -> np.ndarray:
@@ -151,28 +226,7 @@ def expanded_formula_table(rho: QubitState, a0, a1, b0, b1) -> np.ndarray:
     with :func:`projector_update_table` is the point: the two routes
     check each other.
     """
-    r = rho.bloch_vector
-    table = np.empty((2, 2, 2, 2))
-    for ia, alice_obs in enumerate((a0, a1)):
-        av = alice_obs.n
-        a_r = float(av @ r)
-        for ib, bob_obs in enumerate((b0, b1)):
-            bv = bob_obs.n
-            b_r = float(bv @ r)
-            a_b = float(av @ bv)
-            sandwich = 2.0 * a_b * a_r - b_r
-            for x in (0, 1):
-                u = (-1.0) ** x
-                for y in (0, 1):
-                    v = (-1.0) ** y
-                    table[ia, ib, x, y] = (
-                        0.25
-                        + u * a_r / 4.0
-                        + v * b_r / 8.0
-                        + u * v * a_b / 4.0
-                        + v * sandwich / 8.0
-                    )
-    return table
+    return _formula_tables(*_single(rho, a0, a1, b0, b1))[0]
 
 
 def sequential_correlation(rho: QubitState, a0, a1, b0, b1) -> Correlation:
@@ -182,14 +236,7 @@ def sequential_correlation(rho: QubitState, a0, a1, b0, b1) -> Correlation:
     within 1e-8, else :class:`~signalbox.errors.ConsistencyError` is
     raised.  The projector route's numbers are the ones returned.
     """
-    direct = projector_update_table(rho, a0, a1, b0, b1)
-    closed = expanded_formula_table(rho, a0, a1, b0, b1)
-    gap = float(np.max(np.abs(direct - closed)))
-    if gap > 1e-8:
-        raise ConsistencyError(
-            f"projector and closed-form tables disagree by {gap}"
-        )
-    return Correlation(np.clip(direct, 0.0, None))
+    return Correlation(_checked_tables(*_single(rho, a0, a1, b0, b1))[0])
 
 
 def post_measurement_state(rho: QubitState, obs: Observable) -> QubitState:
@@ -227,31 +274,76 @@ def holevo(alpha: float, r0: QubitState, r1: QubitState) -> float:
     )
 
 
-def holevo_max(r0: QubitState, r1: QubitState, tol: float = 1e-10):
-    """Holevo quantity maximized over the ensemble weight.
+def _qubit_entropy(norm_sq: np.ndarray) -> np.ndarray:
+    """Entropy in bits of qubit states with squared Bloch radius ``norm_sq``.
 
-    Returns ``(alpha_star, chi)``.  The objective is concave in the
-    weight, so golden-section search over [0, 1] finds the optimum.
+    The eigenvalues are (1 +/- |r|)/2, so the entropy is h((1 + |r|)/2);
+    0 log 0 counts as 0.
     """
+    # A squared radius within a few ulps of 1 is a unit vector's rounding,
+    # so the state is pure; kept, that rounding alone would count as an
+    # entropy of about 3e-15 bits, since h is steep next to a pure state.
+    norm_sq = np.where(norm_sq >= 1.0 - _PURE_GAP, 1.0, np.maximum(norm_sq, 0.0))
+    radius = np.sqrt(norm_sq)
+    high = 0.5 * (1.0 + radius)
+    low = 0.5 * (1.0 - radius)
+    # A zero eigenvalue meets log2(tiny), and 0 times that is 0.
+    low_log = np.log2(np.maximum(low, np.finfo(float).tiny))
+    return -high * np.log2(high) - low * low_log
 
-    def fn(alpha: float) -> float:
-        return holevo(alpha, r0, r1)
 
-    a, b = 0.0, 1.0
+def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
+    """Weight-maximised Holevo quantity of N ensembles of Bloch vectors.
+
+    ``r0`` and ``r1`` (N, 3) are the two states of each ensemble.  The
+    blend r1 + alpha (r0 - r1) has squared radius
+    r1.r1 + alpha (2 (r0 - r1).r1 + alpha |r0 - r1|**2), so the objective
+    needs three dot products and no matrices.  It is concave in alpha;
+    one golden-section search over [0, 1] steps all N brackets together
+    until each is ``HOLEVO_BRACKET`` wide.  Returns arrays
+    ``(alpha_star, chi)`` of length N.
+    """
+    gap = r0 - r1
+    c0 = np.einsum("nk,nk->n", r1, r1)
+    c1 = 2.0 * np.einsum("nk,nk->n", gap, r1)
+    c2 = np.einsum("nk,nk->n", gap, gap)
+    s1 = _qubit_entropy(c0)
+    s_gap = _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
+
+    def fn(alpha):
+        return _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
+
+    a, b = np.zeros(len(c0)), np.ones(len(c0))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
+    while np.any(b - a > HOLEVO_BRACKET):
+        # Where fc >= fd the optimum lies in [a, d]: d becomes the new b,
+        # c the new d, and a fresh c is probed; elsewhere the mirror image.
+        left = fc >= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_probe = fn(probe)
+        c, fc, d, fd = (
+            np.where(left, probe, d),
+            np.where(left, f_probe, fd),
+            np.where(left, c, probe),
+            np.where(left, fc, f_probe),
+        )
     mid = 0.5 * (a + b)
     return mid, fn(mid)
+
+
+def holevo_max(r0: QubitState, r1: QubitState):
+    """Holevo quantity maximized over the ensemble weight.
+
+    Returns ``(alpha_star, chi)``.  The N=1 case of the Bloch-vector
+    golden-section search over [0, 1]; the objective is concave in the
+    weight.
+    """
+    alpha, chi = _holevo_max_batch(r0.bloch_vector[None], r1.bloch_vector[None])
+    return float(alpha[0]), float(chi[0])
 
 
 def sigma_settings():
@@ -341,35 +433,67 @@ class SweepRow:
     classical: bool
 
 
-def _sweep_row(theta: float) -> SweepRow:
-    state, a0, a1, b0, b1 = theta_geometry(theta)
-    table = sequential_correlation(state, a0, a1, b0, b1)
-    lam = functional_value(table)
-    cost = disturbance_cost(table)
-    info = signal_info(table).info
-    rho0 = post_measurement_state(state, a0)
-    rho1 = post_measurement_state(state, a1)
-    _, chi = holevo_max(rho0, rho1)
-    return SweepRow(
-        theta=theta,
-        functional=lam,
-        functional_norm=lam / 2.0,
-        restricted_info=info,
-        disturbance=cost,
-        holevo_info=chi,
-        classical=info >= cost,
-    )
+def _xz_directions(phi: np.ndarray) -> np.ndarray:
+    """Unit vectors in the xz-plane at angles ``phi`` from the z-axis."""
+    return np.stack([np.sin(phi), np.zeros_like(phi), np.cos(phi)], axis=-1)
+
+
+def _theta_batch(thetas: np.ndarray):
+    """Route-checked tables and Holevo quantities of the sweep geometry.
+
+    For N angles, lays out :func:`theta_geometry`'s observables as Bloch
+    vectors, runs both table routes once over all of them, and maximises
+    the Holevo quantity of alice's two post-measurement states in one
+    batched search.  Returns ``(tables (N, 2, 2, 2, 2), chi (N,))``.
+    """
+    b0, a0, b1, a1 = (_xz_directions(k * thetas) for k in (0.0, 1.0, 2.0, 3.0))
+    alice = np.stack([a0, a1], axis=1)
+    tables = _checked_tables(a1, alice, np.stack([b0, b1], axis=1))
+    # An unread measurement along n leaves the Bloch vector (n.r) n.
+    post = np.einsum("nak,nk->na", alice, a1)[:, :, None] * alice
+    _, chi = _holevo_max_batch(post[:, 0], post[:, 1])
+    return tables, chi
 
 
 def theta_sweep(theta_min: float, theta_max: float, steps: int):
-    """Rows of the angle sweep, ascending, endpoints included."""
+    """Rows of the angle sweep, ascending, endpoints included.
+
+    All angles run as one batch (see :func:`_theta_batch`); only the
+    channel analysis of each table runs row by row.  Raises
+    :class:`~signalbox.errors.DomainError` for fewer than 2 or more than
+    ``MAX_SWEEP_STEPS`` steps, an empty range, or an endpoint outside
+    (0, pi/2).
+    """
     if steps < 2:
         raise DomainError(f"sweep needs at least 2 steps, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise DomainError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {steps}")
     if not theta_max > theta_min:
         raise DomainError(
             f"sweep range is empty: [{theta_min}, {theta_max}]"
         )
-    return [_sweep_row(t) for t in np.linspace(theta_min, theta_max, steps)]
+    theta_geometry(theta_min)
+    theta_geometry(theta_max)
+    thetas = np.linspace(theta_min, theta_max, steps)
+    tables, chis = _theta_batch(thetas)
+    rows = []
+    for theta, p, chi in zip(thetas, tables, chis):
+        table = Correlation(p)
+        lam = functional_value(table)
+        cost = disturbance_cost(table)
+        info = signal_info(table).info
+        rows.append(
+            SweepRow(
+                theta=float(theta),
+                functional=lam,
+                functional_norm=lam / 2.0,
+                restricted_info=info,
+                disturbance=cost,
+                holevo_info=float(chi),
+                classical=info >= cost,
+            )
+        )
+    return rows
 
 
 def sweep_csv(rows) -> str:
@@ -392,14 +516,15 @@ def sweep_csv(rows) -> str:
 
 
 def _crossover_gap(theta: float) -> float:
-    row = _sweep_row(theta)
-    return row.restricted_info - row.disturbance
+    table = sequential_correlation(*theta_geometry(theta))
+    return signal_info(table).info - disturbance_cost(table)
 
 
-def find_crossover(theta_min: float, theta_max: float, tol: float = 1e-4) -> float:
+def find_crossover(theta_min: float, theta_max: float) -> float:
     """Angle where the restricted information first covers the cost.
 
-    Bisects ``restricted_info - disturbance`` to within ``tol``.
+    Bisects ``restricted_info - disturbance`` to within ``CROSSOVER_TOL``;
+    no Holevo quantity is computed.
     Raises :class:`~signalbox.errors.NoCrossoverError` when the interval
     is degenerate or the gap does not change sign across it.
     """
@@ -418,7 +543,7 @@ def find_crossover(theta_min: float, theta_max: float, tol: float = 1e-4) -> flo
         raise NoCrossoverError(
             f"no sign change of info minus cost on [{theta_min}, {theta_max}]"
         )
-    while hi - lo > tol:
+    while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         g_mid = _crossover_gap(mid)
         if g_mid == 0.0:

@@ -44,12 +44,16 @@ def channel_mutual_info(alpha: float, p0: float, p1: float) -> float:
 
     The input is 0 with probability ``alpha``; the output is 0 with
     probability ``p0`` or ``p1`` depending on the input.  Computed as
-    output entropy minus average conditional entropy.
+    output entropy minus average conditional entropy.  Above 1/2 the
+    output entropy is read off the complementary outcome, whose small
+    probability keeps the digits that the steep entropy near 1 needs.
     """
     if alpha < -1e-12 or alpha > 1.0 + 1e-12:
         raise DomainError(f"input weight {alpha} outside [0, 1]")
     alpha = min(1.0, max(0.0, alpha))
     blended = alpha * p0 + (1.0 - alpha) * p1
+    if blended > 0.5:
+        blended = alpha * (1.0 - p0) + (1.0 - alpha) * (1.0 - p1)
     return (
         binary_entropy(blended)
         - alpha * binary_entropy(p0)

@@ -142,10 +142,20 @@ def test_sweep_window_without_crossover(capsys):
     assert len(out.strip().split("\n")) == 62
 
 
-def test_sweep_bad_ranges(capsys):
+def test_sweep_bad_ranges(capsys, monkeypatch):
     assert run(["sweep", "--steps", "1"]) == 1
     assert run(["sweep", "--theta-min", "1.2", "--theta-max", "0.9"]) == 1
     assert run(["sweep", "--theta-min", "1.0", "--theta-max", "1.0"]) == 1
+    capsys.readouterr()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the step grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert run(["sweep", "--steps", str(10**12)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 100000" in captured.err
 
 
 def test_sweep_geometry_domain_error(capsys):

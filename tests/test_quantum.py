@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
+from signalbox import quantum
 from conftest import random_bloch_vector, random_observable, random_quantum_instance, random_state
 
 MU = math.log2(5.0) - 2.0
@@ -54,6 +55,21 @@ def test_state_validation():
         sb.QubitState(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative weight
     with pytest.raises(sb.DomainError):
         sb.QubitState.from_bloch(np.array([0.0, 0.0, 1.5]))
+
+
+def test_state_rejects_non_finite_entries():
+    with pytest.raises(sb.DomainError):
+        sb.QubitState(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_bloch_state_rejects_non_finite_entries():
+    with pytest.raises(sb.DomainError):
+        sb.QubitState.from_bloch(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_observable_rejects_non_finite_entries():
+    with pytest.raises(sb.DomainError):
+        sb.Observable(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_bloch_round_trip(rng):
@@ -239,13 +255,56 @@ def test_sweep_rows_and_frozen_values():
         assert row.restricted_info <= row.holevo_info + 1e-9
 
 
-def test_sweep_argument_validation():
+def test_sweep_argument_validation(monkeypatch):
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(0.9, 1.2, 1)
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(1.2, 0.9, 61)
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(1.0, 1.0, 10)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the step grid was allocated")
+
+    # The step bound fires before anything of the sweep's size exists.
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for steps in (quantum.MAX_SWEEP_STEPS + 1, 10**12):
+        with pytest.raises(sb.DomainError):
+            sb.theta_sweep(0.9, 1.2, steps)
+
+
+def test_sweep_batch_matches_scalar_routes():
+    """Every batched row agrees with the scalar, matrix-based computations.
+
+    Tables match :func:`sequential_correlation` at each angle.  The
+    Bloch-vector Holevo search matches the maximum of the matrix-route
+    :func:`holevo` of alice's two post-measurement states over a weight
+    grid, refined around the coarse maximum to a spacing of 1e-5.
+    """
+    rows = sb.theta_sweep(0.3, 1.45, 40)
+    tables, _ = quantum._theta_batch(np.array([row.theta for row in rows]))
+    coarse = np.linspace(0.0, 1.0, 401)
+    for row, batched in zip(rows, tables):
+        state, a0, a1, b0, b1 = sb.theta_geometry(row.theta)
+        scalar = sb.sequential_correlation(state, a0, a1, b0, b1)
+        assert np.max(np.abs(batched - scalar.p)) <= 1e-12
+        rho0 = sb.post_measurement_state(state, a0)
+        rho1 = sb.post_measurement_state(state, a1)
+        best = max(coarse, key=lambda w: sb.holevo(float(w), rho0, rho1))
+        fine = np.linspace(max(0.0, best - 0.0025), min(1.0, best + 0.0025), 501)
+        grid_max = max(sb.holevo(float(w), rho0, rho1) for w in fine)
+        assert abs(row.holevo_info - grid_max) <= 1e-9, row.theta
+
+
+def test_route_gap_raises_consistency_error(monkeypatch):
+    """A closed-form route off by 1e-7 fails the sweep and the scalar call."""
+    formula = quantum._formula_tables
+    monkeypatch.setattr(quantum, "_formula_tables", lambda r, a, b: formula(r, a, b) + 1e-7)
+    with pytest.raises(sb.ConsistencyError):
+        sb.theta_sweep(0.9, 1.2, 61)
+    state, a0, a1, b0, b1 = sb.theta_geometry(1.0)
+    with pytest.raises(sb.ConsistencyError):
+        sb.sequential_correlation(state, a0, a1, b0, b1)
 
 
 def test_sweep_csv_format():

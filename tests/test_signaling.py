@@ -234,6 +234,12 @@ def test_capacity_matches_decimal_oracle(rng):
     for p0, p1 in ((1.0, 0.0), (0.0, 1.0)):
         report = sb.signal_info(_bob_channel_table(p0, p1), b_set=(0,))
         assert (report.alpha_star, report.info) == (0.5, 1.0)
+    # Output probability near 1, where h is steep: the capacity stays
+    # non-negative and within 1e-15 of the oracle.
+    near_one = (0.9999999999999827, 0.9999999999999942)
+    report = sb.signal_info(_bob_channel_table(*near_one), b_set=(0,))
+    assert report.info >= 0.0
+    assert abs(report.info - _oracle_capacity(*near_one)[1]) <= 1e-15
 
 
 def test_capacity_rejects_marginals_past_the_unit_interval():
