@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import quantum
@@ -26,7 +27,7 @@ from .correlation import (
     pr_box,
     to_json_dict,
 )
-from .errors import NoCrossoverError, SignalBoxError
+from .errors import DomainError, NoCrossoverError, SignalBoxError
 from .signaling import cloning_violation, randomness_report, unbalanced_pr
 from .simulate import (
     classify,
@@ -141,7 +142,11 @@ def _load_or_report(args):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises DomainError, never prints."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"output has a non-finite number ({exc})") from None
 
 
 def cmd_analyze(args) -> int:
@@ -149,14 +154,18 @@ def cmd_analyze(args) -> int:
     if table is None:
         return 2
     try:
-        report = classify(table, measure=args.measure)
+        text = _json_text(report_json_dict(classify(table, measure=args.measure)))
     except SignalBoxError as exc:
         print(f"signalbox: {exc}", file=sys.stderr)
         return 3
-    return _emit(_json_text(report_json_dict(report)), args.output_path)
+    return _emit(text, args.output_path)
 
 
 def cmd_decompose(args) -> int:
+    # A NaN or infinite tolerance would switch the residual check off.
+    if not math.isfinite(args.tol):
+        print("signalbox: decompose needs a finite --tol", file=sys.stderr)
+        return 1
     table = _load_or_report(args)
     if table is None:
         return 2
@@ -169,10 +178,11 @@ def cmd_decompose(args) -> int:
                 file=sys.stderr,
             )
             return 3
+        text = _json_text(decomposition_json_dict(decomposition))
     except SignalBoxError as exc:
         print(f"signalbox: {exc}", file=sys.stderr)
         return 3
-    return _emit(_json_text(decomposition_json_dict(decomposition)), args.output_path)
+    return _emit(text, args.output_path)
 
 
 def cmd_sweep(args) -> int:
@@ -254,11 +264,11 @@ def _demo_payload(name: str, p: float) -> dict:
 
 def cmd_demo(args) -> int:
     try:
-        payload = _demo_payload(args.name, args.p)
+        text = _json_text(_demo_payload(args.name, args.p))
     except SignalBoxError as exc:
         print(f"signalbox: {exc}", file=sys.stderr)
         return 3
-    return _emit(_json_text(payload), args.output_path)
+    return _emit(text, args.output_path)
 
 
 _DISPATCH = {

@@ -144,8 +144,8 @@ def mix(weights, correlations) -> Correlation:
     """Convex mixture of correlation tables.
 
     Raises :class:`~signalbox.errors.WeightError` when the weight vector
-    has negative entries, does not match the number of tables, or does
-    not sum to one within 1e-12.
+    has NaN, infinite or negative entries, does not match the number of
+    tables, or does not sum to one within 1e-12.
     """
     w = np.asarray(weights, dtype=float)
     tables = list(correlations)
@@ -155,6 +155,9 @@ def mix(weights, correlations) -> Correlation:
         )
     if w.size == 0:
         raise WeightError("cannot mix an empty collection")
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise WeightError(f"non-finite mixture weight {float(w[~finite][0])}")
     if float(w.min()) < -1e-12:
         raise WeightError(f"negative mixture weight {float(w.min())}")
     total = float(w.sum())
@@ -359,6 +362,29 @@ def _build_catalog() -> dict:
 
 _CATALOG = _build_catalog()
 
+# The catalog's tables, built and validated once.  Column k of
+# STRATEGY_MATRIX is the flattened table of FULL_BASIS[k], and
+# STRATEGY_COSTS[k] is the bit a one-bit strategy spends (0 for a local).
+_STRATEGY_TABLES = np.stack(
+    [_CATALOG[ident].as_correlation().p for ident in FULL_BASIS]
+)
+STRATEGY_MATRIX = np.ascontiguousarray(
+    _STRATEGY_TABLES.reshape(len(FULL_BASIS), -1).T
+)
+STRATEGY_COSTS = np.array(
+    [0.0 if _CATALOG[i].kind is StrategyKind.LOCAL else 1.0 for i in FULL_BASIS]
+)
+_STRATEGY_TABLES.setflags(write=False)
+STRATEGY_MATRIX.setflags(write=False)
+STRATEGY_COSTS.setflags(write=False)
+_COLUMNS = {ident: k for k, ident in enumerate(FULL_BASIS)}
+
+
+def _unknown_strategy(ident) -> UnknownStrategyError:
+    return UnknownStrategyError(
+        f"unknown strategy {ident!r}; see signalbox.strategy_ids()"
+    )
+
 
 def catalog(ident: str) -> Strategy:
     """Look up a strategy by identifier.
@@ -369,9 +395,27 @@ def catalog(ident: str) -> Strategy:
     try:
         return _CATALOG[ident]
     except KeyError:
-        raise UnknownStrategyError(
-            f"unknown strategy {ident!r}; see signalbox.strategy_ids()"
-        ) from None
+        raise _unknown_strategy(ident) from None
+
+
+def strategy_column(ident: str) -> int:
+    """Column of a strategy in :data:`STRATEGY_MATRIX`.
+
+    Raises :class:`~signalbox.errors.UnknownStrategyError` like
+    :func:`catalog`.
+    """
+    try:
+        return _COLUMNS[ident]
+    except KeyError:
+        raise _unknown_strategy(ident) from None
+
+
+def strategy_table(ident: str) -> np.ndarray:
+    """The table of a strategy, as a read-only ``(2, 2, 2, 2)`` array.
+
+    Equal to ``catalog(ident).as_correlation().p``, built once at import.
+    """
+    return _STRATEGY_TABLES[strategy_column(ident)]
 
 
 def strategy_ids() -> tuple:

@@ -8,11 +8,18 @@ as an oracle in the test suite.  No external solver is involved.
 
 Redundant equalities are removed up front by Gaussian elimination with
 partial pivoting; an inconsistent system raises
-:class:`~signalbox.errors.InfeasibleError` at that stage already.
+:class:`~signalbox.errors.InfeasibleError` at that stage already.  The
+pivot choices depend on A alone, so the elimination of A is recorded
+once per matrix (a small LRU cache) and replayed on each right-hand side
+with the same elementwise operations.  Every result is bit-identical to
+eliminating ``[A | b]`` afresh, and to pivoting row by row: the pivots
+update all touched rows in one masked operation, element by element
+exactly as a loop over the rows would.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +45,22 @@ class SimplexResult:
     iterations: int
 
 
-def _independent_rows(a, b, tol):
-    """Indices of a maximal independent row subset of [A | b].
+@functools.lru_cache(maxsize=16)
+def _eliminate(shape, data, tol):
+    """Partial-pivoting elimination of A alone, cached per matrix.
 
-    Raises InfeasibleError when elimination exposes a row 0 = beta with
-    beta nonzero, i.e. the equality system is contradictory.
+    A arrives as its shape and C-order bytes, so that it can key the
+    cache.  Returns ``(steps, keep)``: the ``(pivot row, factors)`` of
+    every elimination step, step k making row k the pivot row, and the
+    sorted indices of a maximal independent row subset.  The pivot choices read only A's columns,
+    so one record serves every right-hand side.
     """
-    m = a.shape[0]
-    work = np.hstack([a, b.reshape(-1, 1)]).astype(float)
+    work = np.frombuffer(data, dtype=float).reshape(shape).copy()
+    m = shape[0]
     order = list(range(m))
+    steps = []
     rank = 0
-    for col in range(a.shape[1]):
+    for col in range(shape[1]):
         if rank >= m:
             break
         piv = rank + int(np.argmax(np.abs(work[rank:, col])))
@@ -59,22 +71,47 @@ def _independent_rows(a, b, tol):
             order[rank], order[piv] = order[piv], order[rank]
         factors = work[rank + 1 :, col] / work[rank, col]
         work[rank + 1 :] -= np.outer(factors, work[rank])
+        steps.append((piv, tuple(factors.tolist())))
         rank += 1
-    for i in range(rank, m):
-        if abs(work[i, -1]) > _FEAS_TOL:
+    keep = np.array(sorted(order[:rank]), dtype=np.intp)
+    keep.setflags(write=False)
+    return tuple(steps), keep
+
+
+def _independent_rows(a, b, tol):
+    """Indices of a maximal independent row subset of [A | b].
+
+    Replays the elimination of A on b with the same elementwise
+    operations, so b is reduced exactly as if it were a column of A.
+    Raises InfeasibleError when elimination exposes a row 0 = beta with
+    beta nonzero, i.e. the equality system is contradictory.
+    """
+    steps, keep = _eliminate(a.shape, a.tobytes(), tol)
+    beta = b.tolist()
+    for rank, (piv, factors) in enumerate(steps):
+        if piv != rank:
+            beta[rank], beta[piv] = beta[piv], beta[rank]
+        top = beta[rank]
+        for i, factor in enumerate(factors, rank + 1):
+            beta[i] -= factor * top
+    for i in range(len(keep), len(beta)):
+        if abs(beta[i]) > _FEAS_TOL:
             raise InfeasibleError(
-                f"equality system is inconsistent (residual {work[i, -1]:.3e})"
+                f"equality system is inconsistent (residual {beta[i]:.3e})"
             )
-    return sorted(order[:rank])
+    return keep
 
 
 def _pivot(tableau, cost_row, basis, leave, enter):
-    tableau[leave] /= tableau[leave, enter]
-    column = tableau[:, enter].copy()
-    for i in range(tableau.shape[0]):
-        if i != leave and column[i] != 0.0:
-            tableau[i] -= column[i] * tableau[leave]
-    cost_row -= cost_row[enter] * tableau[leave]
+    row = tableau[leave]
+    row /= row[enter]
+    column = tableau[:, enter]
+    touched = column != 0.0
+    touched[leave] = False
+    np.subtract(
+        tableau, np.multiply.outer(column, row), out=tableau, where=touched[:, None]
+    )
+    cost_row -= cost_row[enter] * row
     basis[leave] = enter
 
 
@@ -85,21 +122,17 @@ def _run_simplex(tableau, cost_row, basis, ncols, tol):
     and any columns beyond ncols never enter).  Returns the pivot count.
     """
     iterations = 0
-    m = tableau.shape[0]
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost_row[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        eligible = cost_row[:ncols] < -tol
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
             return iterations
         leave = -1
         best = np.inf
-        for i in range(m):
-            coef = tableau[i, enter]
+        rows = zip(tableau[:, enter].tolist(), tableau[:, -1].tolist())
+        for i, (coef, rhs) in enumerate(rows):
             if coef > tol:
-                ratio = tableau[i, -1] / coef
+                ratio = rhs / coef
                 if ratio < best - 1e-12:
                     best, leave = ratio, i
                 elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
@@ -164,16 +197,12 @@ def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
     # reduction the real columns span every row, so a pivot always exists.
     for i in range(m):
         if basis[i] >= n:
-            enter = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > tol:
-                    enter = j
-                    break
-            if enter < 0:
+            eligible = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
+            if eligible.size == 0:
                 raise ConsistencyError(
                     "redundant row survived rank reduction; cannot eject artificial"
                 )
-            _pivot(tableau, cost_row, basis, i, enter)
+            _pivot(tableau, cost_row, basis, i, int(eligible[0]))
             iterations += 1
 
     # Phase 2: drop artificial columns, rebuild reduced costs for c.

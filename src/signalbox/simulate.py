@@ -28,6 +28,8 @@ import numpy as np
 from .correlation import (
     FULL_BASIS,
     PLUS_LOCAL_IDS,
+    STRATEGY_COSTS,
+    STRATEGY_MATRIX,
     VIOLATING_IDS,
     Correlation,
     StrategyKind,
@@ -36,6 +38,8 @@ from .correlation import (
     functional_value,
     marginal,
     signaling_deltas,
+    strategy_column,
+    strategy_table,
 )
 from .errors import DomainError, InfeasibleError, PreconditionError
 from .signaling import signal_info
@@ -45,6 +49,9 @@ _RESIDUAL_TOL = 1e-9
 _CLASSICAL_TOL = 1e-9
 # Mixture weights below this are float noise and are dropped from results.
 _WEIGHT_CUTOFF = 1e-12
+_PLUS_LOCAL_COLUMNS = STRATEGY_MATRIX[
+    :, [strategy_column(ident) for ident in PLUS_LOCAL_IDS]
+]
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,11 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
 
 
 def _max_residual(corr: Correlation, weights: dict) -> float:
+    # Summed in dict order, one table at a time: a matrix product may add
+    # in another order and move the residual's last bits.
     total = np.zeros((2, 2, 2, 2))
     for ident, weight in weights.items():
-        total += weight * catalog(ident).as_correlation().p
+        total += weight * strategy_table(ident)
     return float(np.max(np.abs(corr.p - total)))
 
 
@@ -164,14 +173,12 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
 
     remainder = corr.p.copy()
     for ident, value in weights.items():
-        remainder -= value * catalog(ident).as_correlation().p
+        remainder -= value * strategy_table(ident)
 
-    columns = np.stack(
-        [catalog(ident).as_correlation().p.ravel() for ident in PLUS_LOCAL_IDS],
-        axis=1,
+    local_w, _, rank, _ = np.linalg.lstsq(
+        _PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None
     )
-    local_w, _, rank, _ = np.linalg.lstsq(columns, remainder.ravel(), rcond=None)
-    if rank < columns.shape[1]:
+    if rank < _PLUS_LOCAL_COLUMNS.shape[1]:
         raise InfeasibleError("local strategy columns are rank deficient")
     if float(local_w.min()) < -1e-9:
         raise InfeasibleError(
@@ -204,14 +211,10 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     ids = FULL_BASIS if basis is None else tuple(basis)
     if not ids:
         raise DomainError("basis must name at least one strategy")
-    strategies = [catalog(ident) for ident in ids]
-    columns = np.stack([s.as_correlation().p.ravel() for s in strategies], axis=1)
-    a = np.vstack([columns, np.ones((1, len(ids)))])
+    columns = [strategy_column(ident) for ident in ids]
+    a = np.vstack([STRATEGY_MATRIX[:, columns], np.ones((1, len(ids)))])
     rhs = np.concatenate([corr.p.ravel(), [1.0]])
-    cost_vec = np.array(
-        [0.0 if s.kind is StrategyKind.LOCAL else 1.0 for s in strategies]
-    )
-    solution = solve_lp(cost_vec, a, rhs)
+    solution = solve_lp(STRATEGY_COSTS[columns], a, rhs)
     weights = {}
     for ident, value in zip(ids, solution.x):
         if value > _WEIGHT_CUTOFF:
@@ -224,11 +227,24 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
 
 
 def communication_cost(corr: Correlation) -> float:
-    """Bits of communication needed to simulate the table.
+    """Lower bound on the bits needed to simulate the table.
 
-    Equals ``max(disturbance_cost, largest marginal shift)``: the
-    decomposition theorems make both quantities floors, and one of the
-    two is always attainable.
+    Returns ``max(disturbance_cost, largest marginal shift)``; both
+    quantities are floors on the one-bit weight of any decomposition.
+    The bound equals the minimal one-bit weight on three families:
+
+    * mixtures of the +2 locals with the violating octet, where the
+      disturbance cost is attained;
+    * mixtures of all sixteen locals with one imbalanced pair and one
+      aligned echo pair signaling in a single direction, when the
+      dominant signed shift beats the weaker one by at least the
+      disturbance cost, where the shift is attained;
+    * the bob-shift mixtures that :func:`closed_form_decompose` handles.
+
+    Elsewhere it can fall short: on random mixtures over the whole
+    catalog, and on sequential qubit tables, a decomposition over every
+    local and one-way one-bit strategy can need up to about a third of
+    a bit more.
     """
     return max(disturbance_cost(corr), signaling_deltas(corr).max)
 

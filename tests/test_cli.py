@@ -117,6 +117,34 @@ def test_decompose_tol_flag(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_decompose_rejects_non_finite_tol(tmp_path, capsys):
+    """A NaN or infinite tolerance would turn the residual check off."""
+    path = write_table(tmp_path, sb.pr_box())
+    for flag in ("--tol=nan", "--tol=inf", "--tol=-inf", "--tol=1e400"):
+        assert run(["decompose", path, flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "signalbox: decompose needs a finite --tol\n"
+
+
+def test_non_finite_json_output_is_a_computation_failure(tmp_path, capsys, monkeypatch):
+    """NaN never prints as JSON: the command exits 3 with empty stdout."""
+    path = write_table(tmp_path, sb.pr_box())
+    monkeypatch.setattr(
+        "signalbox.cli.report_json_dict", lambda report: {"lambda": math.nan}
+    )
+    assert run(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("signalbox: output has a non-finite number")
+    assert captured.err.count("\n") == 1
+    monkeypatch.setattr(
+        "signalbox.cli.decomposition_json_dict", lambda dec: {"cost": math.inf}
+    )
+    assert run(["decompose", path]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_default_window(capsys):
     assert run(["sweep"]) == 0
     out = capsys.readouterr().out

@@ -90,6 +90,9 @@ def test_mix_weight_validation():
         sb.mix([1.0], tables)
     with pytest.raises(sb.WeightError):
         sb.mix([], [])
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [np.nan, np.nan]):
+        with pytest.raises(sb.WeightError, match="non-finite"):
+            sb.mix(bad, tables)
 
 
 def test_mix_is_convex_combination():

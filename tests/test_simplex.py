@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import signalbox as sb
+from signalbox import correlation, simplex
 
 
 def test_single_variable():
@@ -130,3 +131,104 @@ def test_matches_scipy_on_strategy_membership(rng):
         assert ref.status == 0
         res = sb.solve_lp(cost, a, rhs)
         assert res.objective == pytest.approx(ref.fun, abs=1e-8)
+
+
+def _rows_eliminated_together(a, b, tol):
+    """Reference: eliminate [A | b] in one piece, returning the kept rows."""
+    m = a.shape[0]
+    work = np.hstack([a, b.reshape(-1, 1)]).astype(float)
+    order = list(range(m))
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank >= m:
+            break
+        piv = rank + int(np.argmax(np.abs(work[rank:, col])))
+        if abs(work[piv, col]) <= tol:
+            continue
+        if piv != rank:
+            work[[rank, piv]] = work[[piv, rank]]
+            order[rank], order[piv] = order[piv], order[rank]
+        factors = work[rank + 1 :, col] / work[rank, col]
+        work[rank + 1 :] -= np.outer(factors, work[rank])
+        rank += 1
+    for i in range(rank, m):
+        if abs(work[i, -1]) > 1e-9:
+            raise sb.InfeasibleError(
+                f"equality system is inconsistent (residual {work[i, -1]:.3e})"
+            )
+    return sorted(order[:rank])
+
+
+def _outcome(fn):
+    try:
+        return list(fn())
+    except sb.InfeasibleError as exc:
+        return str(exc)
+
+
+def test_replayed_elimination_matches_joint_elimination(rng):
+    """Rows kept and inconsistency residuals are those of [A | b] itself."""
+    simplex._eliminate.cache_clear()
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 3))
+        a = rng.normal(size=(m, n))
+        if m > 1:
+            a[-1] = a[0] * rng.normal()
+        for b in (a @ rng.random(n), rng.normal(size=m), a @ rng.random(n) + 1e-7):
+            got = _outcome(lambda: simplex._independent_rows(a, b, 1e-10))
+            want = _outcome(lambda: _rows_eliminated_together(a, b, 1e-10))
+            assert got == want
+
+
+def test_cached_elimination_is_bitwise_transparent(rng):
+    """Cold and warm solves on one matrix agree to the last bit."""
+    ids = sb.FULL_BASIS
+    a = np.vstack([correlation.STRATEGY_MATRIX, np.ones((1, len(ids)))])
+    rhs = np.concatenate([correlation.STRATEGY_MATRIX @ rng.dirichlet(np.ones(32)), [1.0]])
+    simplex._eliminate.cache_clear()
+    cold = sb.solve_lp(correlation.STRATEGY_COSTS, a, rhs)
+    assert simplex._eliminate.cache_info().currsize == 1
+    warm = sb.solve_lp(correlation.STRATEGY_COSTS, a, rhs)
+    assert simplex._eliminate.cache_info().hits >= 1
+    assert cold.x.tobytes() == warm.x.tobytes()
+    assert float(cold.objective).hex() == float(warm.objective).hex()
+    assert cold.reduced_costs.tobytes() == warm.reduced_costs.tobytes()
+    assert cold.iterations == warm.iterations
+    # an inconsistent right-hand side on the cached matrix still fails early
+    bad = rhs.copy()
+    bad[-1] = 2.0
+    with pytest.raises(sb.InfeasibleError, match="equality system is inconsistent"):
+        sb.solve_lp(correlation.STRATEGY_COSTS, a, bad)
+
+
+def test_elimination_cache_stays_bounded(rng):
+    size = simplex._eliminate.cache_info().maxsize
+    for _ in range(size + 5):
+        a = rng.normal(size=(2, 3))
+        sb.solve_lp(np.ones(3), a, a @ rng.random(3))
+    assert simplex._eliminate.cache_info().currsize == size
+
+
+def test_masked_pivot_matches_row_loop(rng):
+    """The one-shot pivot update equals a row-by-row loop, bit for bit."""
+    for _ in range(40):
+        m, width = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+        tableau = rng.normal(size=(m, width))
+        tableau[rng.random((m, width)) < 0.3] = 0.0
+        tableau[rng.random((m, width)) < 0.1] = -0.0
+        leave, enter = int(rng.integers(m)), int(rng.integers(width - 1))
+        tableau[leave, enter] = 1.0 + rng.random()
+        cost_row = rng.normal(size=width)
+        ref, ref_cost = tableau.copy(), cost_row.copy()
+        ref[leave] /= ref[leave, enter]
+        column = ref[:, enter].copy()
+        for i in range(m):
+            if i != leave and column[i] != 0.0:
+                ref[i] -= column[i] * ref[leave]
+        ref_cost -= ref_cost[enter] * ref[leave]
+        basis = list(range(m))
+        simplex._pivot(tableau, cost_row, basis, leave, enter)
+        assert tableau.tobytes() == ref.tobytes()
+        assert cost_row.tobytes() == ref_cost.tobytes()
+        assert basis[leave] == enter

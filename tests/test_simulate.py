@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
+from signalbox import correlation
 from conftest import (
     bob_shift_mixture,
     dirichlet_mixture,
@@ -92,6 +93,46 @@ def test_lp_infeasible_outside_basis_hull():
 def test_lp_rejects_unknown_basis_entry():
     with pytest.raises(sb.UnknownStrategyError):
         sb.lp_min_cost(sb.pr_box(), basis=("local_0_0", "signal_q_q"))
+
+
+def test_lp_rejects_empty_basis_and_unknown_weights():
+    with pytest.raises(sb.DomainError):
+        sb.lp_min_cost(sb.pr_box(), basis=())
+    stray = sb.Decomposition(weights={"signal_q_q": 1.0}, cost=0.0, residual=0.0)
+    with pytest.raises(sb.UnknownStrategyError):
+        sb.verify_reconstruction(sb.pr_box(), stray)
+
+
+def test_strategy_matrix_matches_catalog():
+    """Column k of the precomputed matrix is the table of FULL_BASIS[k]."""
+    assert correlation.STRATEGY_MATRIX.shape == (16, 32)
+    for k, ident in enumerate(sb.FULL_BASIS):
+        strategy = sb.catalog(ident)
+        table = strategy.as_correlation().p
+        assert correlation.strategy_column(ident) == k
+        assert np.array_equal(correlation.STRATEGY_MATRIX[:, k], table.ravel())
+        assert np.array_equal(correlation.strategy_table(ident), table)
+        one_bit = strategy.kind is not sb.StrategyKind.LOCAL
+        assert correlation.STRATEGY_COSTS[k] == (1.0 if one_bit else 0.0)
+    assert not correlation.STRATEGY_MATRIX.flags.writeable
+    assert not correlation.strategy_table("local_0_0").flags.writeable
+    with pytest.raises(sb.UnknownStrategyError):
+        correlation.strategy_column("signal_q_q")
+
+
+def test_decompositions_build_no_strategy_tables(rng, monkeypatch):
+    """The LP, the closed form and the residual read the matrix built at import."""
+    table, _ = bob_shift_mixture(rng)
+    expected = (sb.lp_min_cost(table), sb.closed_form_decompose(table, sigma=0.0))
+
+    def rebuilt(self):
+        raise AssertionError(f"rebuilt the table of {self.id}")
+
+    monkeypatch.setattr(sb.Strategy, "as_correlation", rebuilt)
+    lp = sb.lp_min_cost(table)
+    closed = sb.closed_form_decompose(table, sigma=0.0)
+    assert (lp, closed) == expected
+    assert sb.verify_reconstruction(table, lp) == lp.residual
 
 
 def test_closed_form_on_tsirelson():
