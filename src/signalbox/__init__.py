@@ -19,6 +19,8 @@ Submodules:
 * :mod:`signalbox.cli` is the command-line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .correlation import (
     FULL_BASIS,
     LOCAL_IDS,
@@ -110,84 +112,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above, and nothing else.
 __all__ = [
-    "FULL_BASIS",
-    "LOCAL_IDS",
-    "NONVIOLATING_IDS",
-    "OUTCOME_VALUES",
-    "PLUS_LOCAL_IDS",
-    "VIOLATING_IDS",
-    "VIOLATING_PAIRS",
-    "Correlation",
-    "SignalDeltas",
-    "Strategy",
-    "StrategyKind",
-    "catalog",
-    "disturbance_cost",
-    "from_json_dict",
-    "functional_value",
-    "load_correlation",
-    "make_correlation",
-    "marginal",
-    "mix",
-    "pr_box",
-    "save_correlation",
-    "signaling_deltas",
-    "signed_functional",
-    "strategy_ids",
-    "to_json_dict",
-    "ConsistencyError",
-    "DomainError",
-    "InfeasibleError",
-    "NegativeProbabilityError",
-    "NoCrossoverError",
-    "NormalizationError",
-    "PreconditionError",
-    "SignalBoxError",
-    "UnboundedError",
-    "UnknownStrategyError",
-    "WeightError",
-    "IDENTITY",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "Observable",
-    "QubitState",
-    "SweepRow",
-    "expanded_formula_table",
-    "find_crossover",
-    "holevo",
-    "holevo_max",
-    "post_measurement_state",
-    "projector_update_table",
-    "sequential_correlation",
-    "sigma_settings",
-    "signal_corrected_bound",
-    "sweep_csv",
-    "theta_geometry",
-    "theta_sweep",
-    "trace_distance",
-    "tsirelson_box",
-    "von_neumann_entropy",
-    "RandomnessReport",
-    "SignalReport",
-    "binary_entropy",
-    "channel_mutual_info",
-    "cloning_violation",
-    "randomness_report",
-    "signal_info",
-    "signal_strength",
-    "unbalanced_pr",
-    "SimplexResult",
-    "solve_lp",
-    "ClassificationReport",
-    "Decomposition",
-    "classify",
-    "closed_form_decompose",
-    "communication_cost",
-    "decomposition_json_dict",
-    "lp_min_cost",
-    "report_json_dict",
-    "tsirelson_signal_box",
-    "verify_reconstruction",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -30,6 +30,7 @@ from .correlation import (
 from .errors import DomainError, NoCrossoverError, SignalBoxError
 from .signaling import cloning_violation, randomness_report, unbalanced_pr
 from .simulate import (
+    _sig12,
     classify,
     decomposition_json_dict,
     lp_min_cost,
@@ -238,12 +239,12 @@ def _demo_payload(name: str, p: float) -> dict:
         return {
             "table": to_json_dict(table),
             "report": report_json_dict(report),
-            "mu": float(f"{report.signal_mutual_info:.12g}"),
-            "alpha_star": float(f"{report.alpha_star:.12g}"),
-            "s": float(f"{report.strength:.12g}"),
-            "tau": float(f"{quantum.trace_distance(rho0, rho1):.12g}"),
-            "chi": float(f"{chi:.12g}"),
-            "bound": float(f"{quantum.signal_corrected_bound():.12g}"),
+            "mu": _sig12(report.signal_mutual_info),
+            "alpha_star": _sig12(report.alpha_star),
+            "s": _sig12(report.strength),
+            "tau": _sig12(quantum.trace_distance(rho0, rho1)),
+            "chi": _sig12(chi),
+            "bound": _sig12(quantum.signal_corrected_bound()),
         }
     if name == "qp":
         table = unbalanced_pr(p)
@@ -251,13 +252,13 @@ def _demo_payload(name: str, p: float) -> dict:
         payload = {
             "table": to_json_dict(table),
             "report": report_json_dict(classify(table, measure="delta")),
-            "p": float(f"{trade.p:.12g}"),
-            "s": float(f"{trade.strength:.12g}"),
-            "intrinsic": float(f"{trade.intrinsic:.12g}"),
-            "tradeoff": float(f"{trade.tradeoff:.12g}"),
+            "p": _sig12(trade.p),
+            "s": _sig12(trade.strength),
+            "intrinsic": _sig12(trade.intrinsic),
+            "tradeoff": _sig12(trade.tradeoff),
         }
         if p <= 0.5:
-            payload["cloning_violation"] = float(f"{cloning_violation(p):.12g}")
+            payload["cloning_violation"] = _sig12(cloning_violation(p))
         return payload
     raise _UsageError(f"unknown demo {name!r}")
 

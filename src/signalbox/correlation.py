@@ -137,7 +137,12 @@ def disturbance_cost(corr: Correlation) -> float:
     one-bit-strategy weight any decomposition must spend on the table, as
     established by the decomposition routines in :mod:`signalbox.simulate`.
     """
-    return max(0.0, functional_value(corr) / 2.0 - 1.0)
+    return disturbance_from_functional(functional_value(corr))
+
+
+def disturbance_from_functional(lam: float) -> float:
+    """:func:`disturbance_cost` of a table whose functional value is ``lam``."""
+    return max(0.0, lam / 2.0 - 1.0)
 
 
 def mix(weights, correlations) -> Correlation:
@@ -198,42 +203,32 @@ class SignalDeltas:
     to_alice_at_a1: float
     to_alice_at_a0: float
 
+    # vars() holds the four fields in declaration order.
     @property
     def max(self) -> float:
-        return max(
-            self.to_bob_at_b0,
-            self.to_bob_at_b1,
-            self.to_alice_at_a1,
-            self.to_alice_at_a0,
-        )
+        return max(vars(self).values())
 
     def as_array(self):
-        return np.array(
-            [
-                self.to_bob_at_b0,
-                self.to_bob_at_b1,
-                self.to_alice_at_a1,
-                self.to_alice_at_a0,
-            ]
-        )
+        return np.array(list(vars(self).values()))
+
+
+def zero_label_marginals(corr: Correlation):
+    """Both parties' ``P(outcome label 0)`` at every setting pair, in one read.
+
+    Returns ``(alice, bob)``, two ``(2, 2)`` arrays indexed ``[a][b]``:
+    ``alice[a][b]`` equals ``marginal(corr, "alice", a, b)[0]`` and
+    ``bob[a][b]`` equals ``marginal(corr, "bob", b, a)[0]``, bit for bit,
+    since each entry is the same two-term sum.
+    """
+    return corr.p[:, :, 0].sum(axis=-1), corr.p[:, :, :, 0].sum(axis=-1)
 
 
 def signaling_deltas(corr: Correlation) -> SignalDeltas:
     """All four marginal-shift magnitudes of a table."""
-
-    def bob_gap(b: int) -> float:
-        return abs(
-            float(marginal(corr, "bob", b, 0)[0])
-            - float(marginal(corr, "bob", b, 1)[0])
-        )
-
-    def alice_gap(a: int) -> float:
-        return abs(
-            float(marginal(corr, "alice", a, 0)[0])
-            - float(marginal(corr, "alice", a, 1)[0])
-        )
-
-    return SignalDeltas(bob_gap(0), bob_gap(1), alice_gap(1), alice_gap(0))
+    alice, bob = zero_label_marginals(corr)
+    to_bob = np.abs(bob[0] - bob[1]).tolist()
+    to_alice = np.abs(alice[:, 0] - alice[:, 1]).tolist()
+    return SignalDeltas(to_bob[0], to_bob[1], to_alice[1], to_alice[0])
 
 
 class StrategyKind(enum.Enum):

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, disturbance_cost, functional_value
+from .correlation import Correlation, disturbance_cost
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
+from .simulate import classify
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -422,6 +423,8 @@ class SweepRow:
     the two settings the geometry provides; ``holevo_info`` is the
     weight-optimized Holevo quantity of alice's two post-measurement
     states, an upper envelope for any measurement bob could make.
+    ``classical`` is the channel-information verdict of
+    :func:`signalbox.simulate.classify` on the row's table.
     """
 
     theta: float
@@ -459,7 +462,8 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     """Rows of the angle sweep, ascending, endpoints included.
 
     All angles run as one batch (see :func:`_theta_batch`); only the
-    channel analysis of each table runs row by row.  Raises
+    :func:`signalbox.simulate.classify` call on each table runs row by
+    row, and each row's fields are read off its report.  Raises
     :class:`~signalbox.errors.DomainError` for fewer than 2 or more than
     ``MAX_SWEEP_STEPS`` steps, an empty range, or an endpoint outside
     (0, pi/2).
@@ -478,19 +482,16 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     tables, chis = _theta_batch(thetas)
     rows = []
     for theta, p, chi in zip(thetas, tables, chis):
-        table = Correlation(p)
-        lam = functional_value(table)
-        cost = disturbance_cost(table)
-        info = signal_info(table).info
+        report = classify(Correlation(p))
         rows.append(
             SweepRow(
                 theta=float(theta),
-                functional=lam,
-                functional_norm=lam / 2.0,
-                restricted_info=info,
-                disturbance=cost,
+                functional=report.functional,
+                functional_norm=report.functional / 2.0,
+                restricted_info=report.signal_mutual_info,
+                disturbance=report.disturbance,
                 holevo_info=float(chi),
-                classical=info >= cost,
+                classical=report.classical_by_mutual_info,
             )
         )
     return rows

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correlation import Correlation, catalog, marginal, mix
+from .correlation import Correlation, catalog, marginal, mix, zero_label_marginals
 from .errors import DomainError
 
 # Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
@@ -116,12 +116,6 @@ class SignalReport:
     b_star: int
 
 
-def _channel(corr: Correlation, b: int):
-    p0 = float(marginal(corr, "bob", b, 0)[0])
-    p1 = float(marginal(corr, "bob", b, 1)[0])
-    return p0, p1
-
-
 def _check_b_set(b_set) -> tuple:
     settings = tuple(b_set)
     if not settings:
@@ -135,11 +129,8 @@ def _check_b_set(b_set) -> tuple:
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
     """Largest alice-to-bob marginal shift over the given bob settings."""
     settings = _check_b_set(b_set)
-    gaps = []
-    for b in settings:
-        p0, p1 = _channel(corr, b)
-        gaps.append(abs(p0 - p1))
-    return max(gaps)
+    _, bob = zero_label_marginals(corr)
+    return max(abs(float(bob[0, b]) - float(bob[1, b])) for b in settings)
 
 
 def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
@@ -151,10 +142,11 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     winning setting and prior.  Ties go to the setting listed first.
     """
     settings = _check_b_set(b_set)
+    _, bob = zero_label_marginals(corr)
     best = None
     strength = 0.0
     for b in settings:
-        p0, p1 = _channel(corr, b)
+        p0, p1 = float(bob[0, b]), float(bob[1, b])
         strength = max(strength, abs(p0 - p1))
         alpha, value = _best_input_weight(p0, p1)
         if best is None or value > best[0] + 1e-15:

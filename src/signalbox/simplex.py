@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, InfeasibleError, UnboundedError
 
 _FEAS_TOL = 1e-9
+# Pivot and reduced-cost threshold: entries within it count as zero.
+_PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
 
 
@@ -35,7 +37,7 @@ class SimplexResult:
     """Optimal point plus certificates.
 
     ``reduced_costs`` are the final phase-2 reduced costs; at an optimum
-    every entry is >= -tol, which callers can use as an optimality
+    every entry is >= -1e-10, which callers can use as an optimality
     certificate without re-running the solver.
     """
 
@@ -115,7 +117,7 @@ def _pivot(tableau, cost_row, basis, leave, enter):
     basis[leave] = enter
 
 
-def _run_simplex(tableau, cost_row, basis, ncols, tol):
+def _run_simplex(tableau, cost_row, basis, ncols):
     """Bland-rule simplex loop on a canonical tableau.
 
     ``ncols`` is the number of eligible entering columns (the rhs column
@@ -123,7 +125,7 @@ def _run_simplex(tableau, cost_row, basis, ncols, tol):
     """
     iterations = 0
     while True:
-        eligible = cost_row[:ncols] < -tol
+        eligible = cost_row[:ncols] < -_PIVOT_TOL
         enter = int(eligible.argmax())
         if not eligible[enter]:
             return iterations
@@ -131,7 +133,7 @@ def _run_simplex(tableau, cost_row, basis, ncols, tol):
         best = np.inf
         rows = zip(tableau[:, enter].tolist(), tableau[:, -1].tolist())
         for i, (coef, rhs) in enumerate(rows):
-            if coef > tol:
+            if coef > _PIVOT_TOL:
                 ratio = rhs / coef
                 if ratio < best - 1e-12:
                     best, leave = ratio, i
@@ -145,15 +147,18 @@ def _run_simplex(tableau, cost_row, basis, ncols, tol):
             raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
 
 
-def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
+def solve_lp(c, a, b) -> SimplexResult:
     """Minimize ``c.x`` over ``A x = b, x >= 0``.
 
     Two-phase method: phase 1 drives artificial variables to zero (a
     strictly positive phase-1 optimum means the program is infeasible),
     phase 2 optimizes the real objective with artificials ejected.
     Entering variables are chosen by Bland's rule (smallest index with a
-    reduced cost below ``-tol``), leaving rows by minimum ratio with
+    reduced cost below -1e-10), leaving rows by minimum ratio with
     smallest-basis-index tie-breaking, which rules out cycling.
+
+    Raises :class:`~signalbox.errors.DomainError` for mismatched shapes
+    or a NaN or infinite entry in ``c``, ``A`` or ``b``.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -165,8 +170,11 @@ def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
         raise DomainError(
             f"shape mismatch: A is {a.shape}, c is {c.shape}, b is {b.shape}"
         )
+    for name, values in (("c", c), ("A", a), ("b", b)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} has a non-finite entry")
 
-    keep = _independent_rows(a, b, tol)
+    keep = _independent_rows(a, b, _PIVOT_TOL)
     a = a[keep].copy()
     b = b[keep].copy()
     m = len(keep)
@@ -187,7 +195,7 @@ def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
     cost_row[:n] = -a.sum(axis=0)
     cost_row[-1] = -b.sum()
 
-    iterations = _run_simplex(tableau, cost_row, basis, n + m, tol)
+    iterations = _run_simplex(tableau, cost_row, basis, n + m)
     if -cost_row[-1] > _FEAS_TOL:
         raise InfeasibleError(
             f"no nonnegative solution: phase-1 optimum {-cost_row[-1]:.3e} > 0"
@@ -197,7 +205,7 @@ def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
     # reduction the real columns span every row, so a pivot always exists.
     for i in range(m):
         if basis[i] >= n:
-            eligible = np.flatnonzero(np.abs(tableau[i, :n]) > tol)
+            eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
             if eligible.size == 0:
                 raise ConsistencyError(
                     "redundant row survived rank reduction; cannot eject artificial"
@@ -212,7 +220,7 @@ def solve_lp(c, a, b, tol: float = 1e-10) -> SimplexResult:
     for i in range(m):
         cost_row -= c[basis[i]] * tableau[i]
 
-    iterations += _run_simplex(tableau, cost_row, basis, n, tol)
+    iterations += _run_simplex(tableau, cost_row, basis, n)
 
     x = np.zeros(n)
     for i in range(m):

@@ -35,11 +35,12 @@ from .correlation import (
     StrategyKind,
     catalog,
     disturbance_cost,
+    disturbance_from_functional,
     functional_value,
-    marginal,
     signaling_deltas,
     strategy_column,
     strategy_table,
+    zero_label_marginals,
 )
 from .errors import DomainError, InfeasibleError, PreconditionError
 from .signaling import signal_info
@@ -111,11 +112,6 @@ def _max_residual(corr: Correlation, weights: dict) -> float:
     return float(np.max(np.abs(corr.p - total)))
 
 
-def _signed_bob_shift(corr: Correlation) -> float:
-    """Signed marginal shift of bob's b=0 channel when alice flips a."""
-    return float(marginal(corr, "bob", 0, 0)[0]) - float(marginal(corr, "bob", 0, 1)[0])
-
-
 def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decomposition:
     """Direct weight assignment for tables with one active marginal shift.
 
@@ -149,7 +145,9 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
             "closed form handles a single active shift (bob at b=0); "
             f"other channels shift by up to {max(side_shifts)}"
         )
-    shift = _signed_bob_shift(corr)
+    _, bob = zero_label_marginals(corr)
+    # Signed shift of bob's b=0 marginal when alice flips her setting.
+    shift = float(bob[0, 0]) - float(bob[1, 0])
     window = (cost + 3.0 * sigma) / 4.0
     if abs(shift) > window + 1e-12:
         raise PreconditionError(
@@ -249,14 +247,12 @@ def communication_cost(corr: Correlation) -> float:
     return max(disturbance_cost(corr), signaling_deltas(corr).max)
 
 
-def classify(
-    corr: Correlation, measure: str = "mutual_info", b_set=(0, 1)
-) -> ClassificationReport:
+def classify(corr: Correlation, measure: str = "mutual_info") -> ClassificationReport:
     """Signal-deficit verdict for a table.
 
     ``measure`` selects which signal notion the verdict uses:
-    ``"mutual_info"`` for the channel information (bob restricted to
-    ``b_set``), ``"delta"`` for the largest marginal shift in any
+    ``"mutual_info"`` for the alice-to-bob channel information over both
+    bob settings, ``"delta"`` for the largest marginal shift in any
     direction.  The report carries both measures and both verdicts
     regardless, because they can disagree on the same table.
 
@@ -266,8 +262,8 @@ def classify(
     if measure not in ("mutual_info", "delta"):
         raise DomainError(f"measure must be 'mutual_info' or 'delta', got {measure!r}")
     lam = functional_value(corr)
-    cost_floor = disturbance_cost(corr)
-    channel = signal_info(corr, b_set=b_set)
+    cost_floor = disturbance_from_functional(lam)
+    channel = signal_info(corr)
     shift_max = signaling_deltas(corr).max
 
     def verdict(signal):

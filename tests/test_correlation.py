@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
+from signalbox import correlation
 from conftest import dirichlet_mixture, random_table, strategy_table
 
 
@@ -128,6 +129,33 @@ def test_marginals_sum_to_one(rng):
                 for other in (0, 1):
                     total = float(sb.marginal(table, side, own, other).sum())
                     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_label_marginals_match_marginal(rng):
+    """Each helper entry is the bits of ``marginal(...)[0]``, clamped noise included."""
+    for k in range(200):
+        cells = rng.dirichlet(np.full(4, 0.5), size=4).reshape(2, 2, 2, 2)
+        if k % 2:
+            # Zero some entries, renormalize, then write rounding noise
+            # in [-1e-9, 0) or a negative zero where the zeros were.
+            largest = cells == cells.max(axis=(2, 3), keepdims=True)
+            hit = (rng.random(cells.shape) < 0.3) & ~largest
+            cells[hit] = 0.0
+            cells /= cells.sum(axis=(2, 3), keepdims=True)
+            noise = -rng.uniform(0.0, 1e-9, size=cells.shape)
+            noise[rng.random(cells.shape) < 0.3] = -0.0
+            cells[hit] = noise[hit]
+        table = sb.Correlation(cells)
+        alice, bob = correlation.zero_label_marginals(table)
+        assert alice.shape == bob.shape == (2, 2)
+        for a in (0, 1):
+            for b in (0, 1):
+                want_alice = sb.marginal(table, "alice", a, b)[0]
+                want_bob = sb.marginal(table, "bob", b, a)[0]
+                assert alice[a, b] == want_alice
+                assert bob[a, b] == want_bob
+                assert float(alice[a, b]).hex() == float(want_alice).hex()
+                assert float(bob[a, b]).hex() == float(want_bob).hex()
 
 
 def test_signal_deltas_of_one_bit_strategy():

@@ -255,6 +255,19 @@ def test_sweep_rows_and_frozen_values():
         assert row.restricted_info <= row.holevo_info + 1e-9
 
 
+def test_sweep_rows_are_classify_verdicts():
+    """Each row's numbers and verdict are those of ``classify`` on its table."""
+    rows = sb.theta_sweep(0.05, 1.5, 400)
+    tables, _ = quantum._theta_batch(np.array([row.theta for row in rows]))
+    for row, p in zip(rows, tables):
+        report = sb.classify(sb.Correlation(p))
+        assert row.functional == report.functional
+        assert row.functional_norm == report.functional / 2.0
+        assert row.restricted_info == report.signal_mutual_info
+        assert row.disturbance == report.disturbance
+        assert row.classical == report.classical_by_mutual_info
+
+
 def test_sweep_argument_validation(monkeypatch):
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(0.9, 1.2, 1)

@@ -133,6 +133,26 @@ def test_matches_scipy_on_strategy_membership(rng):
         assert res.objective == pytest.approx(ref.fun, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "c, a, b",
+    [
+        ([1.0, 1.0], [[1.0, np.inf]], [1.0]),
+        ([1.0, 1.0], [[1.0, 1.0]], [np.nan]),
+        ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+    ],
+    ids=["inf-in-A", "nan-in-b", "nan-in-c"],
+)
+def test_non_finite_program_is_rejected(monkeypatch, c, a, b):
+    """A NaN or infinity raises DomainError before any elimination runs."""
+
+    def no_elimination(*args):
+        raise AssertionError("elimination ran on non-finite input")
+
+    monkeypatch.setattr(simplex, "_independent_rows", no_elimination)
+    with pytest.raises(sb.DomainError, match="non-finite"):
+        sb.solve_lp(np.array(c), np.array(a), np.array(b))
+
+
 def _rows_eliminated_together(a, b, tol):
     """Reference: eliminate [A | b] in one piece, returning the kept rows."""
     m = a.shape[0]
