@@ -101,6 +101,7 @@ from .simulate import (
     ClassificationReport,
     Decomposition,
     classify,
+    classify_batch,
     closed_form_decompose,
     communication_cost,
     decomposition_json_dict,

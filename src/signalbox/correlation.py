@@ -43,6 +43,7 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-9
 NEGATIVITY_TOL = 1e-9
+TABLE_SHAPE = (2, 2, 2, 2)
 
 # Value of outcome label l is (-1) ** l.
 OUTCOME_VALUES = np.array([1.0, -1.0])
@@ -60,32 +61,19 @@ class Correlation:
     read-only.
     Entries in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything more negative raises
-    :class:`~signalbox.errors.NegativeProbabilityError`.
+    :class:`~signalbox.errors.NegativeProbabilityError`.  The entry
+    checks are those :func:`validate_tables` runs on a batch.
     """
 
     p: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.p, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
+        if arr.shape != TABLE_SHAPE:
             raise DomainError(
                 f"correlation table must have shape (2, 2, 2, 2), got {arr.shape}"
             )
-        # NaN propagates through min(), and infinities fail the checks below.
-        low = float(arr.min())
-        if np.isnan(low):
-            raise DomainError("correlation table has a NaN entry")
-        if low < -NEGATIVITY_TOL:
-            raise NegativeProbabilityError(
-                f"probability entry {low} is negative beyond tolerance"
-            )
-        arr[arr < 0.0] = 0.0
-        sums = arr.sum(axis=(2, 3))
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"per-setting outcome sums deviate from 1 by {worst}"
-            )
+        _check_entries(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -98,13 +86,56 @@ class Correlation:
         )
 
 
-def make_correlation(data) -> Correlation:
-    """Build a :class:`Correlation` from any nested sequence or array."""
+def _check_entries(arr: np.ndarray) -> None:
+    """NaN, negativity and normalization checks of tables ``(..., 2, 2, 2, 2)``.
+
+    Clamps entries in ``[-1e-9, 0)`` to zero in place.  One table or a
+    batch, the checks and their messages are the same.
+    """
+    # NaN propagates through min(), and infinities fail the checks below.
+    low = float(arr.min())
+    if np.isnan(low):
+        raise DomainError("correlation table has a NaN entry")
+    if low < -NEGATIVITY_TOL:
+        raise NegativeProbabilityError(
+            f"probability entry {low} is negative beyond tolerance"
+        )
+    arr[arr < 0.0] = 0.0
+    sums = arr.sum(axis=(-2, -1))
+    worst = float(np.max(np.abs(sums - 1.0)))
+    if worst > NORMALIZATION_TOL:
+        raise NormalizationError(
+            f"per-setting outcome sums deviate from 1 by {worst}"
+        )
+
+
+def _numeric_array(data) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
+        return np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"cannot interpret input as a numeric array: {exc}") from exc
-    return Correlation(arr)
+
+
+def make_correlation(data) -> Correlation:
+    """Build a :class:`Correlation` from any nested sequence or array."""
+    return Correlation(_numeric_array(data))
+
+
+def validate_tables(data) -> np.ndarray:
+    """Validated float64 copy of a batch of tables, shape ``(N, 2, 2, 2, 2)``.
+
+    The batched form of :class:`Correlation`'s checks, with the same
+    error classes and messages; entries in ``[-1e-9, 0)`` are clamped
+    to zero.  Input that is not numeric, an empty batch or any other
+    shape raises :class:`~signalbox.errors.DomainError`.
+    """
+    arr = _numeric_array(data)
+    if arr.ndim != 5 or arr.shape[1:] != TABLE_SHAPE or not len(arr):
+        raise DomainError(
+            f"table batch must have shape (N, 2, 2, 2, 2) with N >= 1, got {arr.shape}"
+        )
+    _check_entries(arr)
+    return arr
 
 
 def _check_setting(value: int) -> None:
@@ -114,10 +145,13 @@ def _check_setting(value: int) -> None:
 
 def signed_functional(corr: Correlation) -> float:
     """The combination E(0,0) + E(0,1) - E(1,0) + E(1,1), sign kept."""
-    correlators = np.einsum(
-        "abxy,x,y->ab", corr.p, OUTCOME_VALUES, OUTCOME_VALUES
-    )
-    return float(np.sum(FUNCTIONAL_SIGNS * correlators))
+    return float(_signed_functionals(corr.p))
+
+
+def _signed_functionals(p: np.ndarray) -> np.ndarray:
+    """:func:`signed_functional` of tables ``(..., 2, 2, 2, 2)``, one per table."""
+    correlators = np.einsum("...abxy,x,y->...ab", p, OUTCOME_VALUES, OUTCOME_VALUES)
+    return np.sum(FUNCTIONAL_SIGNS * correlators, axis=(-2, -1))
 
 
 def functional_value(corr: Correlation) -> float:
@@ -220,14 +254,27 @@ def zero_label_marginals(corr: Correlation):
     ``bob[a][b]`` equals ``marginal(corr, "bob", b, a)[0]``, bit for bit,
     since each entry is the same two-term sum.
     """
-    return corr.p[:, :, 0].sum(axis=-1), corr.p[:, :, :, 0].sum(axis=-1)
+    return _zero_label_marginals(corr.p)
+
+
+def _zero_label_marginals(p: np.ndarray):
+    """:func:`zero_label_marginals` of tables ``(..., 2, 2, 2, 2)``."""
+    return p[..., 0, :].sum(axis=-1), p[..., 0].sum(axis=-1)
+
+
+def _shifts(alice: np.ndarray, bob: np.ndarray):
+    """Marginal-shift magnitudes from zero-label marginals ``[..., a, b]``.
+
+    Returns ``(to_bob, to_alice)``: ``to_bob[..., b]`` is the shift of
+    bob's marginal at his setting b when alice flips hers, and
+    ``to_alice[..., a]`` the mirror image.
+    """
+    return np.abs(bob[..., 0, :] - bob[..., 1, :]), np.abs(alice[..., 0] - alice[..., 1])
 
 
 def signaling_deltas(corr: Correlation) -> SignalDeltas:
     """All four marginal-shift magnitudes of a table."""
-    alice, bob = zero_label_marginals(corr)
-    to_bob = np.abs(bob[0] - bob[1]).tolist()
-    to_alice = np.abs(alice[:, 0] - alice[:, 1]).tolist()
+    to_bob, to_alice = (shift.tolist() for shift in _shifts(*zero_label_marginals(corr)))
     return SignalDeltas(to_bob[0], to_bob[1], to_alice[1], to_alice[0])
 
 

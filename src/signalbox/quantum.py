@@ -10,10 +10,10 @@ Tables are produced by two independent routes and cross-checked on every
 call: an explicit project-then-measure computation with 2x2 matrices,
 and a closed-form expression that only touches Bloch vectors.  Both
 routes are kernels over a batch of N instances given as Bloch vectors;
-the scalar functions are their N=1 case, and the angle sweep runs all
-its angles as one batch.  The Holevo optimisation works on Bloch
-vectors too, since a qubit with Bloch vector r has entropy
-h((1 + |r|)/2).  All observables are +/-1 valued (outcome label l means
+the scalar functions are their N=1 case, the angle sweep runs all its
+angles as one batch, and the crossover bisection runs three levels per
+batch.  The Holevo optimisation works on Bloch vectors too, since a
+qubit with Bloch vector r has entropy h((1 + |r|)/2).  All observables are +/-1 valued (outcome label l means
 value (-1)**l), and all entropies are in bits.
 """
 
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, disturbance_cost
+from .correlation import Correlation
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
-from .simulate import classify
+from .simulate import classify_batch
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -380,14 +380,18 @@ def theta_geometry(theta: float):
 
     Raises :class:`~signalbox.errors.DomainError` outside (0, pi/2).
     """
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError(f"sweep angle {theta} outside (0, pi/2)")
+    _check_angle(theta)
     b0 = Observable.from_angle(0.0)
     a0 = Observable.from_angle(theta)
     b1 = Observable.from_angle(2.0 * theta)
     a1 = Observable.from_angle(3.0 * theta)
     state = QubitState.from_bloch(a1.n)
     return state, a0, a1, b0, b1
+
+
+def _check_angle(theta: float) -> None:
+    if not 0.0 < theta < math.pi / 2.0:
+        raise DomainError(f"sweep angle {theta} outside (0, pi/2)")
 
 
 def tsirelson_box() -> Correlation:
@@ -441,6 +445,12 @@ def _xz_directions(phi: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(phi), np.zeros_like(phi), np.cos(phi)], axis=-1)
 
 
+def _theta_directions(thetas: np.ndarray):
+    """:func:`theta_geometry`'s alice and bob directions, (N, 2, 3) each."""
+    b0, a0, b1, a1 = (_xz_directions(k * thetas) for k in (0.0, 1.0, 2.0, 3.0))
+    return np.stack([a0, a1], axis=1), np.stack([b0, b1], axis=1)
+
+
 def _theta_batch(thetas: np.ndarray):
     """Route-checked tables and Holevo quantities of the sweep geometry.
 
@@ -449,9 +459,9 @@ def _theta_batch(thetas: np.ndarray):
     the Holevo quantity of alice's two post-measurement states in one
     batched search.  Returns ``(tables (N, 2, 2, 2, 2), chi (N,))``.
     """
-    b0, a0, b1, a1 = (_xz_directions(k * thetas) for k in (0.0, 1.0, 2.0, 3.0))
-    alice = np.stack([a0, a1], axis=1)
-    tables = _checked_tables(a1, alice, np.stack([b0, b1], axis=1))
+    alice, bob = _theta_directions(thetas)
+    a1 = alice[:, 1]
+    tables = _checked_tables(a1, alice, bob)
     # An unread measurement along n leaves the Bloch vector (n.r) n.
     post = np.einsum("nak,nk->na", alice, a1)[:, :, None] * alice
     _, chi = _holevo_max_batch(post[:, 0], post[:, 1])
@@ -461,9 +471,10 @@ def _theta_batch(thetas: np.ndarray):
 def theta_sweep(theta_min: float, theta_max: float, steps: int):
     """Rows of the angle sweep, ascending, endpoints included.
 
-    All angles run as one batch (see :func:`_theta_batch`); only the
-    :func:`signalbox.simulate.classify` call on each table runs row by
-    row, and each row's fields are read off its report.  Raises
+    All angles run as one batch (see :func:`_theta_batch`), and so do
+    their verdicts: the tables go to
+    :func:`signalbox.simulate.classify_batch` in one call, and each
+    row's fields are read off its report.  Raises
     :class:`~signalbox.errors.DomainError` for fewer than 2 or more than
     ``MAX_SWEEP_STEPS`` steps, an empty range, or an endpoint outside
     (0, pi/2).
@@ -476,25 +487,22 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
         raise DomainError(
             f"sweep range is empty: [{theta_min}, {theta_max}]"
         )
-    theta_geometry(theta_min)
-    theta_geometry(theta_max)
+    _check_angle(theta_min)
+    _check_angle(theta_max)
     thetas = np.linspace(theta_min, theta_max, steps)
     tables, chis = _theta_batch(thetas)
-    rows = []
-    for theta, p, chi in zip(thetas, tables, chis):
-        report = classify(Correlation(p))
-        rows.append(
-            SweepRow(
-                theta=float(theta),
-                functional=report.functional,
-                functional_norm=report.functional / 2.0,
-                restricted_info=report.signal_mutual_info,
-                disturbance=report.disturbance,
-                holevo_info=float(chi),
-                classical=report.classical_by_mutual_info,
-            )
+    return [
+        SweepRow(
+            theta=theta,
+            functional=report.functional,
+            functional_norm=report.functional / 2.0,
+            restricted_info=report.signal_mutual_info,
+            disturbance=report.disturbance,
+            holevo_info=chi,
+            classical=report.classical_by_mutual_info,
         )
-    return rows
+        for theta, report, chi in zip(thetas.tolist(), classify_batch(tables), chis.tolist())
+    ]
 
 
 def sweep_csv(rows) -> str:
@@ -516,26 +524,58 @@ def sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _crossover_gap(theta: float) -> float:
-    table = sequential_correlation(*theta_geometry(theta))
-    return signal_info(table).info - disturbance_cost(table)
+def _crossover_gaps(thetas) -> list:
+    """``restricted_info - disturbance`` at each angle, in one batch.
+
+    Bit for bit the gap of ``sequential_correlation(*theta_geometry(t))``:
+    that route reads the state's Bloch vector back from its density
+    matrix, which turns the z-component z into 0.5 (1 + z) - 0.5 (1 - z),
+    and so does this one.  Every angle is checked as
+    :func:`theta_geometry` checks it, in order.
+    """
+    for theta in thetas:
+        _check_angle(theta)
+    alice, bob = _theta_directions(np.array(thetas, dtype=float))
+    state = alice[:, 1].copy()
+    z = state[:, 2]
+    state[:, 2] = 0.5 * (1.0 + z) - 0.5 * (1.0 - z)
+    reports = classify_batch(_checked_tables(state, alice, bob))
+    return [report.signal_mutual_info - report.disturbance for report in reports]
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list:
+    """Every bisection midpoint of [lo, hi] over the next ``levels`` levels."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _midpoints(lo, mid, levels - 1) + _midpoints(mid, hi, levels - 1)
 
 
 def find_crossover(theta_min: float, theta_max: float) -> float:
     """Angle where the restricted information first covers the cost.
 
     Bisects ``restricted_info - disturbance`` to within ``CROSSOVER_TOL``;
-    no Holevo quantity is computed.
+    no Holevo quantity is computed.  Gaps are computed three bisection
+    levels at a time: one route call takes the endpoints and the 7
+    midpoints of the next three levels, on every branch, and each later
+    call the 7 midpoints below the current bracket.  The walk reads the
+    gaps it needs from those batches, so it makes the sign decisions,
+    and returns the angle, of a bisection that computes one gap at a
+    time.
     Raises :class:`~signalbox.errors.NoCrossoverError` when the interval
-    is degenerate or the gap does not change sign across it.
+    is degenerate or the gap does not change sign across it, and
+    :class:`~signalbox.errors.DomainError` for an endpoint outside
+    (0, pi/2).
     """
     if not theta_max > theta_min:
         raise NoCrossoverError(
             f"interval [{theta_min}, {theta_max}] does not bracket a sign change"
         )
     lo, hi = theta_min, theta_max
-    g_lo = _crossover_gap(lo)
-    g_hi = _crossover_gap(hi)
+    points = [lo, hi] + _midpoints(lo, hi, 3)
+    gaps = dict(zip(points, _crossover_gaps(points)))
+    g_lo = gaps[lo]
+    g_hi = gaps[hi]
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -546,7 +586,10 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
         )
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
-        g_mid = _crossover_gap(mid)
+        if mid not in gaps:
+            points = _midpoints(lo, hi, 3)
+            gaps = dict(zip(points, _crossover_gaps(points)))
+        g_mid = gaps[mid]
         if g_mid == 0.0:
             return mid
         if (g_mid > 0.0) == (g_lo > 0.0):

@@ -143,16 +143,26 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     """
     settings = _check_b_set(b_set)
     _, bob = zero_label_marginals(corr)
+    bob = bob.tolist()
+    strength = max(abs(bob[0][b] - bob[1][b]) for b in settings)
+    info, alpha_star, b_star = _best_channel(bob, settings)
+    return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)
+
+
+def _best_channel(bob, settings=(0, 1)):
+    """``(info, alpha_star, b_star)`` of the most informative bob setting.
+
+    ``bob[a][b]`` is bob's ``P(outcome label 0)`` as nested lists of
+    floats, as :func:`signalbox.correlation.zero_label_marginals` reads
+    it.  Each setting's capacity is :func:`_best_input_weight`'s; ties go
+    to the setting listed first.
+    """
     best = None
-    strength = 0.0
     for b in settings:
-        p0, p1 = float(bob[0, b]), float(bob[1, b])
-        strength = max(strength, abs(p0 - p1))
-        alpha, value = _best_input_weight(p0, p1)
+        alpha, value = _best_input_weight(bob[0][b], bob[1][b])
         if best is None or value > best[0] + 1e-15:
             best = (value, alpha, b)
-    info, alpha_star, b_star = best
-    return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)
+    return best
 
 
 def unbalanced_pr(p: float) -> Correlation:

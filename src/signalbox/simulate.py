@@ -33,17 +33,20 @@ from .correlation import (
     VIOLATING_IDS,
     Correlation,
     StrategyKind,
+    _shifts,
+    _signed_functionals,
+    _zero_label_marginals,
     catalog,
     disturbance_cost,
     disturbance_from_functional,
-    functional_value,
     signaling_deltas,
     strategy_column,
     strategy_table,
+    validate_tables,
     zero_label_marginals,
 )
 from .errors import DomainError, InfeasibleError, PreconditionError
-from .signaling import signal_info
+from .signaling import _best_channel
 from .simplex import solve_lp
 
 _RESIDUAL_TOL = 1e-9
@@ -247,6 +250,11 @@ def communication_cost(corr: Correlation) -> float:
     return max(disturbance_cost(corr), signaling_deltas(corr).max)
 
 
+def _check_measure(measure: str) -> None:
+    if measure not in ("mutual_info", "delta"):
+        raise DomainError(f"measure must be 'mutual_info' or 'delta', got {measure!r}")
+
+
 def classify(corr: Correlation, measure: str = "mutual_info") -> ClassificationReport:
     """Signal-deficit verdict for a table.
 
@@ -257,40 +265,76 @@ def classify(corr: Correlation, measure: str = "mutual_info") -> ClassificationR
     regardless, because they can disagree on the same table.
 
     A table is classical when the deficit ``eta = C - S`` vanishes,
-    i.e. when the observed signal pays for the disturbance cost.
+    i.e. when the observed signal pays for the disturbance cost.  The
+    N=1 case of :func:`classify_batch`'s kernel.
     """
-    if measure not in ("mutual_info", "delta"):
-        raise DomainError(f"measure must be 'mutual_info' or 'delta', got {measure!r}")
-    lam = functional_value(corr)
-    cost_floor = disturbance_from_functional(lam)
-    channel = signal_info(corr)
-    shift_max = signaling_deltas(corr).max
+    _check_measure(measure)
+    return _verdicts(corr.p[None], measure)[0]
 
-    def verdict(signal):
-        total = max(cost_floor, signal)
-        eta = total - signal
-        return total, eta, eta <= _CLASSICAL_TOL
 
-    _, _, classical_mi = verdict(channel.info)
-    _, _, classical_delta = verdict(shift_max)
-    signal = channel.info if measure == "mutual_info" else shift_max
-    total, eta, classical = verdict(signal)
-    return ClassificationReport(
-        functional=lam,
-        disturbance=cost_floor,
-        signal=signal,
-        strength=channel.strength,
-        cost=total,
-        eta=eta,
-        classical=classical,
-        signal_mutual_info=channel.info,
-        signal_delta=shift_max,
-        classical_by_mutual_info=classical_mi,
-        classical_by_delta=classical_delta,
-        alpha_star=channel.alpha_star,
-        b_star=channel.b_star,
-        measure=measure,
-    )
+def classify_batch(tables, measure: str = "mutual_info") -> list:
+    """:func:`classify` of every table in an ``(N, 2, 2, 2, 2)`` array.
+
+    Returns the N reports in order, each equal field for field to
+    ``classify(Correlation(p), measure)``.  The tables are validated
+    together, with the checks and error classes of
+    :class:`~signalbox.correlation.Correlation`; an empty batch or a
+    wrong shape raises :class:`~signalbox.errors.DomainError`.
+    """
+    _check_measure(measure)
+    return _verdicts(validate_tables(tables), measure)
+
+
+def _verdicts(tables: np.ndarray, measure: str) -> list:
+    """Reports of validated tables ``(N, 2, 2, 2, 2)``, in one pass.
+
+    The functional, the zero-label marginals and the four shifts are
+    read for all N tables at once, by the array helpers behind
+    :func:`functional_value`, :func:`zero_label_marginals` and
+    :func:`signaling_deltas`.  The channel capacity stays per table on
+    Python's ``math``, whose ``log1p`` and ``exp`` numpy does not match
+    to the last bit.
+    """
+    alice, bob = _zero_label_marginals(tables)
+    # Each party's largest marginal shift over its own two settings.
+    to_bob, to_alice = (shift.max(axis=-1) for shift in _shifts(alice, bob))
+    reports = []
+    for lam, strength, shift, channels in zip(
+        np.abs(_signed_functionals(tables)).tolist(),
+        to_bob.tolist(),
+        np.maximum(to_bob, to_alice).tolist(),
+        bob.tolist(),
+    ):
+        floor = disturbance_from_functional(lam)
+        info, alpha_star, b_star = _best_channel(channels)
+        signal = info if measure == "mutual_info" else shift
+        total, eta, classical = _verdict(floor, signal)
+        reports.append(
+            ClassificationReport(
+                functional=lam,
+                disturbance=floor,
+                signal=signal,
+                strength=strength,
+                cost=total,
+                eta=eta,
+                classical=classical,
+                signal_mutual_info=info,
+                signal_delta=shift,
+                classical_by_mutual_info=_verdict(floor, info)[2],
+                classical_by_delta=_verdict(floor, shift)[2],
+                alpha_star=alpha_star,
+                b_star=b_star,
+                measure=measure,
+            )
+        )
+    return reports
+
+
+def _verdict(floor: float, signal: float):
+    """``(C, eta, classical)`` for a disturbance cost and a signal."""
+    total = max(floor, signal)
+    eta = total - signal
+    return total, eta, eta <= _CLASSICAL_TOL
 
 
 def tsirelson_signal_box() -> Correlation:

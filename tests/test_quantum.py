@@ -355,3 +355,116 @@ def test_maximally_mixed_sweep_state_is_silent():
     assert sb.signal_strength(table) <= 1e-12
     assert sb.functional_value(table) == pytest.approx(2.0 * ROOT2, abs=1e-9)
     assert np.allclose(table.p, sb.tsirelson_box().p, atol=1e-12)
+
+
+def _scalar_crossover(theta_min, theta_max):
+    """One-point-at-a-time bisection over the N=1 route, as it stood before batching."""
+
+    def gap(theta):
+        table = sb.sequential_correlation(*sb.theta_geometry(theta))
+        return sb.signal_info(table).info - sb.disturbance_cost(table)
+
+    if not theta_max > theta_min:
+        raise sb.NoCrossoverError(
+            f"interval [{theta_min}, {theta_max}] does not bracket a sign change"
+        )
+    lo, hi = theta_min, theta_max
+    g_lo = gap(lo)
+    g_hi = gap(hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        raise sb.NoCrossoverError(
+            f"no sign change of info minus cost on [{theta_min}, {theta_max}]"
+        )
+    while hi - lo > quantum.CROSSOVER_TOL:
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+
+
+def test_find_crossover_matches_scalar_bisection():
+    """The batched bisection returns the one-point-at-a-time angle, bit for bit.
+
+    Windows of width 1e-3 to 0.6 anywhere in (0, pi/2), a third of them
+    straddling the crossover near 1.0701; errors must match in class and
+    message, including endpoints at 0 and at or past pi/2.
+    """
+    rng = np.random.default_rng(20261018)
+    windows = []
+    for k in range(510):
+        width = float(rng.uniform(1e-3, 0.6))
+        if k % 3 == 0:
+            lo = 1.0701 - width * float(rng.uniform(0.05, 0.95))
+        else:
+            lo = float(rng.uniform(1e-3, 1.5707 - width))
+        windows.append((lo, lo + width))
+    windows += [
+        (0.0, 1.2),
+        (-0.5, 1.2),
+        (0.9, math.pi / 2.0),
+        (0.9, 2.0),
+        (0.0, math.pi / 2.0),
+        (1.1, 1.1),
+        (1.2, 0.9),
+        (0.95, 1.0),
+        (1.07, 1.0700001),
+        (1, 1.2),
+    ]
+    bracketing = 0
+    for lo, hi in windows:
+        want = _outcome(_scalar_crossover, lo, hi)
+        assert _outcome(sb.find_crossover, lo, hi) == want, (lo, hi)
+        bracketing += isinstance(want, str)
+    assert 150 <= bracketing <= len(windows) - 150
+
+
+def test_crossover_gaps_match_scalar_route():
+    """Batched gaps equal ``info - cost`` of the N=1 route, bit for bit."""
+    angles = list(np.random.default_rng(7).uniform(1e-3, 1.57, 300))
+    for batch in (angles, angles[:7], angles[:1]):
+        want = []
+        for theta in batch:
+            table = sb.sequential_correlation(*sb.theta_geometry(theta))
+            want.append((sb.signal_info(table).info - sb.disturbance_cost(table)).hex())
+        assert [gap.hex() for gap in quantum._crossover_gaps(batch)] == want
+
+
+def test_find_crossover_batches_three_levels(monkeypatch):
+    """Endpoints and three bisection levels per route call: at most 5 calls."""
+    want = _scalar_crossover(0.9, 1.2)
+    calls = []
+    checked = quantum._checked_tables
+
+    def counting(r, a, b):
+        calls.append(len(r))
+        return checked(r, a, b)
+
+    monkeypatch.setattr(quantum, "_checked_tables", counting)
+    theta = sb.find_crossover(0.9, 1.2)
+    assert theta.hex() == want.hex()
+    assert len(calls) <= 5
+    assert calls[0] == 9 and set(calls[1:]) == {7}
+
+
+def test_find_crossover_route_check_runs(monkeypatch):
+    """Every batched gap still goes through the 1e-8 route check."""
+    formula = quantum._formula_tables
+    monkeypatch.setattr(quantum, "_formula_tables", lambda r, a, b: formula(r, a, b) + 1e-7)
+    with pytest.raises(sb.ConsistencyError):
+        sb.find_crossover(0.9, 1.2)

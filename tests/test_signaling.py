@@ -247,3 +247,11 @@ def test_capacity_rejects_marginals_past_the_unit_interval():
     table = _bob_channel_table(1.0 + 1e-10, 1.0)
     with pytest.raises(sb.DomainError):
         sb.signal_info(table, b_set=(0,))
+
+
+def test_signal_info_ties_go_to_first_listed_setting():
+    """Within 1e-15 of each other, the setting listed first wins."""
+    silent = sb.pr_box()
+    assert sb.signal_info(silent).b_star == 0
+    assert sb.signal_info(silent, b_set=(1, 0)).b_star == 1
+    assert sb.classify(silent).b_star == 0

@@ -10,6 +10,8 @@ from signalbox import correlation
 from conftest import (
     bob_shift_mixture,
     dirichlet_mixture,
+    random_quantum_instance,
+    random_table,
     strategy_table,
     sub_cost_mixture,
     super_cost_mixture,
@@ -321,3 +323,120 @@ def test_report_json_dict_keys():
     assert payload["classical"] is False
     assert payload["measure"] == "mutual_info"
     assert payload["lambda"] == pytest.approx(4.0)
+
+
+def _report_key(report):
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in vars(report).items()
+    }
+
+
+def _batch_tables(rng):
+    """Conftest families, deterministic tables, and clamped or -0.0 entries."""
+    tables = []
+    for _ in range(40):
+        tables.append(sub_cost_mixture(rng)[0].p)
+        tables.append(bob_shift_mixture(rng)[0].p)
+        tables.append(random_table(rng).p)
+        state, obs = random_quantum_instance(rng)
+        tables.append(sb.sequential_correlation(state, *obs).p)
+    for toward in ("bob", "alice"):
+        tables += [super_cost_mixture(rng, toward)[0].p for _ in range(20)]
+    tables += [strategy_table(ident).p for ident in sb.FULL_BASIS]
+    tables += [sb.pr_box().p, sb.tsirelson_signal_box().p, sb.tsirelson_box().p]
+    noisy = []
+    for k in range(120):
+        p = np.array(tables[k])
+        a, b, x, y = rng.integers(0, 2, size=4)
+        p[a, b, 1 - x, y] += p[a, b, x, y]
+        p[a, b, x, y] = -float(rng.uniform(0.0, 1e-9)) if k % 2 else -0.0
+        noisy.append(p)
+    return np.array(tables + noisy)
+
+
+def _composed_report(corr, measure):
+    """The verdict composed from the scalar helpers, one table at a time."""
+    lam = sb.functional_value(corr)
+    floor = sb.disturbance_cost(corr)
+    channel = sb.signal_info(corr)
+    shift = sb.signaling_deltas(corr).max
+
+    def verdict(signal):
+        total = max(floor, signal)
+        return total, total - signal, total - signal <= 1e-9
+
+    signal = channel.info if measure == "mutual_info" else shift
+    total, eta, classical = verdict(signal)
+    return sb.ClassificationReport(
+        functional=lam,
+        disturbance=floor,
+        signal=signal,
+        strength=channel.strength,
+        cost=total,
+        eta=eta,
+        classical=classical,
+        signal_mutual_info=channel.info,
+        signal_delta=shift,
+        classical_by_mutual_info=verdict(channel.info)[2],
+        classical_by_delta=verdict(shift)[2],
+        alpha_star=channel.alpha_star,
+        b_star=channel.b_star,
+        measure=measure,
+    )
+
+
+def test_classify_batch_matches_classify(rng):
+    """Field by field, under float.hex, for both measures.
+
+    The batch equals ``classify`` on each table, and both equal the
+    report composed from ``functional_value``, ``signal_info`` and
+    ``signaling_deltas``.
+    """
+    tables = _batch_tables(rng)
+    for measure in ("mutual_info", "delta"):
+        batch = sb.classify_batch(tables, measure)
+        assert len(batch) == len(tables)
+        for p, report in zip(tables, batch):
+            corr = sb.Correlation(p)
+            want = _report_key(_composed_report(corr, measure))
+            assert _report_key(report) == want
+            assert _report_key(sb.classify(corr, measure)) == want
+    single = sb.classify_batch(sb.pr_box().p[None])
+    assert _report_key(single[0]) == _report_key(sb.classify(sb.pr_box()))
+
+
+def _raised(fn, arg):
+    try:
+        fn(arg)
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+def test_classify_batch_validation_parity():
+    """Bad tables fail as Correlation fails them; bad batches are DomainErrors."""
+    good = sb.pr_box().p
+    nan = good.copy()
+    nan[0, 1, 1, 0] = np.nan
+    negative = good.copy()
+    negative[1, 0, 0, 1] -= 0.25
+    negative[1, 0, 1, 1] += 0.25
+    negative[1, 0, 0, 1] = -1e-6
+    unnormalised = good * 1.01
+    infinite = good.copy()
+    infinite[0, 0, 0, 0] = np.inf
+    for bad in (nan, negative, unnormalised, infinite):
+        want = _raised(sb.Correlation, bad)
+        assert _raised(sb.classify_batch, bad[None]) == want
+        kind, _ = _raised(sb.classify_batch, np.stack([good, bad, good]))
+        assert kind is want[0]
+    for shape in ((0, 2, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (1, 2, 2, 2, 3), (4,)):
+        with pytest.raises(sb.DomainError):
+            sb.classify_batch(np.full(shape, 0.25))
+    for junk in ([[1, 2], [3]], "table", None):
+        with pytest.raises(sb.DomainError):
+            sb.classify_batch(junk)
+    with pytest.raises(sb.DomainError):
+        sb.classify_batch(good[None], measure="capacity")
+    assert sb.classify_batch(good[None].tolist())[0].functional == 4.0
