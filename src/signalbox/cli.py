@@ -14,6 +14,7 @@ for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one shared parser of this process, built on first use.
+
+    ``run`` parses every argv with it, so callers must not modify it.
+    Reuse is safe: ``parse_args`` leaves the parser as it was and fills a
+    fresh namespace on each call, every default is immutable, and help
+    text is formatted at call time.
+    """
     parser = _Parser(
         prog="signalbox",
         description="Classify two-setting correlation tables by their signal deficit.",
@@ -124,7 +133,13 @@ def _load_table(args) -> Correlation:
         raise _UsageError("give the input file either positionally or via --in, not both")
     path = positional or flagged
     if path is None:
-        return from_json_dict(json.load(sys.stdin))
+        try:
+            payload = json.load(sys.stdin)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"stdin: undecodable text: {exc}") from exc
+        except RecursionError:
+            raise DomainError("stdin: JSON nested too deeply") from None
+        return from_json_dict(payload)
     try:
         return load_correlation(path)
     except OSError as exc:

@@ -498,12 +498,20 @@ def from_json_dict(payload) -> Correlation:
 
 
 def load_correlation(path) -> Correlation:
-    """Read a correlation table from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    """Read a correlation table from a JSON file.
+
+    Text that is not UTF-8, malformed JSON and JSON nested past the
+    parser's recursion limit raise :class:`DomainError`.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: undecodable text: {exc}") from exc
+        except RecursionError:
+            raise DomainError(f"{path}: JSON nested too deeply") from None
     return from_json_dict(payload)
 
 

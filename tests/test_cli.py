@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
+from signalbox import cli
 from signalbox.cli import DEMO_NAMES, run
 
 
@@ -268,3 +269,68 @@ def test_run_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["signalbox", "demo", "pr-box"])
     assert run() == 0
     assert json.loads(capsys.readouterr().out)["report"]["lambda"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [(b"\xff\xfe{}", "undecodable text"), (b"[" * 100000, "nested too deeply")],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_undecodable_or_too_deep_input_is_invalid(tmp_path, capsys, monkeypatch, data, reason):
+    """Bytes that are not text, or JSON past the recursion limit, exit 2."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for command in ("analyze", "decompose"):
+        assert run([command, str(path)]) == 2
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run([command]) == 2
+        from_stdin = capsys.readouterr()
+        for captured in (from_file, from_stdin):
+            assert captured.out == ""
+            assert captured.err.startswith("signalbox: invalid input: ")
+            assert captured.err.count("\n") == 1
+            assert reason in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """Interleaved calls share one parser and match calls on a fresh one."""
+    path = write_table(tmp_path, sb.pr_box())
+    sequence = [
+        ["analyze", path, "--measure", "delta"],
+        ["analyze", path],
+        ["analyze", "--in", path],
+        ["analyze", path, "--in", path],
+        ["demo", "qp", "--p", "0.7"],
+        ["demo", "qp"],
+        ["decompose", path, "--tol", "1e-20"],
+        ["sweep", "--steps", "5"],
+        ["demo", "unheard-of"],
+        [],
+    ]
+    built = []
+    parser_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        parser_init(self, *args, **kwargs)
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in sequence]
+    built_by_sequence = len(built)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [outcome(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 1, 1]
+    assert json.loads(shared[1][1])["measure"] == "mutual_info"
+    assert json.loads(shared[5][1])["p"] == pytest.approx(0.25)
+    del built[:]
+    cli.build_parser.__wrapped__()
+    assert built_by_sequence == len(built)

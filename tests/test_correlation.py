@@ -258,9 +258,10 @@ def test_from_json_dict_rejects_bad_payloads():
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "junk.json"
-    path.write_text("{not json")
-    with pytest.raises(sb.DomainError):
-        sb.load_correlation(path)
+    for data in (b"{not json", b"\xff\xfe{}", b"[" * 100000):
+        path.write_bytes(data)
+        with pytest.raises(sb.DomainError):
+            sb.load_correlation(path)
 
 
 def test_error_hierarchy():
