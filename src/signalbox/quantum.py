@@ -12,9 +12,10 @@ and a closed-form expression that only touches Bloch vectors.  Both
 routes are kernels over a batch of N instances given as Bloch vectors;
 the scalar functions are their N=1 case, the angle sweep runs all its
 angles as one batch, and the crossover bisection runs three levels per
-batch.  The Holevo optimisation works on Bloch vectors too, since a
-qubit with Bloch vector r has entropy h((1 + |r|)/2).  All observables are +/-1 valued (outcome label l means
-value (-1)**l), and all entropies are in bits.
+batch.  The Holevo weight is found by one bracketed Newton iteration
+over all ensembles, on Bloch vectors too: a qubit with Bloch vector r
+has entropy h((1 + |r|)/2).  All observables are +/-1 valued (outcome
+label l means value (-1)**l), and all entropies are in bits.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ _EIG_FLOOR = -1e-10
 _ROUTE_TOL = 1e-8
 _PURE_GAP = 4.0 * np.finfo(float).eps
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Width at which the golden-section bracket of the Holevo weight stops.
-HOLEVO_BRACKET = 1e-10
+# Newton step on the Holevo weight at which a lane stops.
+HOLEVO_STEP = 1e-13
 # Width at which the crossover bisection stops.
 CROSSOVER_TOL = 1e-4
 # Largest sweep; one batch holds a (steps, 2, 2, 2, 2) table array.
@@ -293,16 +293,34 @@ def _qubit_entropy(norm_sq: np.ndarray) -> np.ndarray:
     return -high * np.log2(high) - low * low_log
 
 
+def _entropy_slopes(nu: np.ndarray):
+    """First and second ``nu``-derivatives of the entropy h((1 + R)/2), R = sqrt(nu).
+
+    In bits: -artanh(R)/(2R ln2) and -(1/(1 - R**2) - artanh(R)/R)/(4R**2 ln2);
+    below R = 1e-4, where these cancel, artanh(R)/R = 1 + nu/3 and the limit
+    -1/(6 ln2) stand in.  R is clamped below 1, where artanh diverges.
+    """
+    small = nu < 1e-8
+    radius = np.minimum(np.sqrt(np.clip(nu, 1e-8, 1.0)), 1.0 - 2.0**-53)
+    ratio = np.where(small, 1.0 + nu / 3.0, np.arctanh(radius) / radius)
+    bend = np.where(small, 2.0 / 3.0, (1.0 / (1.0 - radius * radius) - ratio) / (radius * radius))
+    return -ratio / (2.0 * math.log(2.0)), -bend / (4.0 * math.log(2.0))
+
+
 def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     """Weight-maximised Holevo quantity of N ensembles of Bloch vectors.
 
     ``r0`` and ``r1`` (N, 3) are the two states of each ensemble.  The
-    blend r1 + alpha (r0 - r1) has squared radius
-    r1.r1 + alpha (2 (r0 - r1).r1 + alpha |r0 - r1|**2), so the objective
-    needs three dot products and no matrices.  It is concave in alpha;
-    one golden-section search over [0, 1] steps all N brackets together
-    until each is ``HOLEVO_BRACKET`` wide.  Returns arrays
-    ``(alpha_star, chi)`` of length N.
+    blend r1 + alpha (r0 - r1) has squared radius nu = c0 + alpha (c1 +
+    alpha c2), so the objective f = E(nu) - s1 - alpha s_gap, E the
+    blend's entropy, needs three dot products and no matrices.  f is
+    concave with closed-form f' and f'' (see :func:`_entropy_slopes`);
+    all N lanes run one safeguarded Newton iteration on f' = 0 from
+    alpha = 1/2, the bracket [0, 1] shrunk by the sign of f'.  A step no
+    longer than ``HOLEVO_STEP``, or than the rounding of f',
+    eps |slope| (|E'| + |E''|), over |f''|, settles the lane; a longer one
+    leaving the bracket becomes a bisection.  Identical states give
+    alpha = 1/2 and chi = 0.  Returns ``(alpha_star, chi)``, chi >= 0.
     """
     gap = r0 - r1
     c0 = np.einsum("nk,nk->n", r1, r1)
@@ -310,38 +328,36 @@ def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     c2 = np.einsum("nk,nk->n", gap, gap)
     s1 = _qubit_entropy(c0)
     s_gap = _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
-
-    def fn(alpha):
-        return _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
-
-    a, b = np.zeros(len(c0)), np.ones(len(c0))
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while np.any(b - a > HOLEVO_BRACKET):
-        # Where fc >= fd the optimum lies in [a, d]: d becomes the new b,
-        # c the new d, and a fresh c is probed; elsewhere the mirror image.
-        left = fc >= fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        f_probe = fn(probe)
-        c, fc, d, fd = (
-            np.where(left, probe, d),
-            np.where(left, f_probe, fd),
-            np.where(left, c, probe),
-            np.where(left, fc, f_probe),
-        )
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+    alpha, lo, hi = np.full(len(c0), 0.5), np.zeros(len(c0)), np.ones(len(c0))
+    active = c2 > 0.0
+    for _ in range(100):  # bisection alone settles within 45 steps
+        if not active.any():
+            break
+        slope = c1 + 2.0 * alpha * c2
+        d1, d2 = _entropy_slopes(c0 + alpha * (c1 + alpha * c2))
+        grad = d1 * slope - s_gap
+        curv = d2 * slope * slope + 2.0 * c2 * d1
+        lo, hi = np.where(grad > 0.0, alpha, lo), np.where(grad < 0.0, alpha, hi)
+        with np.errstate(all="ignore"):
+            newton = np.clip(alpha - grad / curv, lo, hi)
+            settle = np.maximum(HOLEVO_STEP, np.finfo(float).eps * np.abs(slope * (d1 + d2) / curv))
+        take = (curv < 0.0) & ((lo < newton) & (newton < hi) | (np.abs(newton - alpha) <= settle))
+        step = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), alpha)
+        active &= np.abs(step - alpha) > settle
+        alpha = step
+    else:
+        raise ConsistencyError("Holevo weight not settled in 100 steps")
+    chi = _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
+    return alpha, np.maximum(chi, 0.0)
 
 
 def holevo_max(r0: QubitState, r1: QubitState):
     """Holevo quantity maximized over the ensemble weight.
 
-    Returns ``(alpha_star, chi)``.  The N=1 case of the Bloch-vector
-    golden-section search over [0, 1]; the objective is concave in the
-    weight.
+    Returns ``(alpha_star, chi)``, the N=1 case of the Newton search of
+    :func:`_holevo_max_batch` on the concave objective.  Identical states
+    give ``(0.5, 0.0)``; two pure states give 1/2, their optimum by
+    symmetry, up to the rounding of their squared radii.
     """
     alpha, chi = _holevo_max_batch(r0.bloch_vector[None], r1.bloch_vector[None])
     return float(alpha[0]), float(chi[0])
@@ -530,11 +546,8 @@ def _crossover_gaps(thetas) -> list:
     Bit for bit the gap of ``sequential_correlation(*theta_geometry(t))``:
     that route reads the state's Bloch vector back from its density
     matrix, which turns the z-component z into 0.5 (1 + z) - 0.5 (1 - z),
-    and so does this one.  Every angle is checked as
-    :func:`theta_geometry` checks it, in order.
+    and so does this one.  Angles must lie in (0, pi/2).
     """
-    for theta in thetas:
-        _check_angle(theta)
     alice, bob = _theta_directions(np.array(thetas, dtype=float))
     state = alice[:, 1].copy()
     z = state[:, 2]
@@ -562,11 +575,13 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
     gaps it needs from those batches, so it makes the sign decisions,
     and returns the angle, of a bisection that computes one gap at a
     time.
-    Raises :class:`~signalbox.errors.NoCrossoverError` when the interval
-    is degenerate or the gap does not change sign across it, and
-    :class:`~signalbox.errors.DomainError` for an endpoint outside
-    (0, pi/2).
+    Raises :class:`~signalbox.errors.DomainError` for an endpoint outside
+    (0, pi/2), NaN included, checked first; then
+    :class:`~signalbox.errors.NoCrossoverError` when the interval is
+    degenerate or the gap does not change sign across it.
     """
+    _check_angle(theta_min)
+    _check_angle(theta_max)
     if not theta_max > theta_min:
         raise NoCrossoverError(
             f"interval [{theta_min}, {theta_max}] does not bracket a sign change"

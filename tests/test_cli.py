@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,21 @@ def test_run_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["signalbox", "demo", "pr-box"])
     assert run() == 0
     assert json.loads(capsys.readouterr().out)["report"]["lambda"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--steps", "5"], ["demo", "sigma"]])
+def test_module_entry_point_matches_run(argv, capsys):
+    """``python -m signalbox`` exits 0 with the bytes of an in-process ``run``."""
+    assert run(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    env = dict(os.environ)
+    package_root = str(Path(sb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "signalbox", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sequential qubit measurements, the angle sweep and the information bounds."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -176,6 +177,146 @@ def test_holevo_basics(rng):
         assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+def _oracle_holevo_max(r0, r1):
+    """Maximiser, maximum and curvature of the Holevo weight objective, 50 digits.
+
+    Works on the exact decimal values of the Bloch vectors ``r0`` and
+    ``r1``, keeping only the package's convention that a squared radius
+    within 4 ulps of 1 is a pure state.  The weight comes from 130
+    bisections of the sign of the derivative
+    -artanh(R)/(2R ln2) (c1 + 2 alpha c2) - s_gap, which shares no step
+    with the float search.  Returns ``(alpha, chi, f'')`` at the optimum.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+        x0, x1 = ([Decimal(float(v)) for v in r] for r in (r0, r1))
+        gap = [a - b for a, b in zip(x0, x1)]
+
+        def dot(u, v):
+            return sum(a * b for a, b in zip(u, v))
+
+        def entropy(nu):
+            if nu >= 1 - Decimal(4.0 * np.finfo(float).eps):
+                return Decimal(0)
+            radius = nu.sqrt()
+            high, low = (1 + radius) / 2, (1 - radius) / 2
+            return -(high * high.ln() + low * low.ln()) / ln2
+
+        def slopes(nu):
+            """dE/dnu and d2E/dnu2 in bits."""
+            radius = nu.sqrt()
+            if radius == 0:
+                return -1 / (2 * ln2), -1 / (6 * ln2)
+            ratio = ((1 + radius) / (1 - radius)).ln() / (2 * radius)
+            return -ratio / (2 * ln2), -(1 / (1 - nu) - ratio) / (4 * nu * ln2)
+
+        c0, c1, c2 = dot(x1, x1), 2 * dot(gap, x1), dot(gap, gap)
+        s1 = entropy(c0)
+        s_gap = entropy(dot(x0, x0)) - s1
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            d1, _ = slopes(c0 + mid * (c1 + mid * c2))
+            if d1 * (c1 + 2 * mid * c2) - s_gap > 0:
+                lo = mid
+            else:
+                hi = mid
+        alpha = (lo + hi) / 2
+        nu = c0 + alpha * (c1 + alpha * c2)
+        d1, d2 = slopes(nu)
+        curv = d2 * (c1 + 2 * alpha * c2) ** 2 + 2 * c2 * d1
+        return float(alpha), float(entropy(nu) - s1 - alpha * s_gap), float(curv)
+
+
+def test_holevo_max_matches_decimal_oracle(rng, monkeypatch):
+    """Batched and scalar Holevo maxima against a 50-digit decimal oracle.
+
+    Cases: alice's two post-measurement states of the sweep geometry at
+    angles across (0, pi/2), the window ends 0.001 and 1.5697 included;
+    random mixed pairs; pure/pure and pure/mixed pairs.  chi is pinned to
+    1e-14.  The weight is pinned to 1e-12, or to 1e-15/|f''| where the
+    objective is flatter than 1e-3: rounding moves the float objective's
+    derivative by about 1e-15, so no float search can place its root
+    closer.  Only the sweep's end pairs, two nearly pure states 2e-3
+    apart with |f''| about 5e-5, take that wider bound (2e-11).  Every
+    batched lane equals the N=1 call bit for bit, and the whole batch
+    settles within 8 Newton steps.
+    """
+    thetas = [0.001, 0.05, 0.3, 0.7, 1.0, 1.0701, 1.2, 1.45, 1.5697]
+    thetas += list(rng.uniform(0.001, 1.5697, 11))
+    pairs = []
+    for theta in thetas:
+        state, a0, a1, _, _ = sb.theta_geometry(float(theta))
+        pairs.append(tuple(sb.post_measurement_state(state, a).bloch_vector for a in (a0, a1)))
+    for _ in range(20):
+        pure = random_observable(rng).n
+        pairs.append((random_bloch_vector(rng), random_bloch_vector(rng)))
+        pairs.append((random_bloch_vector(rng), random_bloch_vector(rng)))
+        pairs.append((pure, random_observable(rng).n))
+        mixed_pair = (random_bloch_vector(rng), pure)
+        pairs.append(mixed_pair if rng.random() < 0.5 else mixed_pair[::-1])
+    states = [tuple(sb.QubitState.from_bloch(v) for v in pair) for pair in pairs]
+    # The states' own Bloch vectors, as read back from their density matrices.
+    pairs = [(s0.bloch_vector, s1.bloch_vector) for s0, s1 in states]
+    steps = []
+    slopes = quantum._entropy_slopes
+
+    def counting(nu):
+        steps.append(len(nu))
+        return slopes(nu)
+
+    monkeypatch.setattr(quantum, "_entropy_slopes", counting)
+    alphas, chis = quantum._holevo_max_batch(*(np.array(side) for side in zip(*pairs)))
+    assert len(steps) <= 8
+    monkeypatch.undo()
+    for (v0, v1), (s0, s1), alpha, chi in zip(pairs, states, alphas, chis):
+        assert (alpha.hex(), chi.hex()) == tuple(x.hex() for x in sb.holevo_max(s0, s1))
+        want_alpha, want_chi, curv = _oracle_holevo_max(v0, v1)
+        assert abs(chi - want_chi) <= 1e-14, (v0, v1, chi, want_chi)
+        assert abs(alpha - want_alpha) <= max(1e-12, 1e-15 / abs(curv)), (v0, v1, alpha, want_alpha)
+
+
+def test_holevo_max_degenerate_and_symmetric_ensembles(rng):
+    """Identical states give (0.5, 0.0); pure pairs sit at the symmetric 1/2.
+
+    Also, chi is never negative: on nearly coincident, nearly pure states
+    the objective is flat below its rounding.
+    """
+    for state in (random_state(rng), sb.QubitState.maximally_mixed(), sb.sigma_settings()[0]):
+        assert sb.holevo_max(state, state) == (0.5, 0.0)
+    z, x, down = (sb.QubitState.from_bloch(np.array(v)) for v in ([0, 0, 1.0], [1.0, 0, 0], [0, 0, -1.0]))
+    alpha, chi = sb.holevo_max(z, x)
+    assert alpha == 0.5
+    assert chi == pytest.approx(sb.binary_entropy(math.cos(math.pi / 8.0) ** 2), abs=1e-15)
+    assert sb.holevo_max(z, down) == (0.5, 1.0)
+    for _ in range(50):
+        r0, r1 = random_observable(rng).n, random_observable(rng).n
+        if np.sum((r0 - r1) ** 2) >= 1e-2:
+            alpha, _ = sb.holevo_max(sb.QubitState.from_bloch(r0), sb.QubitState.from_bloch(r1))
+            assert abs(alpha - 0.5) <= 1e-13
+    # Nearly coincident, nearly pure states, where f' is flat below its
+    # rounding: in the first pair for about 4e-6 around its root, and in
+    # the second a Newton step lands past the bracket.  Every lane still
+    # settles in [0, 1].
+    u = random_observable(rng).n * (1.0 - 1e-9)
+    r0 = np.array([
+        [0.5817696885259709, 0.8064245708085603, -0.10594074338338448],
+        [0.6176866152976072, 0.1914334150957955, -0.7627689642787957],
+        u,
+        u * (1.0 - 1e-12),
+    ])
+    r1 = np.array([
+        [0.5817696886177446, 0.8064245702675821, -0.10594074684921273],
+        [0.6176866152975763, 0.19143341509578224, -0.7627689642788231],
+        u + 1e-13 * random_observable(rng).n,
+        u,
+    ])
+    alphas, chis = quantum._holevo_max_batch(r0, r1)
+    assert np.all((alphas >= 0.0) & (alphas <= 1.0))
+    assert np.all(chis >= 0.0)
+
+
 def test_sigma_settings_saturate_the_channel():
     state, a0, a1, b0, b1 = sb.sigma_settings()
     table = sb.sequential_correlation(state, a0, a1, b0, b1)
@@ -347,6 +488,10 @@ def test_find_crossover_failure_modes():
         sb.find_crossover(1.1, 1.1)
     with pytest.raises(sb.NoCrossoverError):
         sb.find_crossover(1.2, 0.9)
+    # The angle domain is checked before the bracket, reversed or not.
+    for lo, hi in ((math.nan, 1.0), (1.0, math.nan), (2.0, 0.9), (1.2, -0.1), (0.9, math.inf)):
+        with pytest.raises(sb.DomainError):
+            sb.find_crossover(lo, hi)
 
 
 def test_maximally_mixed_sweep_state_is_silent():
