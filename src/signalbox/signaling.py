@@ -19,6 +19,7 @@ sequential measurement can exercise.  Use
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .correlation import Correlation, catalog, marginal, mix, zero_label_marginals
@@ -29,36 +30,45 @@ from .errors import DomainError
 SERIES_GAP = 1e-3
 
 
+def _entropy(q: float) -> float:
+    """:func:`binary_entropy` of ``q`` clamped to [0, 1], NaN read as 0, unchecked."""
+    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q) if 0.0 < q < 1.0 else 0.0
+
+
+def _check_unit(what: str, *values: float) -> None:
+    for value in values:
+        if not -1e-12 <= value <= 1.0 + 1e-12:  # NaN fails too
+            raise DomainError(f"{what} {value} outside [0, 1]")
+
+
 def binary_entropy(q: float) -> float:
-    """Entropy of a (q, 1 - q) coin in bits, with 0 log 0 = 0."""
-    if q < -1e-12 or q > 1.0 + 1e-12:
-        raise DomainError(f"binary_entropy argument {q} outside [0, 1]")
-    q = min(1.0, max(0.0, q))
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    """Entropy of a (q, 1 - q) coin in bits, 0 log 0 = 0; NaN or q 1e-12 past [0, 1] raises."""
+    _check_unit("binary_entropy argument", q)
+    return _entropy(q)
 
 
 def channel_mutual_info(alpha: float, p0: float, p1: float) -> float:
     """Mutual information of a binary-input channel, in bits.
 
     The input is 0 with probability ``alpha``; the output is 0 with
-    probability ``p0`` or ``p1`` depending on the input.  Computed as
-    output entropy minus average conditional entropy.  Above 1/2 the
-    output entropy is read off the complementary outcome, whose small
+    probability ``p0`` or ``p1`` depending on the input.  Each argument
+    must lie within 1e-12 of [0, 1] and not be NaN.  Computed as output
+    entropy minus average conditional entropy; above 1/2 the output
+    entropy is read off the complementary outcome, whose small
     probability keeps the digits that the steep entropy near 1 needs.
     """
-    if alpha < -1e-12 or alpha > 1.0 + 1e-12:
-        raise DomainError(f"input weight {alpha} outside [0, 1]")
-    alpha = min(1.0, max(0.0, alpha))
-    blended = alpha * p0 + (1.0 - alpha) * p1
+    _check_unit("input weight", alpha)
+    _check_unit("binary_entropy argument", p0, p1)
+    return _mutual_info((alpha if alpha < 1.0 else 1.0) if alpha > 0.0 else 0.0, p0, p1)
+
+
+def _mutual_info(alpha: float, p0: float, p1: float) -> float:
+    """:func:`channel_mutual_info` at ``alpha`` in [0, 1], entropy arguments clamped."""
+    beta = 1.0 - alpha
+    blended = alpha * p0 + beta * p1
     if blended > 0.5:
-        blended = alpha * (1.0 - p0) + (1.0 - alpha) * (1.0 - p1)
-    return (
-        binary_entropy(blended)
-        - alpha * binary_entropy(p0)
-        - (1.0 - alpha) * binary_entropy(p1)
-    )
+        blended = alpha * (1.0 - p0) + beta * (1.0 - p1)
+    return _entropy(blended) - alpha * _entropy(p0) - beta * _entropy(p1)
 
 
 def _xlogx_slope(hi: float, lo: float, width: float) -> float:
@@ -79,14 +89,16 @@ def _best_input_weight(p0: float, p1: float):
     and the divided difference ``s`` is taken through ``log1p``.  Below a
     relative gap of ``SERIES_GAP`` the quotient for ``alpha*`` cancels,
     so the odd series ``1/2 - (1 - 2m) d / (24 m (1 - m)) + O(d**3)`` in
-    the midpoint ``m`` and gap ``d`` takes over.
+    the midpoint ``m`` and gap ``d`` takes over.  Marginals past [0, 1],
+    which validation allows up to 1e-9 beyond 1, are read as clamped.
     """
     if abs(p0 - p1) < 1e-15:
         return 0.5, 0.0
-    x0, x1 = min(1.0, max(0.0, p0)), min(1.0, max(0.0, p1))
+    x0 = (p0 if p0 < 1.0 else 1.0) if p0 > 0.0 else 0.0
+    x1 = (p1 if p1 < 1.0 else 1.0) if p1 > 0.0 else 0.0
     if x0 + x1 > 1.0:
         x0, x1 = 1.0 - x0, 1.0 - x1
-    lo, hi = min(x0, x1), max(x0, x1)
+    lo, hi = (x1, x0) if x1 < x0 else (x0, x1)
     width = hi - lo
     if width == 0.0:  # both marginals lay past the same end of [0, 1]
         alpha = 0.5
@@ -97,8 +109,8 @@ def _best_input_weight(p0: float, p1: float):
         # s in nats, so 2**s becomes exp(s)
         s = _xlogx_slope(1.0 - lo, 1.0 - hi, width) - _xlogx_slope(hi, lo, width)
         alpha = (1.0 / (1.0 + math.exp(s)) - x1) / (x0 - x1)
-    alpha = min(1.0, max(0.0, alpha))
-    return alpha, channel_mutual_info(alpha, p0, p1)
+    alpha = (alpha if alpha < 1.0 else 1.0) if alpha > 0.0 else 0.0
+    return alpha, _mutual_info(alpha, p0, p1)
 
 
 @dataclass(frozen=True)
@@ -121,9 +133,9 @@ def _check_b_set(b_set) -> tuple:
     if not settings:
         raise DomainError("b_set must name at least one bob setting")
     for b in settings:
-        if b not in (0, 1):
+        if not isinstance(b, numbers.Integral) or b not in (0, 1):
             raise DomainError(f"bob setting must be 0 or 1, got {b!r}")
-    return settings
+    return tuple(int(b) for b in settings)
 
 
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
@@ -142,8 +154,7 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     winning setting and prior.  Ties go to the setting listed first.
     """
     settings = _check_b_set(b_set)
-    _, bob = zero_label_marginals(corr)
-    bob = bob.tolist()
+    bob = zero_label_marginals(corr)[1].tolist()
     strength = max(abs(bob[0][b] - bob[1][b]) for b in settings)
     info, alpha_star, b_star = _best_channel(bob, settings)
     return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)
@@ -152,9 +163,8 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
 def _best_channel(bob, settings=(0, 1)):
     """``(info, alpha_star, b_star)`` of the most informative bob setting.
 
-    ``bob[a][b]`` is bob's ``P(outcome label 0)`` as nested lists of
-    floats, as :func:`signalbox.correlation.zero_label_marginals` reads
-    it.  Each setting's capacity is :func:`_best_input_weight`'s; ties go
+    ``bob[a][b]`` is bob's ``P(outcome label 0)`` as nested float lists;
+    each setting's capacity is :func:`_best_input_weight`'s, ties going
     to the setting listed first.
     """
     best = None

@@ -84,6 +84,26 @@ def test_nan_table_is_invalid_input(tmp_path, capsys):
         assert "NaN" in captured.err
 
 
+def test_analyze_marginal_within_normalization_slop(tmp_path, capsys):
+    """A bob marginal 5e-10 past 1 passes validation, so it classifies."""
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 0] = [[0.50000000025, 0.0], [0.50000000025, 0.0]]
+    p[1, 0] = [[0.3, 0.2], [0.3, 0.2]]
+    trimmed = p.copy()
+    trimmed[0, 0] = [[0.5, 0.0], [0.5, 0.0]]
+    payloads = []
+    for name, table in (("slop.json", p), ("trimmed.json", trimmed)):
+        assert run(["analyze", write_table(tmp_path, sb.Correlation(table), name)]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    got, want = payloads
+    assert got.keys() == want.keys()
+    for key, expected in want.items():
+        if isinstance(expected, float):
+            assert got[key] == pytest.approx(expected, abs=1e-9), key
+        else:
+            assert got[key] == expected, key
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = write_table(tmp_path, sb.tsirelson_box())
     out = tmp_path / "report.json"

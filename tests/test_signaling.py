@@ -1,5 +1,6 @@
 """Channel information, the unbalanced box family and the randomness trade-off."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -7,7 +8,17 @@ import numpy as np
 import pytest
 
 import signalbox as sb
-from conftest import random_table, strategy_table
+from signalbox.correlation import zero_label_marginals
+from signalbox.quantum import _theta_batch
+from signalbox.signaling import SERIES_GAP, _best_input_weight
+from conftest import (
+    bob_shift_mixture,
+    dirichlet_mixture,
+    random_quantum_instance,
+    random_table,
+    strategy_table,
+    sub_cost_mixture,
+)
 
 MU = math.log2(5.0) - 2.0
 
@@ -242,11 +253,52 @@ def test_capacity_matches_decimal_oracle(rng):
     assert abs(report.info - _oracle_capacity(*near_one)[1]) <= 1e-15
 
 
-def test_capacity_rejects_marginals_past_the_unit_interval():
-    """Normalization slop can push a marginal past 1; that is a DomainError."""
-    table = _bob_channel_table(1.0 + 1e-10, 1.0)
+def test_capacity_clamps_marginals_past_the_unit_interval():
+    """Validation lets a marginal reach 1 + 1e-9; the capacity reads it as 1.
+
+    Such a marginal, or the negative complement it leaves in the blended
+    output, used to fail the entropy's 1e-12 range check, so a table
+    that passed validation could not be classified.
+    """
+    report = sb.signal_info(_bob_channel_table(1.0 + 1e-10, 1.0), b_set=(0,))
+    assert (report.alpha_star, report.info) == (0.5, 0.0)
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 0] = [[0.50000000025, 0.0], [0.50000000025, 0.0]]
+    p[1, 0] = [[0.3, 0.2], [0.3, 0.2]]
+    trimmed = p.copy()
+    trimmed[0, 0] = [[0.5, 0.0], [0.5, 0.0]]
+    assert zero_label_marginals(sb.Correlation(p))[1][0, 0] > 1.0 + 1e-12
+    for analyse in (sb.classify, sb.signal_info):
+        got, want = analyse(sb.Correlation(p)), analyse(sb.Correlation(trimmed))
+        for field in dataclasses.fields(got):
+            value, expected = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(expected, float):
+                assert value == pytest.approx(expected, abs=1e-9), field.name
+            else:
+                assert value == expected, field.name
+
+
+def test_nan_is_outside_every_domain():
+    """NaN fails the range checks instead of reading as a confident 0."""
+    for args in ((math.nan, 0.2, 0.7), (0.5, math.nan, 0.7), (0.5, 0.2, math.nan)):
+        with pytest.raises(sb.DomainError):
+            sb.channel_mutual_info(*args)
     with pytest.raises(sb.DomainError):
-        sb.signal_info(table, b_set=(0,))
+        sb.binary_entropy(math.nan)
+
+
+def test_bob_settings_must_be_integral():
+    """Float settings are rejected; integer types come back as plain ints."""
+    table = strategy_table("signal_0_anb")
+    for bad in ((0.0,), (1.0,), (np.float64(0.0),), (0, 0.5), ("0",), (None,)):
+        with pytest.raises(sb.DomainError):
+            sb.signal_info(table, b_set=bad)
+        with pytest.raises(sb.DomainError):
+            sb.signal_strength(table, b_set=bad)
+    for settings, want in (((np.int64(1),), 1), ((np.int64(1), np.int64(0)), 0)):
+        report = sb.signal_info(table, b_set=settings)
+        assert type(report.b_star) is int and report.b_star == want
+    assert sb.signal_strength(table, b_set=(np.int8(0),)) == 1.0
 
 
 def test_signal_info_ties_go_to_first_listed_setting():
@@ -255,3 +307,128 @@ def test_signal_info_ties_go_to_first_listed_setting():
     assert sb.signal_info(silent).b_star == 0
     assert sb.signal_info(silent, b_set=(1, 0)).b_star == 1
     assert sb.classify(silent).b_star == 0
+
+
+# The capacity chain of nested checked calls that the flat kernel in
+# signalbox.signaling replaced, kept verbatim as the oracle it has to
+# match bit for bit on every input both accept.
+def _chain_binary_entropy(q):
+    if q < -1e-12 or q > 1.0 + 1e-12:
+        raise sb.DomainError(f"binary_entropy argument {q} outside [0, 1]")
+    q = min(1.0, max(0.0, q))
+    if q == 0.0 or q == 1.0:
+        return 0.0
+    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+
+
+def _chain_mutual_info(alpha, p0, p1):
+    if alpha < -1e-12 or alpha > 1.0 + 1e-12:
+        raise sb.DomainError(f"input weight {alpha} outside [0, 1]")
+    alpha = min(1.0, max(0.0, alpha))
+    blended = alpha * p0 + (1.0 - alpha) * p1
+    if blended > 0.5:
+        blended = alpha * (1.0 - p0) + (1.0 - alpha) * (1.0 - p1)
+    return (
+        _chain_binary_entropy(blended)
+        - alpha * _chain_binary_entropy(p0)
+        - (1.0 - alpha) * _chain_binary_entropy(p1)
+    )
+
+
+def _chain_xlogx_slope(hi, lo, width):
+    if lo == 0.0:
+        return math.log(hi)
+    log_ratio = math.log1p(width / lo) if width < lo else math.log(hi) - math.log(lo)
+    return math.log(hi) + lo * log_ratio / width
+
+
+def _chain_best_input_weight(p0, p1):
+    if abs(p0 - p1) < 1e-15:
+        return 0.5, 0.0
+    x0, x1 = min(1.0, max(0.0, p0)), min(1.0, max(0.0, p1))
+    if x0 + x1 > 1.0:
+        x0, x1 = 1.0 - x0, 1.0 - x1
+    lo, hi = min(x0, x1), max(x0, x1)
+    width = hi - lo
+    if width == 0.0:
+        alpha = 0.5
+    elif width < SERIES_GAP * lo:
+        mid = 0.5 * (x0 + x1)
+        alpha = 0.5 - (1.0 - 2.0 * mid) * (x0 - x1) / (24.0 * mid * (1.0 - mid))
+    else:
+        s = _chain_xlogx_slope(1.0 - lo, 1.0 - hi, width) - _chain_xlogx_slope(hi, lo, width)
+        alpha = (1.0 / (1.0 + math.exp(s)) - x1) / (x0 - x1)
+    alpha = min(1.0, max(0.0, alpha))
+    return alpha, _chain_mutual_info(alpha, p0, p1)
+
+
+def _chain_best_channel(bob):
+    best = None
+    for b in (0, 1):
+        alpha, value = _chain_best_input_weight(bob[0][b], bob[1][b])
+        if best is None or value > best[0] + 1e-15:
+            best = (value, alpha, b)
+    return best
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _near_nonsignaling_tables(rng, n):
+    """Local and PR-box mixtures plus a bob b=0 shift between 1e-12 and 1e-3."""
+    pr = 0.5 * (strategy_table("signal_0_anb").p + strategy_table("signal_1_canb").p)
+    push = strategy_table("signal_0_anb").p
+    for shift in 10.0 ** np.linspace(-12.0, -3.0, n):
+        base = dirichlet_mixture(rng, sb.LOCAL_IDS, 0.5)[0].p
+        u = rng.uniform(0.0, 0.6)
+        yield sb.Correlation((1.0 - shift) * ((1.0 - u) * base + u * pr) + shift * push)
+
+
+def test_capacity_kernel_is_bit_identical_to_the_checked_chain(rng):
+    """``(alpha*, info)`` of every channel, compared by ``float.hex``."""
+    pairs = []
+    rel_gaps = np.concatenate(
+        [np.geomspace(1e-16, 2e-3, 80), SERIES_GAP * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])]
+    )
+    for lo in (1e-300, 1e-200, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.45, 0.5, 0.7, 0.99):
+        for rel in rel_gaps.tolist():
+            hi = lo * (1.0 + rel)
+            pairs += [(hi, lo), (lo, hi), (1.0 - hi, 1.0 - lo), (1.0 - lo, 1.0 - hi)]
+    edges = (0.0, 5e-324, 1e-300, 1e-15, 0.25, 0.5, 0.75, 1.0 - 2**-53, 1.0,
+             1.0 + 2**-52, 1.0 + 5e-13, 1.0 + 1e-12)
+    pairs += [(p0, p1) for p0 in edges for p1 in edges]
+    pairs += [(float(a), float(b)) for a, b in rng.random((2000, 2))]
+    tables = [random_table(rng) for _ in range(100)]
+    tables += [sub_cost_mixture(rng)[0] for _ in range(100)]
+    tables += [bob_shift_mixture(rng)[0] for _ in range(100)]
+    for _ in range(100):
+        state, observables = random_quantum_instance(rng)
+        tables.append(sb.sequential_correlation(state, *observables))
+    tables += list(_near_nonsignaling_tables(rng, 200))
+    for table in tables:
+        bob = zero_label_marginals(table)[1].tolist()
+        pairs += [(bob[0][b], bob[1][b]) for b in (0, 1)]
+    flipped = silent = 0
+    for p0, p1 in pairs:
+        want = _chain_best_input_weight(p0, p1)
+        assert _hex(*_best_input_weight(p0, p1)) == _hex(*want), (p0, p1)
+        if abs(p0 - p1) >= 1e-15:
+            x0, x1 = (min(1.0, max(0.0, p)) for p in (p0, p1))
+            flipped += x0 + x1 > 1.0
+            silent += x0 == x1
+    assert flipped > 1000 and silent > 0
+
+
+def test_sweep_verdicts_match_the_checked_chain():
+    """classify_batch on the default sweep's tables, against the oracle capacity."""
+    tables = _theta_batch(np.linspace(0.9, 1.2, 61))[0]
+    for table, report in zip(tables, sb.classify_batch(tables)):
+        bob = zero_label_marginals(sb.Correlation(table))[1].tolist()
+        info, alpha, b_star = _chain_best_channel(bob)
+        got = (report.signal_mutual_info, report.signal, report.alpha_star)
+        assert _hex(*got) == _hex(info, info, alpha)
+        assert report.b_star == b_star
+        total = max(report.disturbance, info)
+        assert _hex(report.cost, report.eta) == _hex(total, total - info)
+        assert report.classical == report.classical_by_mutual_info == (total - info <= 1e-9)
