@@ -62,13 +62,15 @@ class Correlation:
     Entries in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything more negative raises
     :class:`~signalbox.errors.NegativeProbabilityError`.  The entry
-    checks are those :func:`validate_tables` runs on a batch.
+    checks are those :func:`validate_tables` runs on a batch, and input
+    that is not numeric raises :class:`~signalbox.errors.DomainError` in
+    both.
     """
 
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.p, dtype=float)
+        arr = _numeric_array(self.p)
         if arr.shape != TABLE_SHAPE:
             raise DomainError(
                 f"correlation table must have shape (2, 2, 2, 2), got {arr.shape}"
@@ -118,7 +120,7 @@ def _numeric_array(data) -> np.ndarray:
 
 def make_correlation(data) -> Correlation:
     """Build a :class:`Correlation` from any nested sequence or array."""
-    return Correlation(_numeric_array(data))
+    return Correlation(data)
 
 
 def validate_tables(data) -> np.ndarray:

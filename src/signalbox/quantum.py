@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation
+from .correlation import Correlation, validate_tables
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
-from .simulate import classify_batch
+from .simulate import _verdict, _verdict_rows
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -456,15 +456,17 @@ class SweepRow:
     classical: bool
 
 
-def _xz_directions(phi: np.ndarray) -> np.ndarray:
-    """Unit vectors in the xz-plane at angles ``phi`` from the z-axis."""
-    return np.stack([np.sin(phi), np.zeros_like(phi), np.cos(phi)], axis=-1)
+# Angles from the z-axis, in units of theta, of (a0, a1) and (b0, b1).
+_GEOMETRY_STEPS = np.array([[1.0, 3.0], [0.0, 2.0]])[:, None, :]
 
 
 def _theta_directions(thetas: np.ndarray):
-    """:func:`theta_geometry`'s alice and bob directions, (N, 2, 3) each."""
-    b0, a0, b1, a1 = (_xz_directions(k * thetas) for k in (0.0, 1.0, 2.0, 3.0))
-    return np.stack([a0, a1], axis=1), np.stack([b0, b1], axis=1)
+    """:func:`theta_geometry`'s alice and bob directions, (N, 2, 3) each, in one pass."""
+    angles = thetas[:, None] * _GEOMETRY_STEPS
+    directions = np.zeros(angles.shape + (3,))
+    directions[..., 0] = np.sin(angles)
+    directions[..., 2] = np.cos(angles)
+    return directions[0], directions[1]
 
 
 def _theta_batch(thetas: np.ndarray):
@@ -488,9 +490,9 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     """Rows of the angle sweep, ascending, endpoints included.
 
     All angles run as one batch (see :func:`_theta_batch`), and so do
-    their verdicts: the tables go to
-    :func:`signalbox.simulate.classify_batch` in one call, and each
-    row's fields are read off its report.  Raises
+    their verdicts: the tables are validated as ``classify_batch`` does,
+    and each row is read off its table's plain verdict row, with no
+    report built; ``classical`` is the channel-information verdict.  Raises
     :class:`~signalbox.errors.DomainError` for fewer than 2 or more than
     ``MAX_SWEEP_STEPS`` steps, an empty range, or an endpoint outside
     (0, pi/2).
@@ -510,14 +512,16 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     return [
         SweepRow(
             theta=theta,
-            functional=report.functional,
-            functional_norm=report.functional / 2.0,
-            restricted_info=report.signal_mutual_info,
-            disturbance=report.disturbance,
+            functional=lam,
+            functional_norm=lam / 2.0,
+            restricted_info=info,
+            disturbance=floor,
             holevo_info=chi,
-            classical=report.classical_by_mutual_info,
+            classical=_verdict(floor, info)[2],
         )
-        for theta, report, chi in zip(thetas.tolist(), classify_batch(tables), chis.tolist())
+        for theta, (lam, floor, info, *_), chi in zip(
+            thetas.tolist(), _verdict_rows(validate_tables(tables)), chis.tolist()
+        )
     ]
 
 
@@ -543,7 +547,9 @@ def sweep_csv(rows) -> str:
 def _crossover_gaps(thetas) -> list:
     """``restricted_info - disturbance`` at each angle, in one batch.
 
-    Bit for bit the gap of ``sequential_correlation(*theta_geometry(t))``:
+    The gap is ``info - floor`` of each table's plain verdict row, the
+    ``signal_mutual_info - disturbance`` of ``classify_batch``.  Bit for
+    bit it is the gap of ``sequential_correlation(*theta_geometry(t))``:
     that route reads the state's Bloch vector back from its density
     matrix, which turns the z-component z into 0.5 (1 + z) - 0.5 (1 - z),
     and so does this one.  Angles must lie in (0, pi/2).
@@ -552,8 +558,8 @@ def _crossover_gaps(thetas) -> list:
     state = alice[:, 1].copy()
     z = state[:, 2]
     state[:, 2] = 0.5 * (1.0 + z) - 0.5 * (1.0 - z)
-    reports = classify_batch(_checked_tables(state, alice, bob))
-    return [report.signal_mutual_info - report.disturbance for report in reports]
+    rows = _verdict_rows(validate_tables(_checked_tables(state, alice, bob)))
+    return [info - floor for _, floor, info, *_ in rows]
 
 
 def _midpoints(lo: float, hi: float, levels: int) -> list:

@@ -279,36 +279,21 @@ def classify_batch(tables, measure: str = "mutual_info") -> list:
     ``classify(Correlation(p), measure)``.  The tables are validated
     together, with the checks and error classes of
     :class:`~signalbox.correlation.Correlation`; an empty batch or a
-    wrong shape raises :class:`~signalbox.errors.DomainError`.
+    wrong shape raises :class:`~signalbox.errors.DomainError`.  The
+    reports wrap the plain rows of :func:`_verdict_rows`.
     """
     _check_measure(measure)
     return _verdicts(validate_tables(tables), measure)
 
 
 def _verdicts(tables: np.ndarray, measure: str) -> list:
-    """Reports of validated tables ``(N, 2, 2, 2, 2)``, in one pass.
-
-    The functional, the zero-label marginals and the four shifts are
-    read for all N tables at once, by the array helpers behind
-    :func:`functional_value`, :func:`zero_label_marginals` and
-    :func:`signaling_deltas`.  The channel capacity stays per table on
-    Python's ``math``, whose ``log1p`` and ``exp`` numpy does not match
-    to the last bit.
-    """
-    alice, bob = _zero_label_marginals(tables)
-    # Each party's largest marginal shift over its own two settings.
-    to_bob, to_alice = (shift.max(axis=-1) for shift in _shifts(alice, bob))
+    """Reports of validated tables ``(N, 2, 2, 2, 2)``, built from :func:`_verdict_rows`."""
     reports = []
-    for lam, strength, shift, channels in zip(
-        np.abs(_signed_functionals(tables)).tolist(),
-        to_bob.tolist(),
-        np.maximum(to_bob, to_alice).tolist(),
-        bob.tolist(),
-    ):
-        floor = disturbance_from_functional(lam)
-        info, alpha_star, b_star = _best_channel(channels)
-        signal = info if measure == "mutual_info" else shift
-        total, eta, classical = _verdict(floor, signal)
+    for lam, floor, info, alpha_star, b_star, strength, shift in _verdict_rows(tables):
+        by_info, by_delta = _verdict(floor, info), _verdict(floor, shift)
+        signal, (total, eta, classical) = (
+            (info, by_info) if measure == "mutual_info" else (shift, by_delta)
+        )
         reports.append(
             ClassificationReport(
                 functional=lam,
@@ -320,14 +305,45 @@ def _verdicts(tables: np.ndarray, measure: str) -> list:
                 classical=classical,
                 signal_mutual_info=info,
                 signal_delta=shift,
-                classical_by_mutual_info=_verdict(floor, info)[2],
-                classical_by_delta=_verdict(floor, shift)[2],
+                classical_by_mutual_info=by_info[2],
+                classical_by_delta=by_delta[2],
                 alpha_star=alpha_star,
                 b_star=b_star,
                 measure=measure,
             )
         )
     return reports
+
+
+def _verdict_rows(tables: np.ndarray) -> list:
+    """Verdict inputs of validated tables ``(N, 2, 2, 2, 2)``, in one pass.
+
+    One tuple per table, ``(lam, floor, info, alpha_star, b_star,
+    strength, shift)``: a report's ``functional``, ``disturbance``,
+    ``signal_mutual_info``, ``alpha_star``, ``b_star``, ``strength`` and
+    ``signal_delta``.  The functional, the zero-label
+    marginals and the four shifts are read for all N tables at once, by
+    the array helpers behind :func:`functional_value`,
+    :func:`zero_label_marginals` and :func:`signaling_deltas`.  The
+    channel capacity stays per table on Python's ``math``, whose
+    ``log1p`` and ``exp`` numpy does not match to the last bit.
+    """
+    alice, bob = _zero_label_marginals(tables)
+    to_bob, to_alice = _shifts(alice, bob)
+    # Each party's largest marginal shift over its own two settings.
+    to_bob = to_bob.max(axis=-1)
+    rows = []
+    for lam, strength, shift, channels in zip(
+        np.abs(_signed_functionals(tables)).tolist(),
+        to_bob.tolist(),
+        np.maximum(to_bob, to_alice.max(axis=-1)).tolist(),
+        bob.tolist(),
+    ):
+        info, alpha_star, b_star = _best_channel(channels)
+        rows.append(
+            (lam, disturbance_from_functional(lam), info, alpha_star, b_star, strength, shift)
+        )
+    return rows
 
 
 def _verdict(floor: float, signal: float):

@@ -1,10 +1,13 @@
 """Properties of the signal-deficit verdict over generated tables."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signalbox as sb
+from signalbox.correlation import validate_tables
 
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -39,3 +42,89 @@ def test_verdict_bounds(batch, measure):
         assert 0.0 <= report.eta <= report.disturbance
         assert report.signal <= report.cost
         assert report.signal_mutual_info <= report.signal_delta
+
+
+_EDGE_ENTRIES = st.sampled_from(
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        -1e-9,
+        math.nextafter(-1e-9, 0.0),
+        math.nextafter(-1e-9, -math.inf),
+        -2e-9,
+        1.0 + 1e-9,
+        1.0 + 2e-9,
+    ]
+)
+_WRONG_SHAPES = st.sampled_from(
+    [(), (0,), (16,), (4, 4), (2, 2, 2), (2, 2, 2, 3), (2, 2, 0, 2), (1, 2, 2, 2, 2), (2, 2, 2, 2, 1)]
+)
+
+
+@st.composite
+def edited_tables(draw):
+    """A normalized table with up to three entries set to edge values.
+
+    Each edit may be balanced by the opposite change to the other outcome
+    of the same ``(a, b, x)`` row, so that negativity is reached with the
+    normalization kept.
+    """
+    cells = draw(unstructured()).reshape(16)
+    for index, value, balanced in draw(
+        st.lists(st.tuples(st.integers(0, 15), _EDGE_ENTRIES | _UNIT, st.booleans()), max_size=3)
+    ):
+        partner = index ^ 1
+        if balanced and math.isfinite(value):
+            cells[partner] += cells[index] - value
+        cells[index] = value
+    return cells.reshape(2, 2, 2, 2)
+
+
+def _validator_outcome(check, data):
+    try:
+        return "ok", check(data)
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_tables())
+def test_batch_and_table_validators_agree(table):
+    """``validate_tables(t[None])`` and ``Correlation(t)`` accept and reject alike.
+
+    Accepted, both give the same bytes, entries in ``[-1e-9, 0)`` clamped;
+    rejected, both raise the same error class with the same message.
+    """
+    batch = _validator_outcome(lambda t: validate_tables(t[None])[0], table)
+    single = _validator_outcome(lambda t: sb.Correlation(t).p, table)
+    assert batch[0] == single[0]
+    if batch[0] == "ok":
+        assert batch[1].tobytes() == single[1].tobytes()
+    else:
+        assert batch[1] == single[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WRONG_SHAPES, _EDGE_ENTRIES | _UNIT)
+def test_validators_reject_wrong_shapes_alike(shape, fill):
+    """Any other shape is a ``DomainError`` for both, before any entry is read.
+
+    The messages differ only in the shape each was handed: a batch names
+    its leading axis, a table does not.
+    """
+    table = np.full(shape, fill)
+    batch = _validator_outcome(lambda t: validate_tables(t[None]), table)
+    single = _validator_outcome(sb.Correlation, table)
+    assert batch[0] is single[0] is sb.DomainError
+    assert batch[1].endswith(f"got {(1,) + shape}")
+    assert single[1].endswith(f"got {shape}")
+
+
+@given(st.sampled_from(["x", [[0.5, 0.5], [1.0]], {"p": 1}, [object()]]))
+def test_validators_reject_non_numeric_input_alike(data):
+    """Input that numpy cannot read as floats is a ``DomainError`` for both."""
+    batch = _validator_outcome(lambda d: validate_tables([d]), data)
+    single = _validator_outcome(sb.Correlation, data)
+    assert batch[0] is single[0] is sb.DomainError

@@ -397,16 +397,47 @@ def test_sweep_rows_and_frozen_values():
 
 
 def test_sweep_rows_are_classify_verdicts():
-    """Each row's numbers and verdict are those of ``classify`` on its table."""
-    rows = sb.theta_sweep(0.05, 1.5, 400)
-    tables, _ = quantum._theta_batch(np.array([row.theta for row in rows]))
-    for row, p in zip(rows, tables):
-        report = sb.classify(sb.Correlation(p))
-        assert row.functional == report.functional
-        assert row.functional_norm == report.functional / 2.0
-        assert row.restricted_info == report.signal_mutual_info
-        assert row.disturbance == report.disturbance
-        assert row.classical == report.classical_by_mutual_info
+    """Each row's numbers and verdict are those of ``classify`` on its table.
+
+    Every field is compared by ``float.hex``, on a 400-step window, on the
+    full-range 1000-step window, and on two seeded random windows.
+    """
+    rng = np.random.default_rng(1101)
+    windows = [(0.05, 1.5, 400), (0.001, 1.5697, 1000)]
+    for steps in (61, 333):
+        lo = float(rng.uniform(1e-3, 1.2))
+        windows.append((lo, float(rng.uniform(lo + 1e-3, 1.5707)), steps))
+    for lo, hi, steps in windows:
+        rows = sb.theta_sweep(lo, hi, steps)
+        thetas = np.linspace(lo, hi, steps)
+        tables, chis = quantum._theta_batch(thetas)
+        assert len(rows) == steps
+        for row, theta, p, chi in zip(rows, thetas.tolist(), tables, chis.tolist()):
+            report = sb.classify(sb.Correlation(p))
+            assert row.theta.hex() == theta.hex()
+            assert row.functional.hex() == report.functional.hex()
+            assert row.functional_norm.hex() == (report.functional / 2.0).hex()
+            assert row.restricted_info.hex() == report.signal_mutual_info.hex()
+            assert row.disturbance.hex() == report.disturbance.hex()
+            assert row.holevo_info.hex() == chi.hex()
+            assert row.classical is report.classical_by_mutual_info
+
+
+def test_theta_directions_match_per_observable_vectors():
+    """The one-pass direction grid equals four separate ``sin``/``cos`` vectors, hex for hex."""
+
+    def xz(phi):
+        return np.stack([np.sin(phi), np.zeros_like(phi), np.cos(phi)], axis=-1)
+
+    rng = np.random.default_rng(2000)
+    for _ in range(200):
+        lo = float(rng.uniform(1e-4, 1.5))
+        thetas = np.linspace(lo, float(rng.uniform(lo, 1.5707)), int(rng.integers(2, 700)))
+        b0, a0, b1, a1 = (xz(k * thetas) for k in (0.0, 1.0, 2.0, 3.0))
+        alice, bob = quantum._theta_directions(thetas)
+        for got, want in ((alice, np.stack([a0, a1], axis=1)), (bob, np.stack([b0, b1], axis=1))):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_argument_validation(monkeypatch):
@@ -588,6 +619,31 @@ def test_crossover_gaps_match_scalar_route():
             table = sb.sequential_correlation(*sb.theta_geometry(theta))
             want.append((sb.signal_info(table).info - sb.disturbance_cost(table)).hex())
         assert [gap.hex() for gap in quantum._crossover_gaps(batch)] == want
+
+
+def test_crossover_gaps_are_classify_batch_gaps(monkeypatch):
+    """Batched gaps equal ``signal_mutual_info - disturbance`` of ``classify_batch``.
+
+    The reports are taken on the very route tables the gaps were computed
+    from, and compared hex for hex.
+    """
+    seen = []
+    checked = quantum._checked_tables
+
+    def keep(r, a, b):
+        seen.append(checked(r, a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(quantum, "_checked_tables", keep)
+    rng = np.random.default_rng(1150)
+    batches = [[0.9, 1.2] + quantum._midpoints(0.9, 1.2, 3), quantum._midpoints(1.06, 1.08, 3)]
+    batches.append(list(rng.uniform(1e-3, 1.57, 200)))
+    for points in batches:
+        gaps = quantum._crossover_gaps(points)
+        reports = sb.classify_batch(seen[-1])
+        assert [gap.hex() for gap in gaps] == [
+            (report.signal_mutual_info - report.disturbance).hex() for report in reports
+        ]
 
 
 def test_find_crossover_batches_three_levels(monkeypatch):
