@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +49,6 @@ TABLE_SHAPE = (2, 2, 2, 2)
 
 # Value of outcome label l is (-1) ** l.
 OUTCOME_VALUES = np.array([1.0, -1.0])
-
-# Sign carried by E(a, b) in the functional: negative exactly at (1, 0).
-FUNCTIONAL_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +80,8 @@ class Correlation:
 
     def expectation(self, a: int, b: int) -> float:
         """Correlator E(a, b) of the two outcome values at one setting pair."""
-        _check_setting(a)
-        _check_setting(b)
-        return float(
-            np.einsum("xy,x,y->", self.p[a, b], OUTCOME_VALUES, OUTCOME_VALUES)
-        )
+        cell = self.p[_check_setting(a), _check_setting(b)]
+        return float(np.einsum("xy,x,y->", cell, OUTCOME_VALUES, OUTCOME_VALUES))
 
 
 def _check_entries(arr: np.ndarray) -> None:
@@ -96,15 +92,15 @@ def _check_entries(arr: np.ndarray) -> None:
     """
     # NaN propagates through min(), and infinities fail the checks below.
     low = float(arr.min())
-    if np.isnan(low):
+    if math.isnan(low):
         raise DomainError("correlation table has a NaN entry")
     if low < -NEGATIVITY_TOL:
         raise NegativeProbabilityError(
             f"probability entry {low} is negative beyond tolerance"
         )
-    arr[arr < 0.0] = 0.0
-    sums = arr.sum(axis=(-2, -1))
-    worst = float(np.max(np.abs(sums - 1.0)))
+    if low < 0.0:
+        arr[arr < 0.0] = 0.0
+    worst = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max())
     if worst > NORMALIZATION_TOL:
         raise NormalizationError(
             f"per-setting outcome sums deviate from 1 by {worst}"
@@ -140,20 +136,41 @@ def validate_tables(data) -> np.ndarray:
     return arr
 
 
-def _check_setting(value: int) -> None:
-    if value not in (0, 1):
+def _check_setting(value) -> int:
+    """A setting as a plain ``int``; a float, a bool or any other value is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
         raise DomainError(f"setting must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def _table_terms(t) -> tuple:
+    """Signed functional, zero-label marginals and shifts of one table.
+
+    ``t`` is the table's 16 entries as floats, in ``p[a][b][x][y]`` order.
+    Returns ``(functional, alice, bob, to_bob, to_alice)``: ``alice[a][b]``
+    and ``bob[a][b]`` are nested lists of ``P(outcome label 0)``,
+    ``to_bob[b]`` is bob's marginal shift at his setting b when alice flips
+    hers, and ``to_alice[a]`` the mirror image.  The bits are those of
+    numpy's ``einsum`` and ``sum``: a correlator is ``((p00 - p01) - p10)
+    + p11``, and a marginal starts from ``0.0``, so ``-0.0 + -0.0`` is ``0.0``.
+    """
+    # p, q, r, s: setting pairs (0, 0), (0, 1), (1, 0), (1, 1); digit 2x + y.
+    p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3, s0, s1, s2, s3 = t
+    functional = (
+        (((p0 - p1) - p2) + p3)
+        + (((q0 - q1) - q2) + q3)
+        - (((r0 - r1) - r2) + r3)
+        + (((s0 - s1) - s2) + s3)
+    )
+    a00, a01, a10, a11 = 0.0 + p0 + p1, 0.0 + q0 + q1, 0.0 + r0 + r1, 0.0 + s0 + s1
+    b00, b01, b10, b11 = 0.0 + p0 + p2, 0.0 + q0 + q2, 0.0 + r0 + r2, 0.0 + s0 + s2
+    to_bob, to_alice = (abs(b00 - b10), abs(b01 - b11)), (abs(a00 - a01), abs(a10 - a11))
+    return functional, [[a00, a01], [a10, a11]], [[b00, b01], [b10, b11]], to_bob, to_alice
 
 
 def signed_functional(corr: Correlation) -> float:
     """The combination E(0,0) + E(0,1) - E(1,0) + E(1,1), sign kept."""
-    return float(_signed_functionals(corr.p))
-
-
-def _signed_functionals(p: np.ndarray) -> np.ndarray:
-    """:func:`signed_functional` of tables ``(..., 2, 2, 2, 2)``, one per table."""
-    correlators = np.einsum("...abxy,x,y->...ab", p, OUTCOME_VALUES, OUTCOME_VALUES)
-    return np.sum(FUNCTIONAL_SIGNS * correlators, axis=(-2, -1))
+    return _table_terms(corr.p.reshape(16).tolist())[0]
 
 
 def functional_value(corr: Correlation) -> float:
@@ -217,8 +234,8 @@ def marginal(corr: Correlation, side: str, own_setting: int, other_setting: int)
     would not depend on ``other_setting``; the whole point of this
     package is to quantify how much it does.
     """
-    _check_setting(own_setting)
-    _check_setting(other_setting)
+    own_setting = _check_setting(own_setting)
+    other_setting = _check_setting(other_setting)
     if side == "alice":
         return corr.p[own_setting, other_setting].sum(axis=1)
     if side == "bob":
@@ -256,27 +273,13 @@ def zero_label_marginals(corr: Correlation):
     ``bob[a][b]`` equals ``marginal(corr, "bob", b, a)[0]``, bit for bit,
     since each entry is the same two-term sum.
     """
-    return _zero_label_marginals(corr.p)
-
-
-def _zero_label_marginals(p: np.ndarray):
-    """:func:`zero_label_marginals` of tables ``(..., 2, 2, 2, 2)``."""
-    return p[..., 0, :].sum(axis=-1), p[..., 0].sum(axis=-1)
-
-
-def _shifts(alice: np.ndarray, bob: np.ndarray):
-    """Marginal-shift magnitudes from zero-label marginals ``[..., a, b]``.
-
-    Returns ``(to_bob, to_alice)``: ``to_bob[..., b]`` is the shift of
-    bob's marginal at his setting b when alice flips hers, and
-    ``to_alice[..., a]`` the mirror image.
-    """
-    return np.abs(bob[..., 0, :] - bob[..., 1, :]), np.abs(alice[..., 0] - alice[..., 1])
+    _, alice, bob, _, _ = _table_terms(corr.p.reshape(16).tolist())
+    return np.array(alice), np.array(bob)
 
 
 def signaling_deltas(corr: Correlation) -> SignalDeltas:
     """All four marginal-shift magnitudes of a table."""
-    to_bob, to_alice = (shift.tolist() for shift in _shifts(*zero_label_marginals(corr)))
+    *_, to_bob, to_alice = _table_terms(corr.p.reshape(16).tolist())
     return SignalDeltas(to_bob[0], to_bob[1], to_alice[1], to_alice[0])
 
 

@@ -108,7 +108,7 @@ class QubitState:
             raise DomainError(f"density matrix must be 2x2, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("density matrix has a non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > _STATE_TOL:
+        if np.abs(m - m.conj().T).max() > _STATE_TOL:
             raise DomainError("density matrix is not Hermitian")
         trace = float(m[0, 0].real + m[1, 1].real)
         if abs(trace - 1.0) > _STATE_TOL:
@@ -186,7 +186,7 @@ def _checked_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     projector tables, clipped at 0, are returned.
     """
     direct = _projector_tables(r, a, b)
-    gap = float(np.max(np.abs(direct - _formula_tables(r, a, b))))
+    gap = float(np.abs(direct - _formula_tables(r, a, b)).max())
     if gap > _ROUTE_TOL:
         raise ConsistencyError(
             f"projector and closed-form tables disagree by {gap}"

@@ -33,9 +33,7 @@ from .correlation import (
     VIOLATING_IDS,
     Correlation,
     StrategyKind,
-    _shifts,
-    _signed_functionals,
-    _zero_label_marginals,
+    _table_terms,
     catalog,
     disturbance_cost,
     disturbance_from_functional,
@@ -112,7 +110,7 @@ def _max_residual(corr: Correlation, weights: dict) -> float:
     total = np.zeros((2, 2, 2, 2))
     for ident, weight in weights.items():
         total += weight * strategy_table(ident)
-    return float(np.max(np.abs(corr.p - total)))
+    return float(np.abs(corr.p - total).max())
 
 
 def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decomposition:
@@ -316,30 +314,28 @@ def _verdicts(tables: np.ndarray, measure: str) -> list:
 
 
 def _verdict_rows(tables: np.ndarray) -> list:
-    """Verdict inputs of validated tables ``(N, 2, 2, 2, 2)``, in one pass.
+    """Verdict inputs of validated tables ``(N, 2, 2, 2, 2)``, one flat loop.
 
     One tuple per table, ``(lam, floor, info, alpha_star, b_star,
     strength, shift)``: a report's ``functional``, ``disturbance``,
     ``signal_mutual_info``, ``alpha_star``, ``b_star``, ``strength`` and
-    ``signal_delta``.  The functional, the zero-label
-    marginals and the four shifts are read for all N tables at once, by
-    the array helpers behind :func:`functional_value`,
-    :func:`zero_label_marginals` and :func:`signaling_deltas`.  The
-    channel capacity stays per table on Python's ``math``, whose
-    ``log1p`` and ``exp`` numpy does not match to the last bit.
+    ``signal_delta``.  Each table is read out as plain floats once, and
+    :func:`~signalbox.correlation._table_terms`, the helper behind
+    :func:`signed_functional`, :func:`zero_label_marginals` and
+    :func:`signaling_deltas`, gives its functional, marginals and shifts.
+    The channel capacity is Python's ``math``, whose ``log1p`` and
+    ``exp`` numpy does not match to the last bit.
     """
-    alice, bob = _zero_label_marginals(tables)
-    to_bob, to_alice = _shifts(alice, bob)
-    # Each party's largest marginal shift over its own two settings.
-    to_bob = to_bob.max(axis=-1)
     rows = []
-    for lam, strength, shift, channels in zip(
-        np.abs(_signed_functionals(tables)).tolist(),
-        to_bob.tolist(),
-        np.maximum(to_bob, to_alice.max(axis=-1)).tolist(),
-        bob.tolist(),
-    ):
-        info, alpha_star, b_star = _best_channel(channels)
+    for t in tables.reshape(len(tables), 16).tolist():
+        functional, _, bob, (to_bob_0, to_bob_1), (to_alice_0, to_alice_1) = _table_terms(t)
+        lam = abs(functional)
+        # Each party's largest marginal shift over its own two settings.  The
+        # shifts are finite and never -0.0, so a comparison gives numpy's max.
+        strength = to_bob_0 if to_bob_0 >= to_bob_1 else to_bob_1
+        to_alice = to_alice_0 if to_alice_0 >= to_alice_1 else to_alice_1
+        shift = strength if strength >= to_alice else to_alice
+        info, alpha_star, b_star = _best_channel(bob)
         rows.append(
             (lam, disturbance_from_functional(lam), info, alpha_star, b_star, strength, shift)
         )

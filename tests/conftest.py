@@ -86,6 +86,16 @@ def bob_shift_mixture(rng):
     return dirichlet_mixture(rng, BOB_SHIFT_IDS, concentration=0.5)
 
 
+def near_nonsignaling_tables(rng, n):
+    """Local and PR-box mixtures plus a bob b=0 shift between 1e-12 and 1e-3."""
+    pr = 0.5 * (strategy_table("signal_0_anb").p + strategy_table("signal_1_canb").p)
+    push = strategy_table("signal_0_anb").p
+    for shift in 10.0 ** np.linspace(-12.0, -3.0, n):
+        base = dirichlet_mixture(rng, sb.LOCAL_IDS, 0.5)[0].p
+        u = rng.uniform(0.0, 0.6)
+        yield sb.Correlation((1.0 - shift) * ((1.0 - u) * base + u * pr) + shift * push)
+
+
 def random_table(rng):
     """Unstructured normalized table, one outcome simplex per setting pair."""
     cells = rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)

@@ -70,9 +70,35 @@ def test_pr_box_correlators():
     assert sb.disturbance_cost(pr) == pytest.approx(1.0)
 
 
+_BAD_SETTINGS = (2, -1, 0.0, 1.0, np.float64(1.0), True, False, np.True_, "0", None)
+
+
 def test_expectation_rejects_bad_setting():
-    with pytest.raises(sb.DomainError):
-        sb.pr_box().expectation(2, 0)
+    """Anything but an integer 0 or 1 is a DomainError, never a numpy error."""
+    for bad in _BAD_SETTINGS:
+        for a, b in ((bad, 0), (0, bad)):
+            with pytest.raises(sb.DomainError, match="setting must be 0 or 1"):
+                sb.pr_box().expectation(a, b)
+
+
+def test_marginal_rejects_bad_setting():
+    """``marginal`` checks both settings as ``expectation`` does."""
+    table = strategy_table("signal_0_anb")
+    for bad in _BAD_SETTINGS:
+        for side in ("alice", "bob"):
+            for own, other in ((bad, 0), (1, bad)):
+                with pytest.raises(sb.DomainError, match="setting must be 0 or 1"):
+                    sb.marginal(table, side, own, other)
+
+
+def test_settings_accept_numpy_integers():
+    """Integer types index as the plain ``int`` they equal."""
+    table = strategy_table("signal_0_anb")
+    for a, b in ((np.int64(1), np.int8(0)), (np.uint8(0), np.int32(1))):
+        assert table.expectation(a, b) == table.expectation(int(a), int(b))
+        for side in ("alice", "bob"):
+            got = sb.marginal(table, side, a, b)
+            assert got.tobytes() == sb.marginal(table, side, int(a), int(b)).tobytes()
 
 
 def test_disturbance_cost_clips_at_zero():

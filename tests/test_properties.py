@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import signalbox as sb
 from signalbox.correlation import validate_tables
+from signalbox.errors import DomainError, NegativeProbabilityError, NormalizationError
 
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -89,21 +90,42 @@ def _validator_outcome(check, data):
         return type(exc), str(exc)
 
 
+def _chain_check_entries(arr):
+    """The entry checks as they stood before the flat verdict kernel, verbatim."""
+    low = float(arr.min())
+    if np.isnan(low):
+        raise DomainError("correlation table has a NaN entry")
+    if low < -1e-9:
+        raise NegativeProbabilityError(
+            f"probability entry {low} is negative beyond tolerance"
+        )
+    arr[arr < 0.0] = 0.0
+    sums = arr.sum(axis=(-2, -1))
+    worst = float(np.max(np.abs(sums - 1.0)))
+    if worst > 1e-9:
+        raise NormalizationError(
+            f"per-setting outcome sums deviate from 1 by {worst}"
+        )
+    return arr
+
+
 @settings(max_examples=300, deadline=None)
 @given(edited_tables())
 def test_batch_and_table_validators_agree(table):
-    """``validate_tables(t[None])`` and ``Correlation(t)`` accept and reject alike.
+    """``validate_tables(t[None])``, ``Correlation(t)`` and the old checks agree.
 
-    Accepted, both give the same bytes, entries in ``[-1e-9, 0)`` clamped;
-    rejected, both raise the same error class with the same message.
+    Accepted, all three give the same bytes, entries in ``[-1e-9, 0)``
+    clamped and ``-0.0`` kept; rejected, all three raise the same error
+    class with the same message.
     """
     batch = _validator_outcome(lambda t: validate_tables(t[None])[0], table)
     single = _validator_outcome(lambda t: sb.Correlation(t).p, table)
-    assert batch[0] == single[0]
+    chain = _validator_outcome(lambda t: _chain_check_entries(np.array(t, dtype=float)), table)
+    assert batch[0] == single[0] == chain[0]
     if batch[0] == "ok":
-        assert batch[1].tobytes() == single[1].tobytes()
+        assert batch[1].tobytes() == single[1].tobytes() == chain[1].tobytes()
     else:
-        assert batch[1] == single[1]
+        assert batch[1] == single[1] == chain[1]
 
 
 @settings(max_examples=100, deadline=None)

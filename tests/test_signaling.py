@@ -13,7 +13,7 @@ from signalbox.quantum import _theta_batch
 from signalbox.signaling import SERIES_GAP, _best_input_weight
 from conftest import (
     bob_shift_mixture,
-    dirichlet_mixture,
+    near_nonsignaling_tables,
     random_quantum_instance,
     random_table,
     strategy_table,
@@ -375,16 +375,6 @@ def _hex(*values):
     return tuple(float(v).hex() for v in values)
 
 
-def _near_nonsignaling_tables(rng, n):
-    """Local and PR-box mixtures plus a bob b=0 shift between 1e-12 and 1e-3."""
-    pr = 0.5 * (strategy_table("signal_0_anb").p + strategy_table("signal_1_canb").p)
-    push = strategy_table("signal_0_anb").p
-    for shift in 10.0 ** np.linspace(-12.0, -3.0, n):
-        base = dirichlet_mixture(rng, sb.LOCAL_IDS, 0.5)[0].p
-        u = rng.uniform(0.0, 0.6)
-        yield sb.Correlation((1.0 - shift) * ((1.0 - u) * base + u * pr) + shift * push)
-
-
 def test_capacity_kernel_is_bit_identical_to_the_checked_chain(rng):
     """``(alpha*, info)`` of every channel, compared by ``float.hex``."""
     pairs = []
@@ -405,7 +395,7 @@ def test_capacity_kernel_is_bit_identical_to_the_checked_chain(rng):
     for _ in range(100):
         state, observables = random_quantum_instance(rng)
         tables.append(sb.sequential_correlation(state, *observables))
-    tables += list(_near_nonsignaling_tables(rng, 200))
+    tables += list(near_nonsignaling_tables(rng, 200))
     for table in tables:
         bob = zero_label_marginals(table)[1].tolist()
         pairs += [(bob[0][b], bob[1][b]) for b in (0, 1)]

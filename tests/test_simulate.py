@@ -7,9 +7,13 @@ import pytest
 
 import signalbox as sb
 from signalbox import correlation
+from signalbox.quantum import _theta_batch
+from signalbox.signaling import _best_channel
+from signalbox.simulate import _verdict_rows
 from conftest import (
     bob_shift_mixture,
     dirichlet_mixture,
+    near_nonsignaling_tables,
     random_quantum_instance,
     random_table,
     strategy_table,
@@ -440,3 +444,92 @@ def test_classify_batch_validation_parity():
     with pytest.raises(sb.DomainError):
         sb.classify_batch(good[None], measure="capacity")
     assert sb.classify_batch(good[None].tolist())[0].functional == 4.0
+
+
+# The numpy chain that the flat verdict kernel replaced, kept verbatim as
+# the oracle that simulate._verdict_rows and the scalar helpers of
+# signalbox.correlation have to match bit for bit.
+_CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0]])
+
+
+def _chain_terms(p):
+    """Functional, zero-label marginals and shifts of tables ``(..., 2, 2, 2, 2)``."""
+    values = sb.OUTCOME_VALUES
+    correlators = np.einsum("...abxy,x,y->...ab", p, values, values)
+    functional = np.sum(_CHAIN_SIGNS * correlators, axis=(-2, -1))
+    alice, bob = p[..., 0, :].sum(axis=-1), p[..., 0].sum(axis=-1)
+    to_bob = np.abs(bob[..., 0, :] - bob[..., 1, :])
+    to_alice = np.abs(alice[..., 0] - alice[..., 1])
+    return functional, alice, bob, to_bob, to_alice
+
+
+def _chain_rows(tables):
+    functional, _, bob, to_bob, to_alice = _chain_terms(tables)
+    to_bob = to_bob.max(axis=-1)
+    rows = []
+    for lam, strength, shift, channels in zip(
+        np.abs(functional).tolist(),
+        to_bob.tolist(),
+        np.maximum(to_bob, to_alice.max(axis=-1)).tolist(),
+        bob.tolist(),
+    ):
+        info, alpha_star, b_star = _best_channel(channels)
+        floor = correlation.disturbance_from_functional(lam)
+        rows.append((lam, floor, info, alpha_star, b_star, strength, shift))
+    return rows
+
+
+def _row_key(row):
+    """A verdict row with its floats as ``float.hex`` and ``b_star`` as is."""
+    assert type(row[4]) is int
+    return tuple(v if k == 4 else v.hex() for k, v in enumerate(row))
+
+
+def _kernel_tables(rng):
+    """Every table family the verdict kernel has to reproduce, validated."""
+    strategies = [strategy_table(ident).p for ident in sb.FULL_BASIS]
+    tables = [random_table(rng).p for _ in range(300)] + strategies
+    # The same deterministic tables with every zero written as -0.0.
+    tables += [np.where(p == 0.0, -0.0, p) for p in strategies]
+    for k in range(300):
+        p = np.array(tables[k % 200])
+        for _ in range(1 + k % 3):
+            a, b, x, y = rng.integers(0, 2, size=4)
+            p[a, b, 1 - x, y] += p[a, b, x, y]
+            p[a, b, x, y] = -float(rng.uniform(0.0, 1e-9)) if k % 2 else -0.0
+        tables.append(p)
+    tables += list(_theta_batch(np.linspace(0.001, 1.5697, 1000))[0])
+    tables += [corr.p for corr in near_nonsignaling_tables(rng, 200)]
+    # Outcome sums and marginals up to 1 + 1e-9, inside the tolerance: a
+    # strategy's setting pair scaled, or a random table's entry raised.
+    for k, eps in enumerate(np.linspace(0.0, 0.999e-9, 100).tolist()):
+        p = np.array(strategies[k % 32] if k % 2 else tables[k])
+        a, b = k % 4 // 2, k % 2
+        if k % 2:
+            p[a, b] *= 1.0 + eps
+        else:
+            p[a, b, 0, 0] += eps
+        tables.append(p)
+    return correlation.validate_tables(np.array(tables))
+
+
+def test_verdict_kernel_is_bit_identical_to_the_array_chain(rng):
+    """Rows and scalar helpers against the replaced numpy chain, by ``float.hex``."""
+    tables = _kernel_tables(rng)
+    assert np.signbit(tables).any() and (tables < 0.0).sum() == 0
+    assert float(tables[..., 0].sum(axis=-1).max()) > 1.0 + 5e-10
+    rows = _verdict_rows(tables)
+    want = _chain_rows(tables)
+    assert len(rows) == len(want) == len(tables)
+    for k, row in enumerate(rows):
+        single = _verdict_rows(tables[k : k + 1])[0]
+        assert _row_key(row) == _row_key(single) == _row_key(want[k])
+    functional, alice, bob, to_bob, to_alice = _chain_terms(tables)
+    for k, p in enumerate(tables):
+        corr = sb.Correlation(p)
+        assert sb.signed_functional(corr).hex() == float(functional[k]).hex()
+        for got, chain in zip(correlation.zero_label_marginals(corr), (alice[k], bob[k])):
+            assert got.shape == (2, 2) and got.tobytes() == chain.tobytes()
+        deltas = sb.signaling_deltas(corr)
+        chain = (to_bob[k, 0], to_bob[k, 1], to_alice[k, 1], to_alice[k, 0])
+        assert [v.hex() for v in vars(deltas).values()] == [float(v).hex() for v in chain]
