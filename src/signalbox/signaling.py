@@ -19,10 +19,16 @@ sequential measurement can exercise.  Use
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .correlation import Correlation, catalog, marginal, mix, zero_label_marginals
+from .correlation import (
+    Correlation,
+    _check_setting,
+    catalog,
+    marginal,
+    mix,
+    zero_label_marginals,
+)
 from .errors import DomainError
 
 # Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
@@ -132,10 +138,7 @@ def _check_b_set(b_set) -> tuple:
     settings = tuple(b_set)
     if not settings:
         raise DomainError("b_set must name at least one bob setting")
-    for b in settings:
-        if not isinstance(b, numbers.Integral) or b not in (0, 1):
-            raise DomainError(f"bob setting must be 0 or 1, got {b!r}")
-    return tuple(int(b) for b in settings)
+    return tuple(_check_setting(b) for b in settings)
 
 
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:

@@ -9,10 +9,13 @@ as an oracle in the test suite.  No external solver is involved.
 Redundant equalities are removed up front by Gaussian elimination with
 partial pivoting; an inconsistent system raises
 :class:`~signalbox.errors.InfeasibleError` at that stage already.  The
-pivot choices depend on A alone, so the elimination of A is recorded
-once per matrix (a small LRU cache) and replayed on each right-hand side
-with the same elementwise operations.  Every result is bit-identical to
-eliminating ``[A | b]`` afresh, and to pivoting row by row: the pivots
+pivot choices depend on A alone, so one record per matrix (a small LRU
+cache) holds the elimination's steps, the rows it keeps and the phase-1
+tableau and cost row built from them, all independent of b.  Each solve
+replays the steps on its right-hand side with the same elementwise
+operations, skipping zero factors, and copies the tableau with b written
+in.  Every result is bit-identical to eliminating ``[A | b]`` and
+building the tableau afresh, and to pivoting row by row: the pivots
 update all touched rows in one masked operation, element by element
 exactly as a loop over the rows would.
 """
@@ -52,17 +55,22 @@ def _eliminate(shape, data, tol):
     """Partial-pivoting elimination of A alone, cached per matrix.
 
     A arrives as its shape and C-order bytes, so that it can key the
-    cache.  Returns ``(steps, keep)``: the ``(pivot row, factors)`` of
-    every elimination step, step k making row k the pivot row, and the
-    sorted indices of a maximal independent row subset.  The pivot choices read only A's columns,
-    so one record serves every right-hand side.
+    cache.  Returns ``(steps, keep, tableau, cost_row)``.  ``steps`` holds
+    the ``(pivot row, factors)`` of every elimination step, step k making
+    row k the pivot row, with only the nonzero factors kept as ``(row,
+    factor)`` pairs.  ``keep`` holds the sorted indices of a maximal
+    independent row subset.  ``tableau`` is the read-only phase-1
+    template ``[A_keep | I | 0]`` and ``cost_row`` its reduced costs,
+    ``-A_keep.sum(axis=0)`` followed by zeros.  The pivot choices read
+    only A's columns, so one record serves every right-hand side.
     """
-    work = np.frombuffer(data, dtype=float).reshape(shape).copy()
-    m = shape[0]
+    a = np.frombuffer(data, dtype=float).reshape(shape)
+    work = a.copy()
+    m, n = shape
     order = list(range(m))
     steps = []
     rank = 0
-    for col in range(shape[1]):
+    for col in range(n):
         if rank >= m:
             break
         piv = rank + int(np.argmax(np.abs(work[rank:, col])))
@@ -73,35 +81,46 @@ def _eliminate(shape, data, tol):
             order[rank], order[piv] = order[piv], order[rank]
         factors = work[rank + 1 :, col] / work[rank, col]
         work[rank + 1 :] -= np.outer(factors, work[rank])
-        steps.append((piv, tuple(factors.tolist())))
+        pairs = enumerate(factors.tolist(), rank + 1)
+        steps.append((piv, tuple((i, f) for i, f in pairs if f != 0.0)))
         rank += 1
     keep = np.array(sorted(order[:rank]), dtype=np.intp)
-    keep.setflags(write=False)
-    return tuple(steps), keep
+    a_keep = a[keep]
+    tableau = np.hstack([a_keep, np.eye(rank), np.zeros((rank, 1))])
+    cost_row = np.zeros(n + rank + 1)
+    cost_row[:n] = -a_keep.sum(axis=0)
+    for array in (keep, tableau, cost_row):
+        array.setflags(write=False)
+    return tuple(steps), keep, tableau, cost_row
 
 
-def _independent_rows(a, b, tol):
-    """Indices of a maximal independent row subset of [A | b].
+def _consistent_record(a, b, tol):
+    """The elimination record of A, once b is checked consistent with it.
 
     Replays the elimination of A on b with the same elementwise
-    operations, so b is reduced exactly as if it were a column of A.
-    Raises InfeasibleError when elimination exposes a row 0 = beta with
-    beta nonzero, i.e. the equality system is contradictory.
+    operations, so b is reduced exactly as if it were a column of A.  A
+    zero factor is skipped: with a finite pivot entry it would subtract
+    a zero, whose sign the check below does not read.  Only a replay
+    that overflows, with b near the largest float, makes that product
+    NaN and so hides a contradictory row that the skip reports.  Raises
+    InfeasibleError when elimination exposes a row 0 = beta with beta
+    nonzero, i.e. the equality system is contradictory.
     """
-    steps, keep = _eliminate(a.shape, a.tobytes(), tol)
+    record = _eliminate(a.shape, a.tobytes(), tol)
+    steps, keep = record[:2]
     beta = b.tolist()
     for rank, (piv, factors) in enumerate(steps):
         if piv != rank:
             beta[rank], beta[piv] = beta[piv], beta[rank]
         top = beta[rank]
-        for i, factor in enumerate(factors, rank + 1):
+        for i, factor in factors:
             beta[i] -= factor * top
     for i in range(len(keep), len(beta)):
         if abs(beta[i]) > _FEAS_TOL:
             raise InfeasibleError(
                 f"equality system is inconsistent (residual {beta[i]:.3e})"
             )
-    return keep
+    return record
 
 
 def _pivot(tableau, cost_row, basis, leave, enter):
@@ -174,9 +193,7 @@ def solve_lp(c, a, b) -> SimplexResult:
         if not np.isfinite(values).all():
             raise DomainError(f"{name} has a non-finite entry")
 
-    keep = _independent_rows(a, b, _PIVOT_TOL)
-    a = a[keep].copy()
-    b = b[keep].copy()
+    _, keep, template, cost_template = _consistent_record(a, b, _PIVOT_TOL)
     m = len(keep)
     if m == 0:
         # Every equation was vacuous; the origin is optimal for c >= 0.
@@ -184,16 +201,21 @@ def solve_lp(c, a, b) -> SimplexResult:
             return SimplexResult(np.zeros(n), 0.0, c.copy(), 0)
         raise UnboundedError("no constraints remain and the objective decreases")
 
+    # Phase 1 tableau: [A | I | b] with the artificial identity basic,
+    # each row with b < 0 negated (apart from its artificial column).
+    tableau = template.copy()
+    cost_row = cost_template.copy()
+    b = b[keep]
     flip = b < 0.0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Phase 1 tableau: [A | I | b] with the artificial identity basic.
-    tableau = np.hstack([a, np.eye(m), b.reshape(-1, 1)])
-    basis = [n + i for i in range(m)]
-    cost_row = np.zeros(n + m + 1)
-    cost_row[:n] = -a.sum(axis=0)
+    if flip.any():
+        a = a[keep]
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        tableau[:, :n] = a
+        cost_row[:n] = -a.sum(axis=0)
+    tableau[:, -1] = b
     cost_row[-1] = -b.sum()
+    basis = [n + i for i in range(m)]
 
     iterations = _run_simplex(tableau, cost_row, basis, n + m)
     if -cost_row[-1] > _FEAS_TOL:
@@ -213,18 +235,19 @@ def solve_lp(c, a, b) -> SimplexResult:
             _pivot(tableau, cost_row, basis, i, int(eligible[0]))
             iterations += 1
 
-    # Phase 2: drop artificial columns, rebuild reduced costs for c.
+    # Phase 2: drop artificial columns, rebuild reduced costs for c.  The
+    # reduce subtracts the rows c_B[i] * T[i] one after another from c.
     tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    cost_row = np.zeros(n + 1)
-    cost_row[:n] = c
-    for i in range(m):
-        cost_row -= c[basis[i]] * tableau[i]
+    terms = np.empty((m + 1, n + 1))
+    terms[0, :n] = c
+    terms[0, n] = 0.0
+    np.multiply(c[basis][:, None], tableau, out=terms[1:])
+    cost_row = np.subtract.reduce(terms, axis=0)
 
     iterations += _run_simplex(tableau, cost_row, basis, n)
 
     x = np.zeros(n)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
+    x[basis] = tableau[:, -1]
     x[x < 0.0] = 0.0
     return SimplexResult(
         x=x,

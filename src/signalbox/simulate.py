@@ -31,6 +31,7 @@ from .correlation import (
     STRATEGY_COSTS,
     STRATEGY_MATRIX,
     VIOLATING_IDS,
+    _STRATEGY_TABLES,
     Correlation,
     StrategyKind,
     _table_terms,
@@ -39,7 +40,6 @@ from .correlation import (
     disturbance_from_functional,
     signaling_deltas,
     strategy_column,
-    strategy_table,
     validate_tables,
     zero_label_marginals,
 )
@@ -54,6 +54,9 @@ _WEIGHT_CUTOFF = 1e-12
 _PLUS_LOCAL_COLUMNS = STRATEGY_MATRIX[
     :, [strategy_column(ident) for ident in PLUS_LOCAL_IDS]
 ]
+# The default basis's equalities: every table entry, then normalization.
+_CATALOG_CONSTRAINTS = np.vstack([STRATEGY_MATRIX, np.ones((1, len(FULL_BASIS)))])
+_CATALOG_CONSTRAINTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,17 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
     return _max_residual(corr, decomposition.weights)
 
 
+def _weighted_tables(weights: dict) -> np.ndarray:
+    """``weight * table`` of every strategy in ``weights``, stacked in dict order."""
+    tables = _STRATEGY_TABLES[[strategy_column(ident) for ident in weights]]
+    return np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
+
+
 def _max_residual(corr: Correlation, weights: dict) -> float:
-    # Summed in dict order, one table at a time: a matrix product may add
-    # in another order and move the residual's last bits.
-    total = np.zeros((2, 2, 2, 2))
-    for ident, weight in weights.items():
-        total += weight * strategy_table(ident)
+    # A reduce down axis 0 adds the stacked tables one after another, in
+    # dict order, from zero: the sum of a loop of 4-D adds, bit for bit.
+    # A matrix product may add in another order and move the last bits.
+    total = np.add.reduce(_weighted_tables(weights), axis=0, initial=0.0)
     return float(np.abs(corr.p - total).max())
 
 
@@ -170,9 +178,10 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
             )
         weights[ident] = max(0.0, value)
 
-    remainder = corr.p.copy()
-    for ident, value in weights.items():
-        remainder -= value * strategy_table(ident)
+    # Subtracted one table after another, in dict order, as in _max_residual.
+    remainder = np.subtract.reduce(
+        np.concatenate([corr.p[None], _weighted_tables(weights)]), axis=0
+    )
 
     local_w, _, rank, _ = np.linalg.lstsq(
         _PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None
@@ -207,17 +216,21 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     weight on any non-local strategy.  Infeasibility means the table is
     outside the convex hull of the chosen basis.
     """
-    ids = FULL_BASIS if basis is None else tuple(basis)
-    if not ids:
-        raise DomainError("basis must name at least one strategy")
-    columns = [strategy_column(ident) for ident in ids]
-    a = np.vstack([STRATEGY_MATRIX[:, columns], np.ones((1, len(ids)))])
+    if basis is None:
+        ids, costs, a = FULL_BASIS, STRATEGY_COSTS, _CATALOG_CONSTRAINTS
+    else:
+        ids = tuple(basis)
+        if not ids:
+            raise DomainError("basis must name at least one strategy")
+        columns = [strategy_column(ident) for ident in ids]
+        costs = STRATEGY_COSTS[columns]
+        a = np.vstack([STRATEGY_MATRIX[:, columns], np.ones((1, len(ids)))])
     rhs = np.concatenate([corr.p.ravel(), [1.0]])
-    solution = solve_lp(STRATEGY_COSTS[columns], a, rhs)
+    solution = solve_lp(costs, a, rhs)
     weights = {}
-    for ident, value in zip(ids, solution.x):
+    for ident, value in zip(ids, solution.x.tolist()):
         if value > _WEIGHT_CUTOFF:
-            weights[ident] = float(value)
+            weights[ident] = value
     return Decomposition(
         weights=weights,
         cost=float(solution.objective),

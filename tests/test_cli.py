@@ -136,6 +136,34 @@ def test_decompose_infeasible_table(tmp_path, capsys):
     assert "signalbox:" in capsys.readouterr().err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("pr_box", 0),
+        ("unbalanced_pr_0.3", 0),
+        ("sub_cost", 0),
+        ("super_cost", 0),
+        ("qubit_infeasible", 3),
+    ],
+)
+def test_decompose_golden_bytes(capsys, name, code):
+    """The exact bytes decompose prints: 12-digit JSON, or the exit-3 message.
+
+    Inputs and outputs under tests/golden are frozen; the sub- and
+    super-cost tables are conftest mixtures and the infeasible one is a
+    sequential qubit table outside the catalog's hull.
+    """
+    assert run(["decompose", str(GOLDEN / f"decompose_{name}.json")]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out.encode(), err) == ((GOLDEN / f"decompose_{name}.stdout").read_bytes(), "")
+    else:
+        assert (out, err.encode()) == ("", (GOLDEN / f"decompose_{name}.stderr").read_bytes())
+
+
 def test_decompose_tol_flag(tmp_path, capsys):
     path = write_table(tmp_path, sb.pr_box())
     assert run(["decompose", path, "--tol", "-1"]) == 3

@@ -301,6 +301,20 @@ def test_bob_settings_must_be_integral():
     assert sb.signal_strength(table, b_set=(np.int8(0),)) == 1.0
 
 
+def test_bob_settings_reject_bools():
+    """A bool is no bob setting, as for correlation's own setting check."""
+    table = strategy_table("signal_0_anb")
+    with pytest.raises(sb.DomainError, match="setting must be 0 or 1, got True"):
+        sb.signal_info(table, b_set=(True,))
+    with pytest.raises(sb.DomainError, match="setting must be 0 or 1, got False"):
+        sb.signal_strength(table, b_set=(False,))
+    for bad in ((np.True_,), (0, True), (False, 1)):
+        with pytest.raises(sb.DomainError):
+            sb.signal_info(table, b_set=bad)
+        with pytest.raises(sb.DomainError):
+            sb.signal_strength(table, b_set=bad)
+
+
 def test_signal_info_ties_go_to_first_listed_setting():
     """Within 1e-15 of each other, the setting listed first wins."""
     silent = sb.pr_box()

@@ -6,6 +6,12 @@ from scipy.optimize import linprog
 
 import signalbox as sb
 from signalbox import correlation, simplex
+from conftest import (
+    random_quantum_instance,
+    random_table,
+    sub_cost_mixture,
+    super_cost_mixture,
+)
 
 
 def test_single_variable():
@@ -148,7 +154,7 @@ def test_non_finite_program_is_rejected(monkeypatch, c, a, b):
     def no_elimination(*args):
         raise AssertionError("elimination ran on non-finite input")
 
-    monkeypatch.setattr(simplex, "_independent_rows", no_elimination)
+    monkeypatch.setattr(simplex, "_consistent_record", no_elimination)
     with pytest.raises(sb.DomainError, match="non-finite"):
         sb.solve_lp(np.array(c), np.array(a), np.array(b))
 
@@ -196,7 +202,7 @@ def test_replayed_elimination_matches_joint_elimination(rng):
         if m > 1:
             a[-1] = a[0] * rng.normal()
         for b in (a @ rng.random(n), rng.normal(size=m), a @ rng.random(n) + 1e-7):
-            got = _outcome(lambda: simplex._independent_rows(a, b, 1e-10))
+            got = _outcome(lambda: simplex._consistent_record(a, b, 1e-10)[1])
             want = _outcome(lambda: _rows_eliminated_together(a, b, 1e-10))
             assert got == want
 
@@ -252,3 +258,140 @@ def test_masked_pivot_matches_row_loop(rng):
         assert tableau.tobytes() == ref.tobytes()
         assert cost_row.tobytes() == ref_cost.tobytes()
         assert basis[leave] == enter
+
+
+# The solve_lp body that the cached phase-1 template replaced, kept as the
+# oracle solve_lp has to match bit for bit: an uncached elimination whose
+# replay applies every factor, zero or not, a fresh [A | I | b] tableau per
+# solve, and phase-2 reduced costs rebuilt one row at a time.
+def _chain_independent_rows(a, b, tol):
+    work = a.copy()
+    m = a.shape[0]
+    order = list(range(m))
+    steps = []
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank >= m:
+            break
+        piv = rank + int(np.argmax(np.abs(work[rank:, col])))
+        if abs(work[piv, col]) <= tol:
+            continue
+        if piv != rank:
+            work[[rank, piv]] = work[[piv, rank]]
+            order[rank], order[piv] = order[piv], order[rank]
+        factors = work[rank + 1 :, col] / work[rank, col]
+        work[rank + 1 :] -= np.outer(factors, work[rank])
+        steps.append((piv, tuple(factors.tolist())))
+        rank += 1
+    keep = np.array(sorted(order[:rank]), dtype=np.intp)
+    beta = b.tolist()
+    for rank, (piv, factors) in enumerate(steps):
+        if piv != rank:
+            beta[rank], beta[piv] = beta[piv], beta[rank]
+        top = beta[rank]
+        for i, factor in enumerate(factors, rank + 1):
+            beta[i] -= factor * top
+    for i in range(len(keep), len(beta)):
+        if abs(beta[i]) > 1e-9:
+            raise sb.InfeasibleError(
+                f"equality system is inconsistent (residual {beta[i]:.3e})"
+            )
+    return keep
+
+
+def _chain_solve_lp(c, a, b):
+    c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
+    n = a.shape[1]
+    keep = _chain_independent_rows(a, b, 1e-10)
+    a = a[keep].copy()
+    b = b[keep].copy()
+    m = len(keep)
+    if m == 0:
+        if np.all(c >= 0.0):
+            return sb.SimplexResult(np.zeros(n), 0.0, c.copy(), 0)
+        raise sb.UnboundedError("no constraints remain and the objective decreases")
+    flip = b < 0.0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.hstack([a, np.eye(m), b.reshape(-1, 1)])
+    basis = [n + i for i in range(m)]
+    cost_row = np.zeros(n + m + 1)
+    cost_row[:n] = -a.sum(axis=0)
+    cost_row[-1] = -b.sum()
+    iterations = simplex._run_simplex(tableau, cost_row, basis, n + m)
+    if -cost_row[-1] > 1e-9:
+        raise sb.InfeasibleError(
+            f"no nonnegative solution: phase-1 optimum {-cost_row[-1]:.3e} > 0"
+        )
+    for i in range(m):
+        if basis[i] >= n:
+            eligible = np.flatnonzero(np.abs(tableau[i, :n]) > 1e-10)
+            if eligible.size == 0:
+                raise sb.ConsistencyError(
+                    "redundant row survived rank reduction; cannot eject artificial"
+                )
+            simplex._pivot(tableau, cost_row, basis, i, int(eligible[0]))
+            iterations += 1
+    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
+    cost_row = np.zeros(n + 1)
+    cost_row[:n] = c
+    for i in range(m):
+        cost_row -= c[basis[i]] * tableau[i]
+    iterations += simplex._run_simplex(tableau, cost_row, basis, n)
+    x = np.zeros(n)
+    for i in range(m):
+        x[basis[i]] = tableau[i, -1]
+    x[x < 0.0] = 0.0
+    return sb.SimplexResult(x, float(c @ x), cost_row[:n].copy(), iterations)
+
+
+def _lp_key(solve, c, a, b):
+    """A solve's outcome: every float as hex, or the exception class and message."""
+    try:
+        res = solve(c, a, b)
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+    return res.x.tobytes(), res.objective.hex(), res.reduced_costs.tobytes(), res.iterations
+
+
+def _hot_path_programs(rng):
+    """Catalog programs of every table family, then small random programs."""
+    a = np.vstack([correlation.STRATEGY_MATRIX, np.ones((1, 32))])
+    tables = [sub_cost_mixture(rng)[0] for _ in range(40)]
+    tables += [super_cost_mixture(rng, toward)[0] for toward in ("bob", "alice") * 15]
+    qubits = (random_quantum_instance(rng) for _ in range(40))
+    tables += [sb.sequential_correlation(state, *obs) for state, obs in qubits]
+    tables += [random_table(rng) for _ in range(30)]
+    for corr in tables:
+        yield correlation.STRATEGY_COSTS, a, np.concatenate([corr.p.ravel(), [1.0]])
+    for k in range(400):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 3))
+        a = rng.normal(size=(m, n))
+        a[rng.random((m, n)) < 0.2] = 0.0
+        a[rng.random((m, n)) < 0.1] = -0.0
+        if m > 1 and k % 3 == 0:
+            a[-1] = a[0] * rng.normal()  # a redundant row
+        x = rng.random(n) * (rng.random(n) < 0.6)
+        b = (a @ x, rng.normal(size=m), -np.abs(a @ x), np.where(a @ x == 0.0, -0.0, a @ x))[k % 4]
+        c = rng.random(n) if k % 2 else rng.normal(size=n)
+        yield c, a, b
+
+
+def test_lp_hot_path_is_bit_identical_to_the_fresh_tableau_chain(rng):
+    """solve_lp, cold and warm, against the replaced chain: same bits or same error."""
+    programs = list(_hot_path_programs(rng))
+    outcomes = {"InfeasibleError": 0, "UnboundedError": 0, "solved": 0}
+    assert any((b < 0.0).any() for _, _, b in programs)
+    assert any(np.signbit(a[a == 0.0]).any() for _, a, _ in programs)
+    for c, a, b in programs:
+        want = _lp_key(_chain_solve_lp, c, a, b)
+        simplex._eliminate.cache_clear()
+        cold = _lp_key(sb.solve_lp, c, a, b)
+        warm = _lp_key(sb.solve_lp, c, a, b)
+        assert simplex._eliminate.cache_info().hits >= 1
+        assert cold == warm == want
+        kind = want[0].__name__ if isinstance(want[0], type) else "solved"
+        outcomes[kind] += 1
+    # Each family is reached: optima, infeasible tables, unbounded programs.
+    assert min(outcomes.values()) >= 20, outcomes

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
-from signalbox import correlation
+from signalbox import correlation, simulate
 from signalbox.quantum import _theta_batch
 from signalbox.signaling import _best_channel
 from signalbox.simulate import _verdict_rows
@@ -16,6 +16,7 @@ from conftest import (
     near_nonsignaling_tables,
     random_quantum_instance,
     random_table,
+    signed_gap,
     strategy_table,
     sub_cost_mixture,
     super_cost_mixture,
@@ -202,6 +203,49 @@ def test_verify_reconstruction_flags_mismatch():
     assert sb.verify_reconstruction(table, good) <= 1e-9
     bad = sb.Decomposition(weights={"local_0_0": 1.0}, cost=0.0, residual=0.0)
     assert sb.verify_reconstruction(table, bad) >= 0.2
+
+
+def _loop_total(start, weights, step):
+    """The dict-order loop the stacked reduces replaced: one 4-D update per strategy."""
+    total = np.array(start, dtype=float)
+    for ident, weight in weights.items():
+        step(total, weight * correlation.strategy_table(ident))
+    return total
+
+
+def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng, monkeypatch):
+    """_max_residual and the closed form's remainder against 4-D loops, by bits."""
+    ids = list(sb.FULL_BASIS)
+    for k in range(300):
+        corr = (random_table(rng), sub_cost_mixture(rng)[0], sb.pr_box())[k % 3]
+        chosen = rng.permutation(ids)[: int(rng.integers(0, 33))].tolist()
+        values = rng.normal(size=len(chosen)) * (rng.random(len(chosen)) < 0.7)
+        if k % 5 == 0:
+            values = np.where(values == 0.0, -0.0, values)
+        weights = dict(zip(chosen, values.tolist()))
+        total = _loop_total(np.zeros((2, 2, 2, 2)), weights, np.ndarray.__iadd__)
+        want = float(np.abs(corr.p - total).max()).hex()
+        dec = sb.Decomposition(weights=weights, cost=0.0, residual=0.0)
+        assert simulate._max_residual(corr, weights).hex() == want
+        assert sb.verify_reconstruction(corr, dec).hex() == want
+
+    # The closed form subtracts its one-bit weights from the table before
+    # solving for the locals; capture what it subtracts and what it solves.
+    seen = []
+    weighted, lstsq = simulate._weighted_tables, np.linalg.lstsq
+    monkeypatch.setattr(simulate, "_weighted_tables", lambda w: seen.append(dict(w)) or weighted(w))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: seen.append(b.copy()) or lstsq(a, b, **kw))
+    for _ in range(100):
+        table, _ = bob_shift_mixture(rng)
+        cost = sb.disturbance_cost(table)
+        shift = abs(signed_gap(table, "bob", 0))
+        sigma = float(rng.uniform(max(0.0, (4.0 * shift - cost) / 3.0), cost))
+        seen.clear()
+        dec = sb.closed_form_decompose(table, sigma=sigma)
+        one_bit, remainder, final = seen
+        want = _loop_total(table.p, one_bit, np.ndarray.__isub__)
+        assert remainder.tobytes() == want.ravel().tobytes()
+        assert final == dec.weights
 
 
 def test_communication_cost_examples():
