@@ -11,8 +11,9 @@ call: an explicit project-then-measure computation with 2x2 matrices,
 and a closed-form expression that only touches Bloch vectors.  Both
 routes are kernels over a batch of N instances given as Bloch vectors;
 the scalar functions are their N=1 case, the angle sweep runs all its
-angles as one batch, and the crossover bisection runs three levels per
-batch.  The Holevo weight is found by one bracketed Newton iteration
+angles as one batch, and the crossover bisection takes at least three
+levels per batch, plus the path it predicts below them.  The Holevo
+weight is found by one bracketed Newton iteration
 over all ensembles, on Bloch vectors too: a qubit with Bloch vector r
 has entropy h((1 + |r|)/2).  All observables are +/-1 valued (outcome
 label l means value (-1)**l), and all entropies are in bits.
@@ -39,7 +40,8 @@ _UNIT_TOL = 1e-12
 _STATE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 _ROUTE_TOL = 1e-8
-_PURE_GAP = 4.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_PURE_GAP = 4.0 * _EPS
 
 # Newton step on the Holevo weight at which a lane stops.
 HOLEVO_STEP = 1e-13
@@ -50,7 +52,22 @@ MAX_SWEEP_STEPS = 100_000
 
 # Outcome value (-1)**label for labels 0 and 1.
 _SIGNS = np.array([1.0, -1.0])
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+# Rows (outcome s, i, j): the coefficients of the Bloch components in
+# 0.5 s (v.sigma)[i, j], and the 0.5 I[i, j] added to them.  Each entry is
+# one product by +/-0.5 plus that constant, and halving commutes with
+# rounding, so it has the bits of 0.5 (I + s v.sigma) summed as matrices;
+# the added constant turns every -0.0 into 0.0, as I + ... does.  Plain
+# Python arithmetic builds them, so importing the module runs no complex
+# numpy loop.
+_HALF_SIGMA = np.array(
+    [
+        [0.5 * s * pauli[i][j] for pauli in (PAULI_X.tolist(), PAULI_Y.tolist(), PAULI_Z.tolist())]
+        for s in (1.0, -1.0)
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+)
+_HALF_IDENTITY = np.array([[0.5], [0.0], [0.0], [0.5]] * 2, dtype=complex)
 
 
 def _hermitian_eigenvalues(m) -> tuple:
@@ -135,19 +152,19 @@ class QubitState:
 
     @property
     def bloch_vector(self) -> np.ndarray:
-        m = self.rho
+        """(Tr X rho, Tr Y rho, Tr Z rho), read off the entries of rho.
+
+        Adding 0.0 turns a -0.0 component into 0.0, as the traces of the
+        matrix products do.
+        """
+        (m00, m01), (m10, m11) = self.rho.tolist()
         return np.array(
             [
-                float(np.trace(PAULI_X @ m).real),
-                float(np.trace(PAULI_Y @ m).real),
-                float(np.trace(PAULI_Z @ m).real),
+                0.0 + (m10.real + m01.real),
+                0.0 + (m10.imag - m01.imag),
+                0.0 + (m00.real - m11.real),
             ]
         )
-
-
-def _sigma_dot(v: np.ndarray) -> np.ndarray:
-    """Matrices v.sigma for Bloch vectors ``v`` of shape (..., 3)."""
-    return np.tensordot(v, _PAULIS, axes=(-1, 0))
 
 
 def _projector_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,13 +172,19 @@ def _projector_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
     ``r`` (N, 3) holds the states' Bloch vectors, ``a`` and ``b``
     (N, 2, 3) alice's and bob's two unit directions; the result has
-    shape (N, 2, 2, 2, 2).
+    shape (N, 2, 2, 2, 2), a transposed view of the einsum's output.
+    All five operators 0.5 (I + s v.sigma) come from one product of the
+    Bloch components with ``_HALF_SIGMA``, and the einsum runs with the
+    instance axis innermost.
     """
-    rho = 0.5 * (IDENTITY + _sigma_dot(r))
-    signs = _SIGNS[:, None, None]
-    alice = 0.5 * (IDENTITY + signs * _sigma_dot(a)[:, :, None])
-    bob = 0.5 * (IDENTITY + signs * _sigma_dot(b)[:, :, None])
-    return np.einsum("nbyij,naxjk,nkl,naxli->nabxy", bob, alice, rho, alice).real
+    # (5, 3, N): alice's two directions, bob's two, then the state.
+    components = np.concatenate([a, b, r[:, None]], axis=1).transpose(1, 2, 0)
+    ops = _HALF_SIGMA @ components
+    ops += _HALF_IDENTITY
+    ops = ops.reshape(5, 2, 2, 2, -1)
+    alice, bob, rho = ops[:2], ops[2:4], ops[4, 0]
+    tables = np.einsum("byijn,axjkn,kln,axlin->abxyn", bob, alice, rho, alice).real
+    return tables.transpose(4, 0, 1, 2, 3)
 
 
 def _formula_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +206,7 @@ def _checked_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises :class:`~signalbox.errors.ConsistencyError` when the routes
     disagree entrywise by more than 1e-8 on any instance; otherwise the
-    projector tables, clipped at 0, are returned.
+    projector tables, clipped at 0, are returned in C order.
     """
     direct = _projector_tables(r, a, b)
     gap = float(np.abs(direct - _formula_tables(r, a, b)).max())
@@ -191,7 +214,7 @@ def _checked_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ConsistencyError(
             f"projector and closed-form tables disagree by {gap}"
         )
-    return np.clip(direct, 0.0, None)
+    return np.maximum(direct, 0.0, order="C")
 
 
 def _single(rho: QubitState, a0, a1, b0, b1):
@@ -298,12 +321,16 @@ def _entropy_slopes(nu: np.ndarray):
 
     In bits: -artanh(R)/(2R ln2) and -(1/(1 - R**2) - artanh(R)/R)/(4R**2 ln2);
     below R = 1e-4, where these cancel, artanh(R)/R = 1 + nu/3 and the limit
-    -1/(6 ln2) stand in.  R is clamped below 1, where artanh diverges.
+    -1/(6 ln2) stand in, computed only when some lane needs them.  R is
+    clamped below 1, where artanh diverges.
     """
+    radius = np.minimum(np.sqrt(np.maximum(np.minimum(nu, 1.0), 1e-8)), 1.0 - 2.0**-53)
+    ratio = np.arctanh(radius) / radius
+    bend = (1.0 / (1.0 - radius * radius) - ratio) / (radius * radius)
     small = nu < 1e-8
-    radius = np.minimum(np.sqrt(np.clip(nu, 1e-8, 1.0)), 1.0 - 2.0**-53)
-    ratio = np.where(small, 1.0 + nu / 3.0, np.arctanh(radius) / radius)
-    bend = np.where(small, 2.0 / 3.0, (1.0 / (1.0 - radius * radius) - ratio) / (radius * radius))
+    if small.any():
+        ratio = np.where(small, 1.0 + nu / 3.0, ratio)
+        bend = np.where(small, 2.0 / 3.0, bend)
     return -ratio / (2.0 * math.log(2.0)), -bend / (4.0 * math.log(2.0))
 
 
@@ -330,23 +357,26 @@ def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     s_gap = _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
     alpha, lo, hi = np.full(len(c0), 0.5), np.zeros(len(c0)), np.ones(len(c0))
     active = c2 > 0.0
-    for _ in range(100):  # bisection alone settles within 45 steps
-        if not active.any():
-            break
-        slope = c1 + 2.0 * alpha * c2
-        d1, d2 = _entropy_slopes(c0 + alpha * (c1 + alpha * c2))
-        grad = d1 * slope - s_gap
-        curv = d2 * slope * slope + 2.0 * c2 * d1
-        lo, hi = np.where(grad > 0.0, alpha, lo), np.where(grad < 0.0, alpha, hi)
-        with np.errstate(all="ignore"):
-            newton = np.clip(alpha - grad / curv, lo, hi)
-            settle = np.maximum(HOLEVO_STEP, np.finfo(float).eps * np.abs(slope * (d1 + d2) / curv))
-        take = (curv < 0.0) & ((lo < newton) & (newton < hi) | (np.abs(newton - alpha) <= settle))
-        step = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), alpha)
-        active &= np.abs(step - alpha) > settle
-        alpha = step
-    else:
-        raise ConsistencyError("Holevo weight not settled in 100 steps")
+    # A zero curvature makes the Newton step inf or NaN, which the bracket
+    # test below turns into a bisection step.
+    with np.errstate(all="ignore"):
+        for _ in range(100):  # bisection alone settles within 45 steps
+            if not active.any():
+                break
+            slope = c1 + 2.0 * alpha * c2
+            d1, d2 = _entropy_slopes(c0 + alpha * (c1 + alpha * c2))
+            grad = d1 * slope - s_gap
+            curv = d2 * slope * slope + 2.0 * c2 * d1
+            lo, hi = np.where(grad > 0.0, alpha, lo), np.where(grad < 0.0, alpha, hi)
+            # Clipped to the bracket; a NaN step stays NaN and fails the test below.
+            newton = np.minimum(hi, np.maximum(lo, alpha - grad / curv))
+            settle = np.maximum(HOLEVO_STEP, _EPS * np.abs(slope * (d1 + d2) / curv))
+            take = (curv < 0.0) & ((lo < newton) & (newton < hi) | (np.abs(newton - alpha) <= settle))
+            step = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), alpha)
+            active &= np.abs(step - alpha) > settle
+            alpha = step
+        else:
+            raise ConsistencyError("Holevo weight not settled in 100 steps")
     chi = _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
     return alpha, np.maximum(chi, 0.0)
 
@@ -570,17 +600,56 @@ def _midpoints(lo: float, hi: float, levels: int) -> list:
     return [mid] + _midpoints(lo, mid, levels - 1) + _midpoints(mid, hi, levels - 1)
 
 
+def _bisection_path(lo: float, hi: float, theta: float) -> list:
+    """The midpoints a bisection of [lo, hi] meets on its way to ``theta``."""
+    path = []
+    while hi - lo > CROSSOVER_TOL:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if theta < mid:
+            hi = mid
+        else:
+            lo = mid
+    return path
+
+
+def _root_estimate(gaps: dict, lo: float, hi: float) -> float:
+    """Zero of the gap by inverse interpolation, a guess and never a sign.
+
+    Interpolates the angle as a cubic in the gap through the four
+    computed angles nearest the bracket [lo, hi], which holds none of
+    them.  Two equal gaps leave no interpolant, and the bracket's centre
+    stands in.
+    """
+    centre = 0.5 * (lo + hi)
+    nodes = sorted(gaps, key=lambda theta: abs(theta - centre))[:4]
+    estimate = 0.0
+    for theta in nodes:
+        weight = theta
+        for other in nodes:
+            if other != theta:
+                if gaps[other] == gaps[theta]:
+                    return centre
+                weight *= gaps[other] / (gaps[other] - gaps[theta])
+        estimate += weight
+    return estimate
+
+
 def find_crossover(theta_min: float, theta_max: float) -> float:
     """Angle where the restricted information first covers the cost.
 
     Bisects ``restricted_info - disturbance`` to within ``CROSSOVER_TOL``;
-    no Holevo quantity is computed.  Gaps are computed three bisection
-    levels at a time: one route call takes the endpoints and the 7
-    midpoints of the next three levels, on every branch, and each later
-    call the 7 midpoints below the current bracket.  The walk reads the
-    gaps it needs from those batches, so it makes the sign decisions,
-    and returns the angle, of a bisection that computes one gap at a
-    time.
+    no Holevo quantity is computed.  Gaps are computed in batches: the
+    first route call takes the endpoints and the 7 midpoints of the next
+    three levels, on every branch.  Each later call takes the 7 midpoints
+    of the three levels below the current bracket, plus the midpoints
+    of the path a bisection would follow below them towards the root
+    estimate of :func:`_root_estimate`.  A wrong estimate only cuts that
+    path short, and the next call starts where the walk left it; since
+    every call covers three levels, no window takes more calls than at
+    three levels a call.  Every sign is read from an exact,
+    route-checked gap, so the walk makes the sign decisions, and returns
+    the angle, of a bisection that computes one gap at a time.
     Raises :class:`~signalbox.errors.DomainError` for an endpoint outside
     (0, pi/2), NaN included, checked first; then
     :class:`~signalbox.errors.NoCrossoverError` when the interval is
@@ -608,8 +677,9 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if mid not in gaps:
-            points = _midpoints(lo, hi, 3)
-            gaps = dict(zip(points, _crossover_gaps(points)))
+            path = _bisection_path(lo, hi, _root_estimate(gaps, lo, hi))
+            points = _midpoints(lo, hi, 3) + path[3:]
+            gaps.update(zip(points, _crossover_gaps(points)))
         g_mid = gaps[mid]
         if g_mid == 0.0:
             return mid

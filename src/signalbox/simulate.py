@@ -41,7 +41,6 @@ from .correlation import (
     signaling_deltas,
     strategy_column,
     validate_tables,
-    zero_label_marginals,
 )
 from .errors import DomainError, InfeasibleError, PreconditionError
 from .signaling import _best_channel
@@ -142,21 +141,21 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     :class:`~signalbox.errors.InfeasibleError` when the local remainder
     leaves the positive span of the +2 locals.
     """
-    cost = disturbance_cost(corr)
+    # One read of the table gives the cost, the shifts and bob's marginals.
+    functional, _, bob, to_bob, to_alice = _table_terms(corr.p.reshape(16).tolist())
+    cost = disturbance_from_functional(abs(functional))
     if not -1e-12 <= sigma <= cost + 1e-12:
         raise DomainError(f"sigma {sigma} outside [0, {cost}]")
     sigma = min(max(sigma, 0.0), cost)
 
-    deltas = signaling_deltas(corr)
-    side_shifts = (deltas.to_bob_at_b1, deltas.to_alice_at_a1, deltas.to_alice_at_a0)
+    side_shifts = (to_bob[1], to_alice[1], to_alice[0])
     if max(side_shifts) > 1e-9:
         raise PreconditionError(
             "closed form handles a single active shift (bob at b=0); "
             f"other channels shift by up to {max(side_shifts)}"
         )
-    _, bob = zero_label_marginals(corr)
     # Signed shift of bob's b=0 marginal when alice flips her setting.
-    shift = float(bob[0, 0]) - float(bob[1, 0])
+    shift = bob[0][0] - bob[1][0]
     window = (cost + 3.0 * sigma) / 4.0
     if abs(shift) > window + 1e-12:
         raise PreconditionError(

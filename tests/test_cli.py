@@ -164,6 +164,23 @@ def test_decompose_golden_bytes(capsys, name, code):
         assert (out, err.encode()) == ("", (GOLDEN / f"decompose_{name}.stderr").read_bytes())
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sweep_default", ["sweep"]),
+        ("sweep_0.95_1.0", ["sweep", "--theta-min", "0.95", "--theta-max", "1.0"]),
+        ("demo_sigma", ["demo", "sigma"]),
+        ("demo_tsirelson", ["demo", "tsirelson"]),
+    ],
+)
+def test_sweep_and_demo_golden_bytes(capsys, name, argv):
+    """The exact bytes of the default sweep, a window without a crossover
+    and the two qubit demos, frozen under tests/golden."""
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == ((GOLDEN / f"{name}.stdout").read_bytes(), "")
+
+
 def test_decompose_tol_flag(tmp_path, capsys):
     path = write_table(tmp_path, sb.pr_box())
     assert run(["decompose", path, "--tol", "-1"]) == 3

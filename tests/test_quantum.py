@@ -1,5 +1,6 @@
 """Sequential qubit measurements, the angle sweep and the information bounds."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -81,6 +82,39 @@ def test_bloch_round_trip(rng):
     assert np.allclose(sb.QubitState.maximally_mixed().bloch_vector, 0.0)
 
 
+def _trace_bloch_vector(state):
+    """(Tr X rho, Tr Y rho, Tr Z rho) by matrix products, the form the entry read replaced."""
+    return np.array([float(np.trace(p @ state.rho).real) for p in (sb.PAULI_X, sb.PAULI_Y, sb.PAULI_Z)])
+
+
+def test_bloch_vector_matches_the_trace_form(rng):
+    """Read off rho's entries, the Bloch vector has the traces' bits, signed zeros included.
+
+    States: random mixed and pure ones, every axis state with +/-0.0
+    components, raw matrices with +/-0.0 and 1e-13 entries in every slot,
+    and the post-measurement states of all of these.
+    """
+    states = [random_state(rng) for _ in range(300)]
+    states += [sb.QubitState.from_bloch(random_observable(rng).n) for _ in range(300)]
+    for vec in itertools.product([0.0, -0.0, 1.0, -1.0, 0.5], repeat=3):
+        if np.linalg.norm(vec) <= 1.0:
+            states.append(sb.QubitState.from_bloch(np.array(vec)))
+    off, diagonal_im = [0.0, -0.0, 0.3, -1e-13], [0.0, -0.0, 1e-13]
+    for d0, d1 in ((0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (0.5, 0.5)):
+        for r01, i01, r10, i10 in itertools.product(off, repeat=4):
+            for i00, i11 in itertools.product(diagonal_im, repeat=2):
+                m = np.array([[complex(d0, i00), complex(r01, i01)], [complex(r10, i10), complex(d1, i11)]])
+                try:
+                    states.append(sb.QubitState(m))
+                except sb.SignalBoxError:
+                    pass
+    observables = [sb.Observable(np.array(v)) for v in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])]
+    states += [sb.post_measurement_state(s, obs) for s in states[::7] for obs in observables]
+    assert len(states) > 5000
+    for state in states:
+        assert state.bloch_vector.tobytes() == _trace_bloch_vector(state).tobytes(), state.rho
+
+
 def test_route_agreement(rng):
     """Projector update and the expanded Bloch formula give one table."""
     for _ in range(200):
@@ -90,6 +124,54 @@ def test_route_agreement(rng):
         assert np.max(np.abs(direct - expanded)) <= 1e-10
         table = sb.sequential_correlation(state, *obs)
         assert np.max(np.abs(table.p - direct)) <= 1e-9
+
+
+def _projector_tables_reference(r, a, b):
+    """The projector route as it stood: (n, ...) layout, operators by tensordot."""
+    paulis = np.stack([sb.PAULI_X, sb.PAULI_Y, sb.PAULI_Z])
+    signs = np.array([1.0, -1.0])[:, None, None]
+
+    def sigma_dot(v):
+        return np.tensordot(v, paulis, axes=(-1, 0))
+
+    rho = 0.5 * (sb.IDENTITY + sigma_dot(r))
+    alice = 0.5 * (sb.IDENTITY + signs * sigma_dot(a)[:, :, None])
+    bob = 0.5 * (sb.IDENTITY + signs * sigma_dot(b)[:, :, None])
+    return np.einsum("nbyij,naxjk,nkl,naxli->nabxy", bob, alice, rho, alice).real
+
+
+def test_projector_route_matches_the_tensordot_einsum(rng):
+    """The n-innermost projector einsum against the (n, ...) one, hex for hex.
+
+    Random states and directions with y components, axis-aligned and
+    zero vectors and -0.0 entries, in batches of 1 to 2000; the checked
+    tables are the reference's, clipped at 0, in C order.
+    """
+    axes = np.array(
+        [v for v in itertools.product([0.0, -0.0, 1.0, -1.0], repeat=3) if np.sum(np.abs(v)) == 1.0]
+    )
+
+    def directions(n):
+        v = rng.normal(size=(n, 2, 3))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        aligned = rng.random((n, 2)) < 0.3
+        v[aligned] = axes[rng.integers(0, len(axes), aligned.sum())]
+        return v
+
+    for n in (1, 2, 3, 7, 13, 61, 2000):
+        r = rng.normal(size=(n, 3))
+        r *= rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+        r[rng.random(n) < 0.2] = axes[0] * rng.choice([0.0, -0.0, 1.0, -1.0, 0.5])
+        r[rng.random(n) < 0.1] = -0.0
+        r[rng.random(n) < 0.1] = 0.0
+        a, b = directions(n), directions(n)
+        want = _projector_tables_reference(r, a, b)
+        got = quantum._projector_tables(r, a, b)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        checked = quantum._checked_tables(r, a, b)
+        assert checked.flags.c_contiguous
+        assert checked.tobytes() == np.clip(want, 0.0, None).tobytes()
 
 
 def test_correlators_are_state_independent(rng):
@@ -315,6 +397,90 @@ def test_holevo_max_degenerate_and_symmetric_ensembles(rng):
     alphas, chis = quantum._holevo_max_batch(r0, r1)
     assert np.all((alphas >= 0.0) & (alphas <= 1.0))
     assert np.all(chis >= 0.0)
+
+
+def _entropy_slopes_reference(nu):
+    small = nu < 1e-8
+    radius = np.minimum(np.sqrt(np.clip(nu, 1e-8, 1.0)), 1.0 - 2.0**-53)
+    ratio = np.where(small, 1.0 + nu / 3.0, np.arctanh(radius) / radius)
+    bend = np.where(small, 2.0 / 3.0, (1.0 / (1.0 - radius * radius) - ratio) / (radius * radius))
+    return -ratio / (2.0 * math.log(2.0)), -bend / (4.0 * math.log(2.0))
+
+
+def _holevo_max_batch_reference(r0, r1):
+    """The Holevo loop as it stood, with np.errstate and np.clip in the loop."""
+    HOLEVO_STEP = quantum.HOLEVO_STEP
+    _qubit_entropy = quantum._qubit_entropy
+    gap = r0 - r1
+    c0 = np.einsum("nk,nk->n", r1, r1)
+    c1 = 2.0 * np.einsum("nk,nk->n", gap, r1)
+    c2 = np.einsum("nk,nk->n", gap, gap)
+    s1 = _qubit_entropy(c0)
+    s_gap = _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
+    alpha, lo, hi = np.full(len(c0), 0.5), np.zeros(len(c0)), np.ones(len(c0))
+    active = c2 > 0.0
+    for _ in range(100):  # bisection alone settles within 45 steps
+        if not active.any():
+            break
+        slope = c1 + 2.0 * alpha * c2
+        d1, d2 = _entropy_slopes_reference(c0 + alpha * (c1 + alpha * c2))
+        grad = d1 * slope - s_gap
+        curv = d2 * slope * slope + 2.0 * c2 * d1
+        lo, hi = np.where(grad > 0.0, alpha, lo), np.where(grad < 0.0, alpha, hi)
+        with np.errstate(all="ignore"):
+            newton = np.clip(alpha - grad / curv, lo, hi)
+            settle = np.maximum(HOLEVO_STEP, np.finfo(float).eps * np.abs(slope * (d1 + d2) / curv))
+        take = (curv < 0.0) & ((lo < newton) & (newton < hi) | (np.abs(newton - alpha) <= settle))
+        step = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), alpha)
+        active &= np.abs(step - alpha) > settle
+        alpha = step
+    else:
+        raise sb.ConsistencyError("Holevo weight not settled in 100 steps")
+    chi = _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
+    return alpha, np.maximum(chi, 0.0)
+
+
+def _post_measurement_pairs(thetas):
+    """Alice's two post-measurement Bloch vectors of the sweep geometry, as _theta_batch forms them."""
+    alice, _ = quantum._theta_directions(np.asarray(thetas, dtype=float))
+    post = np.einsum("nak,nk->na", alice, alice[:, 1])[:, :, None] * alice
+    return post[:, 0], post[:, 1]
+
+
+def test_holevo_loop_matches_the_reference_loop(rng):
+    """The hoisted loop against the loop as it stood, hex for hex.
+
+    The sweep windows 0.001..1.5697 (1000 steps) and 0.1..1.5 (10000),
+    60 benchmark-like windows of 61 angles, and 5000-pair batches: random
+    mixed pairs, coincident pairs, nearly coincident pure pairs, nearly
+    pure pairs, pure pairs and pairs of radius 1e-5 (the small-radius
+    branch of the slopes).  Every single lane of 300 matches too.
+    """
+    cases = [
+        _post_measurement_pairs(np.linspace(0.001, 1.5697, 1000)),
+        _post_measurement_pairs(np.linspace(0.1, 1.5, 10000)),
+    ]
+    for _ in range(60):
+        lo = rng.uniform(0.1, 1.1)
+        cases.append(_post_measurement_pairs(np.linspace(lo, lo + rng.uniform(0.2, 0.4), 61)))
+    n = 5000
+    mixed = [np.array([random_bloch_vector(rng) for _ in range(n)]) for _ in range(2)]
+    pure = [np.array([random_observable(rng).n for _ in range(n)]) for _ in range(2)]
+    near = pure[0] + rng.normal(scale=1e-9, size=(n, 3)) * (rng.random((n, 1)) < 0.5)
+    near /= np.maximum(1.0, np.linalg.norm(near, axis=1, keepdims=True))
+    cases += [
+        tuple(mixed),
+        (mixed[0], mixed[0].copy()),
+        (pure[0] * (1.0 - 1e-7), near),
+        (pure[0] * (1.0 - rng.uniform(0.0, 1e-12, (n, 1))), pure[0] * (1.0 - rng.uniform(0.0, 1e-6, (n, 1)))),
+        tuple(pure),
+        (mixed[0] * 1e-5, mixed[1] * 1e-5),
+    ]
+    cases += [(mixed[0][k : k + 1], mixed[1][k : k + 1]) for k in range(300)]
+    for r0, r1 in cases:
+        want = _holevo_max_batch_reference(r0, r1)
+        got = quantum._holevo_max_batch(r0, r1)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_sigma_settings_saturate_the_channel():
@@ -646,9 +812,16 @@ def test_crossover_gaps_are_classify_batch_gaps(monkeypatch):
         ]
 
 
-def test_find_crossover_batches_three_levels(monkeypatch):
-    """Endpoints and three bisection levels per route call: at most 5 calls."""
-    want = _scalar_crossover(0.9, 1.2)
+def test_find_crossover_predicts_the_bisection_path(monkeypatch):
+    """Route calls: 9 angles, then three levels plus a predicted path each.
+
+    (0.9, 1.2) takes at most 3 route calls (4 at three levels a call) and
+    gives the one-point-at-a-time angle, hex for hex.  On bracketing
+    windows like the benchmark's (0.2 to 0.4 wide, ends 0.02 or more from
+    the crossover) no window takes more calls than three levels a call
+    would, 1 + ceil((levels - 3) / 3) for a walk of that many levels, and
+    the mean is at most 3.
+    """
     calls = []
     checked = quantum._checked_tables
 
@@ -658,9 +831,23 @@ def test_find_crossover_batches_three_levels(monkeypatch):
 
     monkeypatch.setattr(quantum, "_checked_tables", counting)
     theta = sb.find_crossover(0.9, 1.2)
-    assert theta.hex() == want.hex()
-    assert len(calls) <= 5
-    assert calls[0] == 9 and set(calls[1:]) == {7}
+    monkeypatch.undo()
+    assert theta.hex() == _scalar_crossover(0.9, 1.2).hex()
+    assert len(calls) <= 3
+    assert calls[0] == 9 and all(n >= 7 for n in calls[1:])
+
+    monkeypatch.setattr(quantum, "_checked_tables", counting)
+    rng = np.random.default_rng(1401)
+    counts = []
+    for _ in range(60):
+        width = rng.uniform(0.2, 0.4)
+        lo = rng.uniform(1.0701 - width + 0.02, 1.0701 - 0.02)
+        calls.clear()
+        theta = sb.find_crossover(lo, lo + width)
+        levels = len(quantum._bisection_path(lo, lo + width, theta))
+        assert len(calls) <= 1 + math.ceil((levels - 3) / 3), (lo, width)
+        counts.append(len(calls))
+    assert np.mean(counts) <= 3.0
 
 
 def test_find_crossover_route_check_runs(monkeypatch):

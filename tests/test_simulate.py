@@ -248,6 +248,108 @@ def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng, monkeypat
         assert final == dec.weights
 
 
+def _closed_form_three_reads(corr, sigma=0.0):
+    """closed_form_decompose as it stood: cost, shifts and marginals each read the table."""
+    from signalbox.simulate import (
+        PLUS_LOCAL_IDS, VIOLATING_IDS, _PLUS_LOCAL_COLUMNS, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
+        Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
+        _max_residual, _weighted_tables, catalog,
+    )
+    from signalbox.correlation import disturbance_cost, signaling_deltas, zero_label_marginals
+
+    cost = disturbance_cost(corr)
+    if not -1e-12 <= sigma <= cost + 1e-12:
+        raise DomainError(f"sigma {sigma} outside [0, {cost}]")
+    sigma = min(max(sigma, 0.0), cost)
+
+    deltas = signaling_deltas(corr)
+    side_shifts = (deltas.to_bob_at_b1, deltas.to_alice_at_a1, deltas.to_alice_at_a0)
+    if max(side_shifts) > 1e-9:
+        raise PreconditionError(
+            "closed form handles a single active shift (bob at b=0); "
+            f"other channels shift by up to {max(side_shifts)}"
+        )
+    _, bob = zero_label_marginals(corr)
+    # Signed shift of bob's b=0 marginal when alice flips her setting.
+    shift = float(bob[0, 0]) - float(bob[1, 0])
+    window = (cost + 3.0 * sigma) / 4.0
+    if abs(shift) > window + 1e-12:
+        raise PreconditionError(
+            f"shift {abs(shift)} exceeds the positivity window {window} "
+            f"for sigma={sigma}"
+        )
+
+    weights = {}
+    base = (cost - sigma) / 8.0
+    lifted = (cost + 3.0 * sigma) / 8.0
+    for ident in VIOLATING_IDS:
+        weights[ident] = base
+    weights["signal_0_anb"] = lifted + shift / 2.0
+    weights["signal_1_canb"] = lifted - shift / 2.0
+    for ident, value in weights.items():
+        if value < -1e-9:
+            raise PreconditionError(
+                f"one-bit weight for {ident} came out negative ({value})"
+            )
+        weights[ident] = max(0.0, value)
+
+    # Subtracted one table after another, in dict order, as in _max_residual.
+    remainder = np.subtract.reduce(
+        np.concatenate([corr.p[None], _weighted_tables(weights)]), axis=0
+    )
+
+    local_w, _, rank, _ = np.linalg.lstsq(
+        _PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None
+    )
+    if rank < _PLUS_LOCAL_COLUMNS.shape[1]:
+        raise InfeasibleError("local strategy columns are rank deficient")
+    if float(local_w.min()) < -1e-9:
+        raise InfeasibleError(
+            f"local remainder needs a negative weight ({float(local_w.min())})"
+        )
+    for ident, value in zip(PLUS_LOCAL_IDS, local_w):
+        weights[ident] = max(0.0, float(value))
+
+    weights = {k: v for k, v in weights.items() if v > _WEIGHT_CUTOFF}
+    one_bit = sum(
+        v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL
+    )
+    residual = _max_residual(corr, weights)
+    if residual > _RESIDUAL_TOL:
+        raise InfeasibleError(
+            f"closed-form reconstruction misses the table by {residual}"
+        )
+    return Decomposition(weights=weights, cost=one_bit, residual=residual)
+
+
+def _decomposition_bits(fn, table, sigma):
+    try:
+        dec = fn(table, sigma=sigma)
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+    return [(k, v.hex()) for k, v in dec.weights.items()], dec.cost.hex(), dec.residual.hex()
+
+
+def test_closed_form_single_read_is_bit_identical_to_three_reads(rng):
+    """One table read gives the three-read Decomposition, hex for hex, errors included.
+
+    300 bob-shift mixtures with sigma across its window, below it (shift
+    past the window), past the cost and below 0, plus tables with other
+    channels active.
+    """
+    errors = 0
+    for k in range(300):
+        table, _ = bob_shift_mixture(rng)
+        if k % 10 == 9:
+            table = (random_table(rng), sub_cost_mixture(rng)[0], strategy_table("signal_anb_0"))[k % 3]
+        cost = sb.disturbance_cost(table)
+        sigma = float((rng.uniform(0.0, cost), 0.0, cost, rng.uniform(-0.2, cost + 0.2))[k % 4])
+        want = _decomposition_bits(_closed_form_three_reads, table, sigma)
+        assert _decomposition_bits(sb.closed_form_decompose, table, sigma) == want
+        errors += isinstance(want, tuple) and len(want) == 2
+    assert 30 <= errors <= 270
+
+
 def test_communication_cost_examples():
     assert sb.communication_cost(sb.pr_box()) == pytest.approx(1.0)
     assert sb.communication_cost(sb.tsirelson_box()) == pytest.approx(
