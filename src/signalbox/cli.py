@@ -14,6 +14,7 @@ for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -21,9 +22,8 @@ import sys
 
 from . import quantum
 from .correlation import (
-    Correlation,
+    _read_correlation,
     catalog,
-    from_json_dict,
     load_correlation,
     pr_box,
     to_json_dict,
@@ -125,33 +125,20 @@ def _emit(text: str, output_path) -> int:
     return 0
 
 
-def _load_table(args) -> Correlation:
-    """Read the input correlation, raising _UsageError/SignalBoxError."""
+def _load_or_report(args):
+    """The input correlation, or None once the reason is on stderr (exit 2)."""
     positional = getattr(args, "input", None)
     flagged = getattr(args, "input_path", None)
     if positional and flagged:
         raise _UsageError("give the input file either positionally or via --in, not both")
     path = positional or flagged
-    if path is None:
-        try:
-            payload = json.load(sys.stdin)
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"stdin: undecodable text: {exc}") from exc
-        except RecursionError:
-            raise DomainError("stdin: JSON nested too deeply") from None
-        return from_json_dict(payload)
     try:
+        if path is None:
+            return _read_correlation(sys.stdin, "stdin")
         return load_correlation(path)
     except OSError as exc:
-        raise SignalBoxError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_or_report(args):
-    """The input correlation, or None once the reason is on stderr."""
-    try:
-        return _load_table(args)
-    except json.JSONDecodeError as exc:
-        print(f"signalbox: invalid JSON on stdin: {exc}", file=sys.stderr)
+        name = "stdin" if path is None else path
+        print(f"signalbox: invalid input: cannot read {name}: {exc}", file=sys.stderr)
     except SignalBoxError as exc:
         print(f"signalbox: invalid input: {exc}", file=sys.stderr)
     return None
@@ -169,11 +156,7 @@ def cmd_analyze(args) -> int:
     table = _load_or_report(args)
     if table is None:
         return 2
-    try:
-        text = _json_text(report_json_dict(classify(table, measure=args.measure)))
-    except SignalBoxError as exc:
-        print(f"signalbox: {exc}", file=sys.stderr)
-        return 3
+    text = _json_text(report_json_dict(classify(table, measure=args.measure)))
     return _emit(text, args.output_path)
 
 
@@ -185,19 +168,12 @@ def cmd_decompose(args) -> int:
     table = _load_or_report(args)
     if table is None:
         return 2
-    try:
-        decomposition = lp_min_cost(table)
-        if decomposition.residual > args.tol:
-            print(
-                f"signalbox: reconstruction residual {decomposition.residual} "
-                f"exceeds --tol {args.tol}",
-                file=sys.stderr,
-            )
-            return 3
-        text = _json_text(decomposition_json_dict(decomposition))
-    except SignalBoxError as exc:
-        print(f"signalbox: {exc}", file=sys.stderr)
-        return 3
+    decomposition = lp_min_cost(table)
+    if decomposition.residual > args.tol:
+        raise DomainError(
+            f"reconstruction residual {decomposition.residual} exceeds --tol {args.tol}"
+        )
+    text = _json_text(decomposition_json_dict(decomposition))
     return _emit(text, args.output_path)
 
 
@@ -217,17 +193,10 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
-        rows = quantum.theta_sweep(args.theta_min, args.theta_max, args.steps)
-        text = quantum.sweep_csv(rows)
-        try:
-            crossover = quantum.find_crossover(args.theta_min, args.theta_max)
-            text += "# crossover=%.12g\n" % crossover
-        except NoCrossoverError:
-            pass
-    except SignalBoxError as exc:
-        print(f"signalbox: {exc}", file=sys.stderr)
-        return 3
+    rows = quantum.theta_sweep(args.theta_min, args.theta_max, args.steps)
+    text = quantum.sweep_csv(rows)
+    with contextlib.suppress(NoCrossoverError):
+        text += "# crossover=%.12g\n" % quantum.find_crossover(args.theta_min, args.theta_max)
     return _emit(text, args.output_path)
 
 
@@ -279,11 +248,7 @@ def _demo_payload(name: str, p: float) -> dict:
 
 
 def cmd_demo(args) -> int:
-    try:
-        text = _json_text(_demo_payload(args.name, args.p))
-    except SignalBoxError as exc:
-        print(f"signalbox: {exc}", file=sys.stderr)
-        return 3
+    text = _json_text(_demo_payload(args.name, args.p))
     return _emit(text, args.output_path)
 
 
@@ -296,6 +261,7 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
+    """Run one command; usage errors exit 1 and computation failures exit 3."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -303,6 +269,9 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"signalbox: {exc}", file=sys.stderr)
         return 1
+    except SignalBoxError as exc:
+        print(f"signalbox: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

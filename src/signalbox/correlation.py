@@ -14,15 +14,15 @@ The figure of merit throughout is the four-correlator combination
 whose absolute value is at most 2 for any mixture of local deterministic
 strategies and reaches 4 on the box returned by :func:`pr_box`.
 
-The module also ships a catalog of deterministic strategies.  Identifiers
-encode the outcome rules directly.  ``local_<xt>_<yt>`` means alice plays
-``xt`` (one of ``0``, ``1``, ``a``, ``na`` for the constant, her setting,
-or its negation) and bob plays ``yt`` (same grammar with ``b``).  The
-``signal_<xt>_<yt>`` family allows either rule to read both settings; the
-product tokens are ``ab``, ``anb``, ``nab``, ``nanb`` for the conjunctions
-``a AND b``, ``a AND (NOT b)`` and so on, with a ``c`` prefix for their
-complements.  A strategy whose x-rule mentions ``b`` signals toward alice,
-one whose y-rule mentions ``a`` signals toward bob.
+The module also ships a catalog of deterministic strategies.  An id
+``local_<xt>_<yt>`` or ``signal_<xt>_<yt>`` names alice's rule ``xt`` and
+bob's rule ``yt``; a local rule reads only its own setting.  A rule's
+name is its entry in ``_RULE_NAMES``, indexed by its 4-bit truth table:
+``0``, ``1``, a setting ``a``/``b`` or its negation ``na``/``nb``, the
+conjunctions ``ab``, ``anb``, ``nab``, ``nanb`` (``a AND (NOT b)`` and so
+on) and, with a ``c`` prefix, their complements.  The two parity rules
+have no name.  An x-rule that reads ``b`` signals toward alice, a y-rule
+that reads ``a`` toward bob.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Correlation:
 
     def expectation(self, a: int, b: int) -> float:
         """Correlator E(a, b) of the two outcome values at one setting pair."""
-        cell = self.p[_check_setting(a), _check_setting(b)]
+        cell = self.p[_check_bit(a), _check_bit(b)]
         return float(np.einsum("xy,x,y->", cell, OUTCOME_VALUES, OUTCOME_VALUES))
 
 
@@ -136,10 +136,10 @@ def validate_tables(data) -> np.ndarray:
     return arr
 
 
-def _check_setting(value) -> int:
-    """A setting as a plain ``int``; a float, a bool or any other value is a DomainError."""
+def _check_bit(value, name="setting") -> int:
+    """A setting or outcome label as a plain ``int``; anything but 0 or 1 is a DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
-        raise DomainError(f"setting must be 0 or 1, got {value!r}")
+        raise DomainError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
 
 
@@ -234,8 +234,8 @@ def marginal(corr: Correlation, side: str, own_setting: int, other_setting: int)
     would not depend on ``other_setting``; the whole point of this
     package is to quantify how much it does.
     """
-    own_setting = _check_setting(own_setting)
-    other_setting = _check_setting(other_setting)
+    own_setting = _check_bit(own_setting)
+    other_setting = _check_bit(other_setting)
     if side == "alice":
         return corr.p[own_setting, other_setting].sum(axis=1)
     if side == "bob":
@@ -296,13 +296,23 @@ class Strategy:
     """Deterministic strategy: outcome rules indexed by the setting pair.
 
     ``x_rule[a][b]`` is alice's outcome label, ``y_rule[a][b]`` bob's.
-    Local strategies simply ignore the remote index.
+    Local strategies simply ignore the remote index.  Each rule must be a
+    2x2 tuple of tuples of the integers 0 and 1, or
+    :class:`~signalbox.errors.DomainError` is raised.
     """
 
     id: str
     x_rule: tuple
     y_rule: tuple
     kind: StrategyKind
+
+    def __post_init__(self) -> None:
+        for rule in (self.x_rule, self.y_rule):
+            rows = rule if isinstance(rule, tuple) else ()
+            if [isinstance(row, tuple) and len(row) for row in rows] != [2, 2]:
+                raise DomainError(f"strategy rule must be a 2x2 tuple, got {rule!r}")
+            for label in rule[0] + rule[1]:
+                _check_bit(label, "outcome label")
 
     def as_correlation(self) -> Correlation:
         """The deterministic (one-hot) correlation table of this strategy."""
@@ -313,32 +323,12 @@ class Strategy:
         return Correlation(p)
 
 
-_RULE_TOKENS = {
-    "0": lambda a, b: 0,
-    "1": lambda a, b: 1,
-    "a": lambda a, b: a,
-    "na": lambda a, b: 1 - a,
-    "b": lambda a, b: b,
-    "nb": lambda a, b: 1 - b,
-    "ab": lambda a, b: a & b,
-    "anb": lambda a, b: a & (1 - b),
-    "nab": lambda a, b: (1 - a) & b,
-    "nanb": lambda a, b: (1 - a) & (1 - b),
-    "cab": lambda a, b: 1 - (a & b),
-    "canb": lambda a, b: 1 - (a & (1 - b)),
-    "cnab": lambda a, b: 1 - ((1 - a) & b),
-    "cnanb": lambda a, b: 1 - ((1 - a) & (1 - b)),
-}
-
-
-def _rule_table(token: str) -> tuple:
-    fn = _RULE_TOKENS[token]
-    return tuple(tuple(fn(a, b) for b in (0, 1)) for a in (0, 1))
-
-
-def _strategy_from_id(ident: str, kind: StrategyKind) -> Strategy:
-    _, x_token, y_token = ident.split("_", 2)
-    return Strategy(ident, _rule_table(x_token), _rule_table(y_token), kind)
+# Rule names by truth table: a rule's outcome labels at (a, b) = 00, 01,
+# 10, 11, read as 4 bits from the high bit down.  Parity rules are unnamed.
+_RULE_NAMES = (
+    "0", "ab", "anb", "a", "nab", "b", None, "cnanb",
+    "nanb", None, "nb", "cnab", "na", "canb", "cab", "1",
+)
 
 
 # All 16 local deterministic strategies.
@@ -396,18 +386,24 @@ NONVIOLATING_IDS = (
 FULL_BASIS = LOCAL_IDS + VIOLATING_IDS + NONVIOLATING_IDS
 
 
-def _build_catalog() -> dict:
-    entries = {}
-    for ident in LOCAL_IDS:
-        entries[ident] = _strategy_from_id(ident, StrategyKind.LOCAL)
-    for ident in VIOLATING_IDS:
-        entries[ident] = _strategy_from_id(ident, StrategyKind.ONE_BIT_VIOLATING)
-    for ident in NONVIOLATING_IDS:
-        entries[ident] = _strategy_from_id(ident, StrategyKind.ONE_BIT_NONVIOLATING)
-    return entries
-
-
-_CATALOG = _build_catalog()
+# An id's last two names are its x-rule and y-rule.  Bit 3 - 2a - b of a
+# name's index in _RULE_NAMES is the rule's outcome label at (a, b).
+_CATALOG = {
+    ident: Strategy(
+        ident,
+        *(
+            tuple(tuple((bits >> (3 - 2 * a - b)) & 1 for b in (0, 1)) for a in (0, 1))
+            for bits in map(_RULE_NAMES.index, ident.split("_")[1:])
+        ),
+        kind,
+    )
+    for ids, kind in (
+        (LOCAL_IDS, StrategyKind.LOCAL),
+        (VIOLATING_IDS, StrategyKind.ONE_BIT_VIOLATING),
+        (NONVIOLATING_IDS, StrategyKind.ONE_BIT_NONVIOLATING),
+    )
+    for ident in ids
+}
 
 # The catalog's tables, built and validated once.  Column k of
 # STRATEGY_MATRIX is the flattened table of FULL_BASIS[k], and
@@ -502,6 +498,19 @@ def from_json_dict(payload) -> Correlation:
     return make_correlation(payload["p"])
 
 
+def _read_correlation(handle, source) -> Correlation:
+    """:func:`load_correlation` on an open text handle; ``source`` names it in errors."""
+    try:
+        payload = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{source}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{source}: undecodable text: {exc}") from exc
+    except RecursionError:
+        raise DomainError(f"{source}: JSON nested too deeply") from None
+    return from_json_dict(payload)
+
+
 def load_correlation(path) -> Correlation:
     """Read a correlation table from a JSON file.
 
@@ -509,15 +518,7 @@ def load_correlation(path) -> Correlation:
     parser's recursion limit raise :class:`DomainError`.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: undecodable text: {exc}") from exc
-        except RecursionError:
-            raise DomainError(f"{path}: JSON nested too deeply") from None
-    return from_json_dict(payload)
+        return _read_correlation(handle, path)
 
 
 def save_correlation(corr: Correlation, path) -> None:

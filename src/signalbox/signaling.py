@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .correlation import (
     Correlation,
-    _check_setting,
+    _check_bit,
     catalog,
     marginal,
     mix,
@@ -138,7 +138,7 @@ def _check_b_set(b_set) -> tuple:
     settings = tuple(b_set)
     if not settings:
         raise DomainError("b_set must name at least one bob setting")
-    return tuple(_check_setting(b) for b in settings)
+    return tuple(_check_bit(b) for b in settings)
 
 
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:

@@ -171,11 +171,16 @@ def test_decompose_golden_bytes(capsys, name, code):
         ("sweep_0.95_1.0", ["sweep", "--theta-min", "0.95", "--theta-max", "1.0"]),
         ("demo_sigma", ["demo", "sigma"]),
         ("demo_tsirelson", ["demo", "tsirelson"]),
+        ("demo_pr_box", ["demo", "pr-box"]),
+        ("demo_d01", ["demo", "d01"]),
+        ("demo_tsirelson_signal", ["demo", "tsirelson-signal"]),
+        ("demo_qp_0.3", ["demo", "qp", "--p", "0.3"]),
+        ("analyze_pr_box", ["analyze", str(GOLDEN / "decompose_pr_box.json")]),
     ],
 )
 def test_sweep_and_demo_golden_bytes(capsys, name, argv):
-    """The exact bytes of the default sweep, a window without a crossover
-    and the two qubit demos, frozen under tests/golden."""
+    """The exact bytes of the default sweep, a window without a crossover,
+    every demo and one analyze, frozen under tests/golden."""
     assert run(argv) == 0
     out, err = capsys.readouterr()
     assert (out.encode(), err) == ((GOLDEN / f"{name}.stdout").read_bytes(), "")
@@ -357,11 +362,16 @@ def test_module_entry_point_matches_run(argv, capsys):
 
 @pytest.mark.parametrize(
     "data, reason",
-    [(b"\xff\xfe{}", "undecodable text"), (b"[" * 100000, "nested too deeply")],
-    ids=["not-utf8", "deeply-nested"],
+    [
+        (b"\xff\xfe{}", "undecodable text"),
+        (b"[" * 100000, "nested too deeply"),
+        (b'{"p": [1', "invalid JSON"),
+    ],
+    ids=["not-utf8", "deeply-nested", "malformed"],
 )
 def test_undecodable_or_too_deep_input_is_invalid(tmp_path, capsys, monkeypatch, data, reason):
-    """Bytes that are not text, or JSON past the recursion limit, exit 2."""
+    """Bytes that are not text, malformed JSON or JSON past the recursion
+    limit exit 2 with one line, the same from a file as from stdin."""
     path = tmp_path / "bad.json"
     path.write_bytes(data)
     for command in ("analyze", "decompose"):
@@ -375,6 +385,22 @@ def test_undecodable_or_too_deep_input_is_invalid(tmp_path, capsys, monkeypatch,
             assert captured.err.startswith("signalbox: invalid input: ")
             assert captured.err.count("\n") == 1
             assert reason in captured.err
+
+
+class _UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        raise OSError("Input/output error")
+
+
+def test_unreadable_input_is_invalid(tmp_path, capsys, monkeypatch):
+    """A file or stdin that cannot be read exits 2 and names what failed."""
+    missing = tmp_path / "nope.json"
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    for argv, name in ((["analyze", str(missing)], str(missing)), (["decompose"], "stdin")):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"signalbox: invalid input: cannot read {name}: ")
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):

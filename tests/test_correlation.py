@@ -214,6 +214,85 @@ def test_catalog_rejects_unknown_id():
         sb.catalog("signal_q_q")
 
 
+# The rule grammar the catalog was first built from, one function of the
+# settings per name, kept here as an independent reference.
+_RULE_ORACLE = {
+    "0": lambda a, b: 0,
+    "1": lambda a, b: 1,
+    "a": lambda a, b: a,
+    "na": lambda a, b: 1 - a,
+    "b": lambda a, b: b,
+    "nb": lambda a, b: 1 - b,
+    "ab": lambda a, b: a & b,
+    "anb": lambda a, b: a & (1 - b),
+    "nab": lambda a, b: (1 - a) & b,
+    "nanb": lambda a, b: (1 - a) & (1 - b),
+    "cab": lambda a, b: 1 - (a & b),
+    "canb": lambda a, b: 1 - (a & (1 - b)),
+    "cnab": lambda a, b: 1 - ((1 - a) & b),
+    "cnanb": lambda a, b: 1 - ((1 - a) & (1 - b)),
+}
+
+
+def _oracle_rule(name):
+    fn = _RULE_ORACLE[name]
+    return tuple(tuple(fn(a, b) for b in (0, 1)) for a in (0, 1))
+
+
+def test_rule_names_index_their_truth_tables():
+    """Each of the 14 names sits at its rule's 4-bit truth table, labels at
+    (a, b) = 00, 01, 10, 11 from the high bit down; parity has no name."""
+    assert len(correlation._RULE_NAMES) == 16
+    for name in _RULE_ORACLE:
+        (r00, r01), (r10, r11) = _oracle_rule(name)
+        assert correlation._RULE_NAMES[8 * r00 + 4 * r01 + 2 * r10 + r11] == name
+    assert correlation._RULE_NAMES[0b0110] is None and correlation._RULE_NAMES[0b1001] is None
+
+
+def test_catalog_rules_match_the_rule_oracle():
+    """Every id's rules are its two names' oracle rules, as plain ints,
+    and the precomputed tables are the oracle's, byte for byte."""
+    stack = []
+    for ident in sb.FULL_BASIS:
+        strategy = sb.catalog(ident)
+        x_name, y_name = ident.split("_")[1:]
+        assert (strategy.x_rule, strategy.y_rule) == (_oracle_rule(x_name), _oracle_rule(y_name))
+        for rule in (strategy.x_rule, strategy.y_rule):
+            assert type(rule) is tuple and all(type(row) is tuple for row in rule)
+            assert all(type(label) is int for row in rule for label in row)
+        p = np.zeros((2, 2, 2, 2))
+        for a in (0, 1):
+            for b in (0, 1):
+                p[a, b, _oracle_rule(x_name)[a][b], _oracle_rule(y_name)[a][b]] = 1.0
+        stack.append(p)
+    assert correlation._STRATEGY_TABLES.tobytes() == np.stack(stack).tobytes()
+
+
+def test_strategy_rejects_bad_rules():
+    """A rule must be 2x2 tuples of the ints 0 and 1, on either side."""
+    good = ((0, 1), (1, 0))
+    assert sb.Strategy("x", good, good, sb.StrategyKind.LOCAL).x_rule == good
+    for label in (-1, 2, 0.0, 1.0, True, False, "0", None):
+        bad = ((label, 0), (0, 0))
+        for rules in ((bad, good), (good, bad)):
+            message = f"outcome label must be 0 or 1, got {label!r}"
+            with pytest.raises(sb.DomainError, match=message):
+                sb.Strategy("x", *rules, sb.StrategyKind.LOCAL)
+    shapes = (
+        0,
+        ((0, 0),),
+        ((0, 0), (0, 0), (0, 0)),
+        ((0, 0, 0), (0, 0)),
+        ((0, 0), 0),
+        [[0, 0], [0, 0]],
+        [(0, 0), (0, 0)],
+        ([0, 0], [0, 0]),
+    )
+    for shape in shapes:
+        with pytest.raises(sb.DomainError, match="strategy rule must be a 2x2 tuple"):
+            sb.Strategy("x", good, shape, sb.StrategyKind.LOCAL)
+
+
 def test_strategy_tables_are_deterministic():
     for ident in sb.strategy_ids():
         p = strategy_table(ident).p
