@@ -57,13 +57,13 @@ class Correlation:
 
     The wrapped array is coerced to float64, checked for shape, NaN
     entries, negativity and per-setting normalization, and frozen
-    read-only.
+    read-only.  The caller's data is copied, never written.
     Entries in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything more negative raises
     :class:`~signalbox.errors.NegativeProbabilityError`.  The entry
-    checks are those :func:`validate_tables` runs on a batch, and input
-    that is not numeric raises :class:`~signalbox.errors.DomainError` in
-    both.
+    checks are those :func:`validate_tables` runs on a batch, with the
+    same errors and messages, and input that is not numeric raises
+    :class:`~signalbox.errors.DomainError` in both.
     """
 
     p: np.ndarray
@@ -74,7 +74,7 @@ class Correlation:
             raise DomainError(
                 f"correlation table must have shape (2, 2, 2, 2), got {arr.shape}"
             )
-        _check_entries(arr)
+        _check_table(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -85,10 +85,10 @@ class Correlation:
 
 
 def _check_entries(arr: np.ndarray) -> None:
-    """NaN, negativity and normalization checks of tables ``(..., 2, 2, 2, 2)``.
+    """NaN, negativity and normalization checks of a batch ``(N, 2, 2, 2, 2)``.
 
-    Clamps entries in ``[-1e-9, 0)`` to zero in place.  One table or a
-    batch, the checks and their messages are the same.
+    Clamps entries in ``[-1e-9, 0)`` to zero in place.  One table takes
+    :func:`_check_table`, with the same checks and messages.
     """
     # NaN propagates through min(), and infinities fail the checks below.
     low = float(arr.min())
@@ -101,6 +101,40 @@ def _check_entries(arr: np.ndarray) -> None:
     if low < 0.0:
         arr[arr < 0.0] = 0.0
     worst = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max())
+    if worst > NORMALIZATION_TOL:
+        raise NormalizationError(
+            f"per-setting outcome sums deviate from 1 by {worst}"
+        )
+
+
+def _check_table(arr: np.ndarray) -> None:
+    """:func:`_check_entries` of one ``(2, 2, 2, 2)`` table, over its 16 floats.
+
+    The same checks in the same order, with the same errors, messages and
+    clamp, in plain float arithmetic instead of five numpy reductions on
+    a 16-entry array.  A setting pair's sum is ``(((0.0 + p0) + p1) + p2)
+    + p3``, the order of numpy's ``sum(axis=(-2, -1))``, so ``worst`` has
+    its bits.
+    """
+    t = arr.reshape(16).tolist()
+    # min() is order-dependent with NaN, so NaN is looked for first.
+    if any(map(math.isnan, t)):
+        raise DomainError("correlation table has a NaN entry")
+    low = min(t)
+    if low < -NEGATIVITY_TOL:
+        raise NegativeProbabilityError(
+            f"probability entry {low} is negative beyond tolerance"
+        )
+    if low < 0.0:
+        arr[arr < 0.0] = 0.0
+        t = [0.0 if v < 0.0 else v for v in t]
+    p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3, s0, s1, s2, s3 = t
+    worst = max(
+        abs((((0.0 + p0) + p1) + p2) + p3 - 1.0),
+        abs((((0.0 + q0) + q1) + q2) + q3 - 1.0),
+        abs((((0.0 + r0) + r1) + r2) + r3 - 1.0),
+        abs((((0.0 + s0) + s1) + s2) + s3 - 1.0),
+    )
     if worst > NORMALIZATION_TOL:
         raise NormalizationError(
             f"per-setting outcome sums deviate from 1 by {worst}"
@@ -490,11 +524,25 @@ def to_json_dict(corr: Correlation) -> dict:
 
 
 def from_json_dict(payload) -> Correlation:
-    """Parse the payload produced by :func:`to_json_dict`, strictly."""
+    """Parse the payload produced by :func:`to_json_dict`, strictly.
+
+    Table entries must be JSON numbers: a string such as ``"0.25"`` or a
+    boolean raises :class:`DomainError`, where numpy would read it as a
+    number.  ``null`` reads as NaN and is refused as one.
+    """
     if not isinstance(payload, dict):
         raise DomainError(f"expected a JSON object, got {type(payload).__name__}")
     if "p" not in payload:
         raise DomainError('payload is missing the "p" entry')
+    # A loop, not recursion: the parser accepts nesting deeper than the
+    # interpreter's recursion limit leaves room for here.
+    pending = [payload["p"]]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):
+            pending.extend(reversed(node))
+        elif isinstance(node, (str, bool)):
+            raise DomainError(f"table entry must be a JSON number, got {json.dumps(node)}")
     return make_correlation(payload["p"])
 
 

@@ -387,6 +387,32 @@ def test_undecodable_or_too_deep_input_is_invalid(tmp_path, capsys, monkeypatch,
             assert reason in captured.err
 
 
+@pytest.mark.parametrize(
+    "leaf, shown",
+    [("0.25", '"0.25"'), (True, "true"), (False, "false")],
+    ids=["string", "true", "false"],
+)
+def test_non_number_entries_are_invalid(tmp_path, capsys, monkeypatch, leaf, shown):
+    """A string or boolean table entry exits 2, from a file and from stdin,
+    where numpy would read it as a number."""
+    p = np.full((2, 2, 2, 2), 0.25).tolist()
+    p[1][0][1][0] = leaf
+    text = json.dumps({"p": p})
+    path = tmp_path / "leaf.json"
+    path.write_text(text)
+    for command in ("analyze", "decompose"):
+        assert run([command, str(path)]) == 2
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run([command]) == 2
+        from_stdin = capsys.readouterr()
+        for captured in (from_file, from_stdin):
+            assert captured.out == ""
+            assert captured.err == (
+                f"signalbox: invalid input: table entry must be a JSON number, got {shown}\n"
+            )
+
+
 class _UnreadableStdin(io.StringIO):
     def read(self, *args):
         raise OSError("Input/output error")

@@ -33,6 +33,18 @@ def test_clamps_rounding_noise():
     assert corr.p.min() >= 0.0
 
 
+def test_clamp_never_writes_the_callers_array():
+    """The clamp writes a private copy: the input keeps its noise entry."""
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 1] = [[-5e-10, 0.25], [0.25, 0.5 + 5e-10]]
+    before = p.tobytes()
+    corr = sb.Correlation(p)
+    assert p.tobytes() == before and p.flags.writeable
+    assert corr.p[0, 1, 0, 0] == 0.0
+    assert not corr.p.flags.writeable
+    assert not np.shares_memory(corr.p, p)
+
+
 def test_rejects_bad_normalization():
     p = np.full((2, 2, 2, 2), 0.25)
     p[1, 1] *= 1.01
@@ -359,6 +371,13 @@ def test_from_json_dict_rejects_bad_payloads():
         sb.from_json_dict({"q": []})
     with pytest.raises(sb.DomainError):
         sb.from_json_dict({"p": [[0.5]]})
+    ones = sb.catalog("local_0_0").as_correlation().p
+    assert sb.from_json_dict({"p": ones.astype(int).tolist()}).p.tobytes() == ones.tobytes()
+    table = sb.to_json_dict(sb.pr_box())["p"]
+    for leaf in ("0.5", True, False):
+        table[0][1][1][1] = leaf
+        with pytest.raises(sb.DomainError, match="must be a JSON number"):
+            sb.from_json_dict({"p": table})
 
 
 def test_load_rejects_invalid_json(tmp_path):
