@@ -100,7 +100,8 @@ def _check_entries(arr: np.ndarray) -> None:
         )
     if low < 0.0:
         arr[arr < 0.0] = 0.0
-    worst = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max())
+    with np.errstate(over="ignore"):  # an inf sum fails below, as in _check_table
+        worst = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max())
     if worst > NORMALIZATION_TOL:
         raise NormalizationError(
             f"per-setting outcome sums deviate from 1 by {worst}"

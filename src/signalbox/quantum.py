@@ -15,13 +15,16 @@ angles as one batch, and the crossover bisection takes at least three
 levels per batch, plus the path it predicts below them.  The Holevo
 weight is found by one bracketed Newton iteration
 over all ensembles, on Bloch vectors too: a qubit with Bloch vector r
-has entropy h((1 + |r|)/2).  All observables are +/-1 valued (outcome
-label l means value (-1)**l), and all entropies are in bits.
+has entropy h((1 + |r|)/2).  The scalar state helpers are these Bloch
+kernels' N=1 case too; matrices appear only in the projector route and
+in a state's ``rho``.  All observables are +/-1 valued (outcome label l
+means value (-1)**l), and all entropies are in bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +73,6 @@ _HALF_SIGMA = np.array(
 _HALF_IDENTITY = np.array([[0.5], [0.0], [0.0], [0.5]] * 2, dtype=complex)
 
 
-def _hermitian_eigenvalues(m) -> tuple:
-    """Eigenvalues of a Hermitian 2x2 matrix by the quadratic formula."""
-    t = float(m[0, 0].real + m[1, 1].real)
-    d = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
-    disc = max(0.0, 0.25 * t * t - d)
-    root = math.sqrt(disc)
-    return (0.5 * t - root, 0.5 * t + root)
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A +/-1 observable n.sigma given by its unit Bloch direction."""
@@ -115,7 +109,7 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class QubitState:
-    """Validated 2x2 density matrix."""
+    """Validated 2x2 density matrix; its eigenvalues are (trace +/- |r|)/2."""
 
     rho: np.ndarray
 
@@ -127,20 +121,30 @@ class QubitState:
             raise DomainError("density matrix has a non-finite entry")
         if np.abs(m - m.conj().T).max() > _STATE_TOL:
             raise DomainError("density matrix is not Hermitian")
-        trace = float(m[0, 0].real + m[1, 1].real)
+        (m00, m01), (m10, m11) = m.tolist()
+        trace = m00.real + m11.real
         if abs(trace - 1.0) > _STATE_TOL:
             raise NormalizationError(f"density matrix has trace {trace}, expected 1")
-        low, _ = _hermitian_eigenvalues(m)
+        # Adding 0.0 turns -0.0 into 0.0, as the traces Tr(sigma_k rho) do.
+        x = 0.0 + (m10.real + m01.real)
+        y = 0.0 + (m10.imag - m01.imag)
+        z = 0.0 + (m00.real - m11.real)
+        low = 0.5 * (trace - math.sqrt(x * x + y * y + z * z))
         if low < _EIG_FLOOR:
             raise DomainError(f"density matrix has negative eigenvalue {low}")
+        r = np.array([x, y, z])
         m.setflags(write=False)
+        r.setflags(write=False)
         object.__setattr__(self, "rho", m)
+        object.__setattr__(self, "_bloch", r)
 
     @classmethod
     def from_bloch(cls, r) -> "QubitState":
         vec = np.asarray(r, dtype=float)
         if vec.shape != (3,):
             raise DomainError(f"Bloch vector must be a 3-vector, got shape {vec.shape}")
+        if not all(map(math.isfinite, vec.tolist())):
+            raise DomainError("Bloch vector has a non-finite entry")
         if float(np.linalg.norm(vec)) > 1.0 + 1e-12:
             raise DomainError("Bloch vector lies outside the unit ball")
         m = 0.5 * (IDENTITY + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
@@ -152,19 +156,8 @@ class QubitState:
 
     @property
     def bloch_vector(self) -> np.ndarray:
-        """(Tr X rho, Tr Y rho, Tr Z rho), read off the entries of rho.
-
-        Adding 0.0 turns a -0.0 component into 0.0, as the traces of the
-        matrix products do.
-        """
-        (m00, m01), (m10, m11) = self.rho.tolist()
-        return np.array(
-            [
-                0.0 + (m10.real + m01.real),
-                0.0 + (m10.imag - m01.imag),
-                0.0 + (m00.real - m11.real),
-            ]
-        )
+        """(Tr X rho, Tr Y rho, Tr Z rho), read off the entries of rho; read-only."""
+        return self._bloch
 
 
 def _projector_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,38 +257,29 @@ def sequential_correlation(rho: QubitState, a0, a1, b0, b1) -> Correlation:
 
 
 def post_measurement_state(rho: QubitState, obs: Observable) -> QubitState:
-    """State after an unread measurement of ``obs``: both branches kept."""
-    a = obs.matrix
-    return QubitState(0.5 * (rho.rho + a @ rho.rho @ a))
+    """State after an unread measurement of ``obs``, both branches kept: r -> (n.r) n."""
+    return QubitState.from_bloch(np.dot(obs.n, rho.bloch_vector) * obs.n)
 
 
 def trace_distance(r0: QubitState, r1: QubitState) -> float:
-    """Half the trace norm of the difference of two states."""
-    low, high = _hermitian_eigenvalues(r0.rho - r1.rho)
-    return 0.5 * (abs(low) + abs(high))
+    """Half the trace norm of the difference of two states, |r0 - r1|/2."""
+    return 0.5 * float(np.linalg.norm(r0.bloch_vector - r1.bloch_vector))
 
 
 def von_neumann_entropy(rho: QubitState) -> float:
-    """Entropy of a qubit state in bits, eigenvalues clamped at 0."""
-    low, high = _hermitian_eigenvalues(rho.rho)
-    total = 0.0
-    for lam in (low, high):
-        lam = min(1.0, max(0.0, lam))
-        if lam > 0.0:
-            total -= lam * math.log2(lam)
-    return total
+    """Entropy of a qubit state in bits, h((1 + |r|)/2)."""
+    return float(_qubit_entropy(np.dot(rho.bloch_vector, rho.bloch_vector)))
 
 
 def holevo(alpha: float, r0: QubitState, r1: QubitState) -> float:
-    """Holevo quantity of the two-state ensemble {alpha: r0, 1-alpha: r1}."""
+    """Holevo quantity of the two-state ensemble {alpha: r0, 1-alpha: r1}.
+
+    The objective :func:`holevo_max` maximises: at its weight, its chi.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"ensemble weight {alpha} outside [0, 1]")
-    blend = QubitState(alpha * r0.rho + (1.0 - alpha) * r1.rho)
-    return (
-        von_neumann_entropy(blend)
-        - alpha * von_neumann_entropy(r0)
-        - (1.0 - alpha) * von_neumann_entropy(r1)
-    )
+    terms = _holevo_terms(r0.bloch_vector[None], r1.bloch_vector[None])
+    return float(_holevo_objective(alpha, *terms)[0])
 
 
 def _qubit_entropy(norm_sq: np.ndarray) -> np.ndarray:
@@ -334,13 +318,31 @@ def _entropy_slopes(nu: np.ndarray):
     return -ratio / (2.0 * math.log(2.0)), -bend / (4.0 * math.log(2.0))
 
 
+def _holevo_terms(r0: np.ndarray, r1: np.ndarray):
+    """Terms of the Holevo objective of N ensembles ``r0``, ``r1`` (N, 3).
+
+    The blend r1 + alpha (r0 - r1) has squared radius nu = c0 + alpha (c1
+    + alpha c2); s1 is the entropy of r1, s_gap that of r0 less s1.
+    """
+    gap = r0 - r1
+    c0 = np.einsum("nk,nk->n", r1, r1)
+    c1 = 2.0 * np.einsum("nk,nk->n", gap, r1)
+    c2 = np.einsum("nk,nk->n", gap, gap)
+    s1 = _qubit_entropy(c0)
+    return c0, c1, c2, s1, _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
+
+
+def _holevo_objective(alpha, c0, c1, c2, s1, s_gap):
+    """f = E(nu) - s1 - alpha s_gap at weight ``alpha``, E the blend's entropy."""
+    return _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
+
+
 def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     """Weight-maximised Holevo quantity of N ensembles of Bloch vectors.
 
     ``r0`` and ``r1`` (N, 3) are the two states of each ensemble.  The
-    blend r1 + alpha (r0 - r1) has squared radius nu = c0 + alpha (c1 +
-    alpha c2), so the objective f = E(nu) - s1 - alpha s_gap, E the
-    blend's entropy, needs three dot products and no matrices.  f is
+    objective f = E(nu) - s1 - alpha s_gap of :func:`_holevo_objective`
+    needs three dot products (:func:`_holevo_terms`) and no matrices.  f is
     concave with closed-form f' and f'' (see :func:`_entropy_slopes`);
     all N lanes run one safeguarded Newton iteration on f' = 0 from
     alpha = 1/2, the bracket [0, 1] shrunk by the sign of f'.  A step no
@@ -349,12 +351,7 @@ def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     leaving the bracket becomes a bisection.  Identical states give
     alpha = 1/2 and chi = 0.  Returns ``(alpha_star, chi)``, chi >= 0.
     """
-    gap = r0 - r1
-    c0 = np.einsum("nk,nk->n", r1, r1)
-    c1 = 2.0 * np.einsum("nk,nk->n", gap, r1)
-    c2 = np.einsum("nk,nk->n", gap, gap)
-    s1 = _qubit_entropy(c0)
-    s_gap = _qubit_entropy(np.einsum("nk,nk->n", r0, r0)) - s1
+    c0, c1, c2, s1, s_gap = terms = _holevo_terms(r0, r1)
     alpha, lo, hi = np.full(len(c0), 0.5), np.zeros(len(c0)), np.ones(len(c0))
     active = c2 > 0.0
     # A zero curvature makes the Newton step inf or NaN, which the bracket
@@ -377,8 +374,7 @@ def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
             alpha = step
         else:
             raise ConsistencyError("Holevo weight not settled in 100 steps")
-    chi = _qubit_entropy(c0 + alpha * (c1 + alpha * c2)) - s1 - alpha * s_gap
-    return alpha, np.maximum(chi, 0.0)
+    return alpha, np.maximum(_holevo_objective(alpha, *terms), 0.0)
 
 
 def holevo_max(r0: QubitState, r1: QubitState):
@@ -523,10 +519,12 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     their verdicts: the tables are validated as ``classify_batch`` does,
     and each row is read off its table's plain verdict row, with no
     report built; ``classical`` is the channel-information verdict.  Raises
-    :class:`~signalbox.errors.DomainError` for fewer than 2 or more than
-    ``MAX_SWEEP_STEPS`` steps, an empty range, or an endpoint outside
-    (0, pi/2).
+    :class:`~signalbox.errors.DomainError` for ``steps`` that is not an
+    integer (bools included), fewer than 2 or more than ``MAX_SWEEP_STEPS``
+    steps, an empty range, or an endpoint outside (0, pi/2).
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise DomainError(f"sweep steps must be an integer, got {steps!r}")
     if steps < 2:
         raise DomainError(f"sweep needs at least 2 steps, got {steps}")
     if steps > MAX_SWEEP_STEPS:

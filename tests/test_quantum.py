@@ -65,8 +65,24 @@ def test_state_rejects_non_finite_entries():
 
 
 def test_bloch_state_rejects_non_finite_entries():
-    with pytest.raises(sb.DomainError):
-        sb.QubitState.from_bloch(np.array([np.nan, 0.0, 0.0]))
+    for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+        with pytest.raises(sb.DomainError, match="Bloch vector has a non-finite entry"):
+            sb.QubitState.from_bloch(np.array(bad))
+
+
+def test_state_positivity_boundary(rng):
+    """rho's lower eigenvalue (1 - |r|)/2 may reach -1e-10 and no further."""
+    paulis = (sb.PAULI_X, sb.PAULI_Y, sb.PAULI_Z)
+    for _ in range(10):
+        n = random_observable(rng).n
+        for low, accepted in ((-0.9e-10, True), (-1.1e-10, False)):
+            r = n * (1.0 - 2.0 * low)
+            m = 0.5 * (sb.IDENTITY + sum(c * p for c, p in zip(r, paulis)))
+            if accepted:
+                assert sb.QubitState(m).bloch_vector == pytest.approx(r, abs=1e-15)
+            else:
+                with pytest.raises(sb.DomainError, match="negative eigenvalue"):
+                    sb.QubitState(m)
 
 
 def test_observable_rejects_non_finite_entries():
@@ -79,6 +95,7 @@ def test_bloch_round_trip(rng):
         r = random_bloch_vector(rng)
         state = sb.QubitState.from_bloch(r)
         assert np.allclose(state.bloch_vector, r, atol=1e-12)
+        assert not state.bloch_vector.flags.writeable
     assert np.allclose(sb.QubitState.maximally_mixed().bloch_vector, 0.0)
 
 
@@ -207,14 +224,40 @@ def test_forward_shift_is_at_most_half(rng):
         assert sb.signal_strength(table) <= 0.5 + 1e-12
 
 
+def _matrix_eigenvalues(m):
+    """Eigenvalues of a Hermitian 2x2 matrix by the quadratic formula."""
+    t = (m[0, 0] + m[1, 1]).real
+    d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+    root = math.sqrt(max(0.0, 0.25 * t * t - d))
+    return 0.5 * t - root, 0.5 * t + root
+
+
+def _matrix_entropy(m):
+    """Entropy in bits from the eigenvalues of a density matrix, clamped to [0, 1]."""
+    lams = [min(1.0, max(0.0, lam)) for lam in _matrix_eigenvalues(m)]
+    return -sum(lam * math.log2(lam) for lam in lams if lam > 0.0)
+
+
+def _matrix_holevo(alpha, s0, s1):
+    """Holevo quantity of {alpha: s0, 1-alpha: s1} from density-matrix eigenvalues."""
+    blend = alpha * s0.rho + (1.0 - alpha) * s1.rho
+    return _matrix_entropy(blend) - alpha * _matrix_entropy(s0.rho) - (1.0 - alpha) * _matrix_entropy(s1.rho)
+
+
 def test_post_measurement_state_projects_bloch(rng):
-    """The unread update keeps only the component along the measured axis."""
+    """The unread update keeps only the component along the measured axis.
+
+    Its density matrix is (rho + A rho A)/2 with A = n.sigma.
+    """
     for _ in range(30):
         r = random_bloch_vector(rng)
         obs = random_observable(rng)
-        post = sb.post_measurement_state(sb.QubitState.from_bloch(r), obs)
+        state = sb.QubitState.from_bloch(r)
+        post = sb.post_measurement_state(state, obs)
         want = obs.n * float(np.dot(obs.n, r))
         assert np.allclose(post.bloch_vector, want, atol=1e-12)
+        a = obs.matrix
+        assert np.allclose(post.rho, 0.5 * (state.rho + a @ state.rho @ a), atol=1e-12)
 
 
 def test_post_measurement_fixes_eigenstates():
@@ -232,7 +275,7 @@ def test_trace_distance_properties(rng):
     for _ in range(30):
         r0, r1 = random_bloch_vector(rng), random_bloch_vector(rng)
         s0, s1 = sb.QubitState.from_bloch(r0), sb.QubitState.from_bloch(r1)
-        want = 0.5 * float(np.linalg.norm(r0 - r1))
+        want = 0.5 * sum(map(abs, _matrix_eigenvalues(s0.rho - s1.rho)))
         assert sb.trace_distance(s0, s1) == pytest.approx(want, abs=1e-12)
         assert sb.trace_distance(s1, s0) == pytest.approx(want, abs=1e-12)
 
@@ -257,6 +300,27 @@ def test_holevo_basics(rng):
         alpha = float(rng.random())
         value = sb.holevo(alpha, s0, s1)
         assert -1e-12 <= value <= 1.0 + 1e-12
+        assert value == pytest.approx(_matrix_holevo(alpha, s0, s1), abs=1e-12)
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(sb.DomainError):
+            sb.holevo(bad, s0, s1)
+
+
+def _decimal_entropy(nu):
+    """Entropy in bits of a qubit with squared Bloch radius ``nu``, a Decimal.
+
+    Runs at the caller's decimal precision and keeps the package's
+    convention that a squared radius within 4 ulps of 1 is a pure state.
+    """
+    if nu >= 1 - Decimal(4.0 * np.finfo(float).eps):
+        return Decimal(0)
+    radius = nu.sqrt()
+    high, low = (1 + radius) / 2, (1 - radius) / 2
+    return -(high * high.ln() + low * low.ln()) / Decimal(2).ln()
+
+
+def _decimal_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _oracle_holevo_max(r0, r1):
@@ -274,16 +338,7 @@ def _oracle_holevo_max(r0, r1):
         ln2 = Decimal(2).ln()
         x0, x1 = ([Decimal(float(v)) for v in r] for r in (r0, r1))
         gap = [a - b for a, b in zip(x0, x1)]
-
-        def dot(u, v):
-            return sum(a * b for a, b in zip(u, v))
-
-        def entropy(nu):
-            if nu >= 1 - Decimal(4.0 * np.finfo(float).eps):
-                return Decimal(0)
-            radius = nu.sqrt()
-            high, low = (1 + radius) / 2, (1 - radius) / 2
-            return -(high * high.ln() + low * low.ln()) / ln2
+        dot, entropy = _decimal_dot, _decimal_entropy
 
         def slopes(nu):
             """dE/dnu and d2E/dnu2 in bits."""
@@ -357,6 +412,49 @@ def test_holevo_max_matches_decimal_oracle(rng, monkeypatch):
         want_alpha, want_chi, curv = _oracle_holevo_max(v0, v1)
         assert abs(chi - want_chi) <= 1e-14, (v0, v1, chi, want_chi)
         assert abs(alpha - want_alpha) <= max(1e-12, 1e-15 / abs(curv)), (v0, v1, alpha, want_alpha)
+
+
+def test_state_helpers_match_decimal_oracle(rng):
+    """Entropy, trace distance and Holevo quantity against a 50-digit evaluation.
+
+    Each state's own Bloch vector, exact in Decimal, is the input.  States:
+    seeded mixed ones, near-pure ones of radius 1 - 10**-k for k = 1..15,
+    pure ones, and alice's two post-measurement states of the sigma
+    settings.  All three helpers are within 1e-14.  Where chi > 0,
+    ``holevo`` at ``holevo_max``'s weight has ``holevo_max``'s chi, bit for bit.
+    """
+    vectors = [random_bloch_vector(rng) for _ in range(40)]
+    vectors += [random_observable(rng).n * (1.0 - 10.0**-k) for k in range(1, 16)]
+    vectors += [random_observable(rng).n for _ in range(15)]
+    states = [sb.QubitState.from_bloch(v) for v in vectors]
+    state, a0, a1, _, _ = sb.sigma_settings()
+    sigma = (sb.post_measurement_state(state, a0), sb.post_measurement_state(state, a1))
+    picks = [rng.choice(len(states), 2, replace=False) for _ in range(60)]
+    pairs = [sigma] + [(states[i], states[j]) for i, j in picks]
+    sigma_alpha = sb.classify(sb.sequential_correlation(*sb.sigma_settings())).alpha_star
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for s in states + list(sigma):
+            x = [Decimal(v) for v in s.bloch_vector.tolist()]
+            want = float(_decimal_entropy(_decimal_dot(x, x)))
+            assert abs(sb.von_neumann_entropy(s) - want) <= 1e-14, (x, want)
+        for s0, s1 in pairs:
+            x0, x1 = ([Decimal(v) for v in s.bloch_vector.tolist()] for s in (s0, s1))
+            gap = [a - b for a, b in zip(x0, x1)]
+            tau = float(_decimal_dot(gap, gap).sqrt() / 2)
+            assert abs(sb.trace_distance(s0, s1) - tau) <= 1e-14, (x0, x1)
+            alpha_star, chi = sb.holevo_max(s0, s1)
+            for alpha in (0.0, 1.0, float(rng.random()), alpha_star, sigma_alpha):
+                w = Decimal(alpha)
+                blend = [w * a + (1 - w) * b for a, b in zip(x0, x1)]
+                want = (
+                    _decimal_entropy(_decimal_dot(blend, blend))
+                    - w * _decimal_entropy(_decimal_dot(x0, x0))
+                    - (1 - w) * _decimal_entropy(_decimal_dot(x1, x1))
+                )
+                assert abs(sb.holevo(alpha, s0, s1) - float(want)) <= 1e-14, (x0, x1, alpha)
+            if chi > 0.0:
+                assert sb.holevo(alpha_star, s0, s1).hex() == chi.hex()
 
 
 def test_holevo_max_degenerate_and_symmetric_ensembles(rng):
@@ -609,6 +707,11 @@ def test_theta_directions_match_per_observable_vectors():
 def test_sweep_argument_validation(monkeypatch):
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(0.9, 1.2, 1)
+    # Step counts must be integers, bools excluded; numpy integers count.
+    for bad in (2.5, 61.0, "5", None, True):
+        with pytest.raises(sb.DomainError, match="sweep steps must be an integer"):
+            sb.theta_sweep(0.9, 1.2, bad)
+    assert sb.theta_sweep(0.9, 1.2, np.int64(5)) == sb.theta_sweep(0.9, 1.2, 5)
     with pytest.raises(sb.DomainError):
         sb.theta_sweep(1.2, 0.9, 61)
     with pytest.raises(sb.DomainError):
@@ -628,9 +731,10 @@ def test_sweep_batch_matches_scalar_routes():
     """Every batched row agrees with the scalar, matrix-based computations.
 
     Tables match :func:`sequential_correlation` at each angle.  The
-    Bloch-vector Holevo search matches the maximum of the matrix-route
-    :func:`holevo` of alice's two post-measurement states over a weight
-    grid, refined around the coarse maximum to a spacing of 1e-5.
+    Bloch-vector Holevo search matches the maximum of the Holevo quantity
+    of alice's two post-measurement states, from their density matrices'
+    eigenvalues, over a weight grid, refined around the coarse maximum
+    to a spacing of 1e-5.
     """
     rows = sb.theta_sweep(0.3, 1.45, 40)
     tables, _ = quantum._theta_batch(np.array([row.theta for row in rows]))
@@ -641,9 +745,9 @@ def test_sweep_batch_matches_scalar_routes():
         assert np.max(np.abs(batched - scalar.p)) <= 1e-12
         rho0 = sb.post_measurement_state(state, a0)
         rho1 = sb.post_measurement_state(state, a1)
-        best = max(coarse, key=lambda w: sb.holevo(float(w), rho0, rho1))
+        best = max(coarse, key=lambda w: _matrix_holevo(float(w), rho0, rho1))
         fine = np.linspace(max(0.0, best - 0.0025), min(1.0, best + 0.0025), 501)
-        grid_max = max(sb.holevo(float(w), rho0, rho1) for w in fine)
+        grid_max = max(_matrix_holevo(float(w), rho0, rho1) for w in fine)
         assert abs(row.holevo_info - grid_max) <= 1e-9, row.theta
 
 

@@ -1,6 +1,7 @@
 """Decompositions, the minimum-cost program and the signal-deficit verdict."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -565,7 +566,11 @@ def _raised(fn, arg):
 
 
 def test_classify_batch_validation_parity():
-    """Bad tables fail as Correlation fails them; bad batches are DomainErrors."""
+    """Bad tables fail as Correlation fails them, with no warning; bad batches are DomainErrors.
+
+    A setting sum past the float range (entries 1e308, 1e308) is inf and
+    fails normalization in every validator.
+    """
     good = sb.pr_box().p
     nan = good.copy()
     nan[0, 1, 1, 0] = np.nan
@@ -576,11 +581,19 @@ def test_classify_batch_validation_parity():
     unnormalised = good * 1.01
     infinite = good.copy()
     infinite[0, 0, 0, 0] = np.inf
-    for bad in (nan, negative, unnormalised, infinite):
-        want = _raised(sb.Correlation, bad)
-        assert _raised(sb.classify_batch, bad[None]) == want
-        kind, _ = _raised(sb.classify_batch, np.stack([good, bad, good]))
-        assert kind is want[0]
+    overflow = good.copy()
+    overflow[0, 1] = [[1e308, 1e308], [0.0, 0.0]]
+    assert _raised(sb.Correlation, overflow) == (
+        sb.NormalizationError, "per-setting outcome sums deviate from 1 by inf"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (nan, negative, unnormalised, infinite, overflow):
+            want = _raised(sb.Correlation, bad)
+            assert _raised(correlation.validate_tables, bad[None]) == want
+            assert _raised(sb.classify_batch, bad[None]) == want
+            kind, _ = _raised(sb.classify_batch, np.stack([good, bad, good]))
+            assert kind is want[0]
     for shape in ((0, 2, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (1, 2, 2, 2, 3), (4,)):
         with pytest.raises(sb.DomainError):
             sb.classify_batch(np.full(shape, 0.25))
