@@ -38,7 +38,6 @@ from .correlation import (
     from_json_dict,
     functional_value,
     load_correlation,
-    make_correlation,
     marginal,
     mix,
     pr_box,

@@ -49,6 +49,7 @@ TABLE_SHAPE = (2, 2, 2, 2)
 
 # Value of outcome label l is (-1) ** l.
 OUTCOME_VALUES = np.array([1.0, -1.0])
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,16 +143,23 @@ def _check_table(arr: np.ndarray) -> None:
         )
 
 
-def _numeric_array(data) -> np.ndarray:
+def _numeric_array(data, error=DomainError) -> np.ndarray:
+    """A float64 copy of ``data``; complex or non-numeric input raises ``error``.
+
+    ``data`` is read once as it stands, so float64 input takes no second
+    conversion and complex input is refused before a cast could drop its
+    imaginary part.  Other real input converts as ``np.array(data,
+    dtype=float)`` converts it, failures included.
+    """
     try:
-        return np.array(data, dtype=float)
+        arr = np.array(data)
+        if arr.dtype is _FLOAT64:
+            return arr
+        if arr.dtype.kind != "c":
+            return np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"cannot interpret input as a numeric array: {exc}") from exc
-
-
-def make_correlation(data) -> Correlation:
-    """Build a :class:`Correlation` from any nested sequence or array."""
-    return Correlation(data)
+        raise error(f"cannot interpret input as a numeric array: {exc}") from exc
+    raise error("input has complex entries; only real numbers are accepted")
 
 
 def validate_tables(data) -> np.ndarray:
@@ -240,7 +248,7 @@ def mix(weights, correlations) -> Correlation:
     has NaN, infinite or negative entries, does not match the number of
     tables, or does not sum to one within 1e-12.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _numeric_array(weights, WeightError)
     tables = list(correlations)
     if w.ndim != 1 or w.size != len(tables):
         raise WeightError(
@@ -295,21 +303,6 @@ class SignalDeltas:
     @property
     def max(self) -> float:
         return max(vars(self).values())
-
-    def as_array(self):
-        return np.array(list(vars(self).values()))
-
-
-def zero_label_marginals(corr: Correlation):
-    """Both parties' ``P(outcome label 0)`` at every setting pair, in one read.
-
-    Returns ``(alice, bob)``, two ``(2, 2)`` arrays indexed ``[a][b]``:
-    ``alice[a][b]`` equals ``marginal(corr, "alice", a, b)[0]`` and
-    ``bob[a][b]`` equals ``marginal(corr, "bob", b, a)[0]``, bit for bit,
-    since each entry is the same two-term sum.
-    """
-    _, alice, bob, _, _ = _table_terms(corr.p.reshape(16).tolist())
-    return np.array(alice), np.array(bob)
 
 
 def signaling_deltas(corr: Correlation) -> SignalDeltas:
@@ -544,7 +537,7 @@ def from_json_dict(payload) -> Correlation:
             pending.extend(reversed(node))
         elif isinstance(node, (str, bool)):
             raise DomainError(f"table entry must be a JSON number, got {json.dumps(node)}")
-    return make_correlation(payload["p"])
+    return Correlation(payload["p"])
 
 
 def _read_correlation(handle, source) -> Correlation:

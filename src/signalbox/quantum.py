@@ -6,19 +6,19 @@ alice's measurement updates the state, the joint table she and bob
 generate can signal from her setting to his marginal, and that signal is
 what the rest of the package prices.
 
-Tables are produced by two independent routes and cross-checked on every
-call: an explicit project-then-measure computation with 2x2 matrices,
-and a closed-form expression that only touches Bloch vectors.  Both
-routes are kernels over a batch of N instances given as Bloch vectors;
-the scalar functions are their N=1 case, the angle sweep runs all its
-angles as one batch, and the crossover bisection takes at least three
-levels per batch, plus the path it predicts below them.  The Holevo
-weight is found by one bracketed Newton iteration
-over all ensembles, on Bloch vectors too: a qubit with Bloch vector r
-has entropy h((1 + |r|)/2).  The scalar state helpers are these Bloch
-kernels' N=1 case too; matrices appear only in the projector route and
-in a state's ``rho``.  All observables are +/-1 valued (outcome label l
-means value (-1)**l), and all entropies are in bits.
+Tables come from two independent routes, cross-checked on every call:
+an explicit project-then-measure computation with 2x2 matrices, and a
+closed-form expression on Bloch vectors alone.  Both are kernels over a
+batch of N instances given as Bloch vectors, as are the unread update
+r -> (n.r) n and the Holevo weight search, one bracketed Newton
+iteration over all ensembles (a qubit with Bloch vector r has entropy
+h((1 + |r|)/2)).  The scalar functions and state helpers are their N=1
+case, and the angle sweep runs all its angles as one batch, so a sweep
+row holds the scalar helpers' values at its angle, bit for bit; a state
+built by ``from_bloch`` keeps the vector it was given.  The crossover
+bisection takes three or more levels per batch.  Matrices appear only
+in the projector route and in a state's ``rho``.  Observables are +/-1
+valued (label l means value (-1)**l); entropies are in bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, validate_tables
+from .correlation import Correlation, _numeric_array, validate_tables
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
 from .simulate import _verdict, _verdict_rows
@@ -80,7 +80,7 @@ class Observable:
     n: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.array(self.n, dtype=float)
+        vec = _numeric_array(self.n)
         if vec.shape != (3,):
             raise DomainError(f"Bloch direction must be a 3-vector, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):
@@ -90,11 +90,6 @@ class Observable:
             raise DomainError(f"Bloch direction has norm {norm}, expected 1")
         vec.setflags(write=False)
         object.__setattr__(self, "n", vec)
-
-    @classmethod
-    def from_angle(cls, phi: float) -> "Observable":
-        """Observable in the xz-plane at angle ``phi`` from the z-axis."""
-        return cls(np.array([math.sin(phi), 0.0, math.cos(phi)]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -140,15 +135,18 @@ class QubitState:
 
     @classmethod
     def from_bloch(cls, r) -> "QubitState":
-        vec = np.asarray(r, dtype=float)
+        """The state with Bloch vector ``0.0 + r``, kept as given rather than read back off rho."""
+        vec = 0.0 + _numeric_array(r)
         if vec.shape != (3,):
             raise DomainError(f"Bloch vector must be a 3-vector, got shape {vec.shape}")
         if not all(map(math.isfinite, vec.tolist())):
             raise DomainError("Bloch vector has a non-finite entry")
         if float(np.linalg.norm(vec)) > 1.0 + 1e-12:
             raise DomainError("Bloch vector lies outside the unit ball")
-        m = 0.5 * (IDENTITY + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
-        return cls(m)
+        state = cls(0.5 * (IDENTITY + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z))
+        vec.setflags(write=False)
+        object.__setattr__(state, "_bloch", vec)
+        return state
 
     @classmethod
     def maximally_mixed(cls) -> "QubitState":
@@ -156,7 +154,7 @@ class QubitState:
 
     @property
     def bloch_vector(self) -> np.ndarray:
-        """(Tr X rho, Tr Y rho, Tr Z rho), read off the entries of rho; read-only."""
+        """Read-only (Tr X rho, Tr Y rho, Tr Z rho); as given if built by ``from_bloch``."""
         return self._bloch
 
 
@@ -256,9 +254,14 @@ def sequential_correlation(rho: QubitState, a0, a1, b0, b1) -> Correlation:
     return Correlation(_checked_tables(*_single(rho, a0, a1, b0, b1))[0])
 
 
+def _unread_update(n: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(n.r) n for directions ``n`` (N, A, 3) of states ``r`` (N, 3): the unread update."""
+    return np.einsum("nak,nk->na", n, r)[:, :, None] * n
+
+
 def post_measurement_state(rho: QubitState, obs: Observable) -> QubitState:
     """State after an unread measurement of ``obs``, both branches kept: r -> (n.r) n."""
-    return QubitState.from_bloch(np.dot(obs.n, rho.bloch_vector) * obs.n)
+    return QubitState.from_bloch(_unread_update(obs.n[None, None], rho.bloch_vector[None])[0, 0])
 
 
 def trace_distance(r0: QubitState, r1: QubitState) -> float:
@@ -420,20 +423,21 @@ def theta_geometry(theta: float):
     The initial state is the +1 eigenstate of the outermost observable
     a1.  Returns ``(state, a0, a1, b0, b1)``.
 
-    Raises :class:`~signalbox.errors.DomainError` outside (0, pi/2).
+    Raises :class:`~signalbox.errors.DomainError` for an angle not real
+    (bools included) or outside (0, pi/2).
     """
-    _check_angle(theta)
-    b0 = Observable.from_angle(0.0)
-    a0 = Observable.from_angle(theta)
-    b1 = Observable.from_angle(2.0 * theta)
-    a1 = Observable.from_angle(3.0 * theta)
-    state = QubitState.from_bloch(a1.n)
-    return state, a0, a1, b0, b1
+    _check_angles(theta)
+    alice, bob = _theta_directions(np.array([theta], dtype=float))
+    a0, a1, b0, b1 = map(Observable, np.concatenate([alice[0], bob[0]]))
+    return QubitState.from_bloch(a1.n), a0, a1, b0, b1
 
 
-def _check_angle(theta: float) -> None:
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError(f"sweep angle {theta} outside (0, pi/2)")
+def _check_angles(*thetas) -> None:
+    for theta in thetas:
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+            raise DomainError(f"sweep angle must be a real number, got {theta!r}")
+        if not 0.0 < theta < math.pi / 2.0:
+            raise DomainError(f"sweep angle {theta} outside (0, pi/2)")
 
 
 def tsirelson_box() -> Correlation:
@@ -495,6 +499,12 @@ def _theta_directions(thetas: np.ndarray):
     return directions[0], directions[1]
 
 
+def _theta_tables(thetas: np.ndarray):
+    """Alice's directions (N, 2, 3) and the checked tables; the state is a1's direction."""
+    alice, bob = _theta_directions(thetas)
+    return alice, _checked_tables(alice[:, 1], alice, bob)
+
+
 def _theta_batch(thetas: np.ndarray):
     """Route-checked tables and Holevo quantities of the sweep geometry.
 
@@ -503,11 +513,8 @@ def _theta_batch(thetas: np.ndarray):
     the Holevo quantity of alice's two post-measurement states in one
     batched search.  Returns ``(tables (N, 2, 2, 2, 2), chi (N,))``.
     """
-    alice, bob = _theta_directions(thetas)
-    a1 = alice[:, 1]
-    tables = _checked_tables(a1, alice, bob)
-    # An unread measurement along n leaves the Bloch vector (n.r) n.
-    post = np.einsum("nak,nk->na", alice, a1)[:, :, None] * alice
+    alice, tables = _theta_tables(thetas)
+    post = _unread_update(alice, alice[:, 1])
     _, chi = _holevo_max_batch(post[:, 0], post[:, 1])
     return tables, chi
 
@@ -521,7 +528,7 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     report built; ``classical`` is the channel-information verdict.  Raises
     :class:`~signalbox.errors.DomainError` for ``steps`` that is not an
     integer (bools included), fewer than 2 or more than ``MAX_SWEEP_STEPS``
-    steps, an empty range, or an endpoint outside (0, pi/2).
+    steps, an endpoint not real or outside (0, pi/2), or an empty range.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise DomainError(f"sweep steps must be an integer, got {steps!r}")
@@ -529,12 +536,11 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
         raise DomainError(f"sweep needs at least 2 steps, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise DomainError(f"sweep allows at most {MAX_SWEEP_STEPS} steps, got {steps}")
+    _check_angles(theta_min, theta_max)
     if not theta_max > theta_min:
         raise DomainError(
             f"sweep range is empty: [{theta_min}, {theta_max}]"
         )
-    _check_angle(theta_min)
-    _check_angle(theta_max)
     thetas = np.linspace(theta_min, theta_max, steps)
     tables, chis = _theta_batch(thetas)
     return [
@@ -576,17 +582,11 @@ def _crossover_gaps(thetas) -> list:
     """``restricted_info - disturbance`` at each angle, in one batch.
 
     The gap is ``info - floor`` of each table's plain verdict row, the
-    ``signal_mutual_info - disturbance`` of ``classify_batch``.  Bit for
-    bit it is the gap of ``sequential_correlation(*theta_geometry(t))``:
-    that route reads the state's Bloch vector back from its density
-    matrix, which turns the z-component z into 0.5 (1 + z) - 0.5 (1 - z),
-    and so does this one.  Angles must lie in (0, pi/2).
+    ``signal_mutual_info - disturbance`` of ``classify_batch``, and bit
+    for bit the gap of ``sequential_correlation(*theta_geometry(t))``.
+    Angles must lie in (0, pi/2).
     """
-    alice, bob = _theta_directions(np.array(thetas, dtype=float))
-    state = alice[:, 1].copy()
-    z = state[:, 2]
-    state[:, 2] = 0.5 * (1.0 + z) - 0.5 * (1.0 - z)
-    rows = _verdict_rows(validate_tables(_checked_tables(state, alice, bob)))
+    rows = _verdict_rows(validate_tables(_theta_tables(np.array(thetas, dtype=float))[1]))
     return [info - floor for _, floor, info, *_ in rows]
 
 
@@ -648,13 +648,12 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
     three levels a call.  Every sign is read from an exact,
     route-checked gap, so the walk makes the sign decisions, and returns
     the angle, of a bisection that computes one gap at a time.
-    Raises :class:`~signalbox.errors.DomainError` for an endpoint outside
-    (0, pi/2), NaN included, checked first; then
+    Raises :class:`~signalbox.errors.DomainError` for an endpoint not real
+    or outside (0, pi/2), NaN included, checked first; then
     :class:`~signalbox.errors.NoCrossoverError` when the interval is
     degenerate or the gap does not change sign across it.
     """
-    _check_angle(theta_min)
-    _check_angle(theta_max)
+    _check_angles(theta_min, theta_max)
     if not theta_max > theta_min:
         raise NoCrossoverError(
             f"interval [{theta_min}, {theta_max}] does not bracket a sign change"

@@ -21,14 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correlation import (
-    Correlation,
-    _check_bit,
-    catalog,
-    marginal,
-    mix,
-    zero_label_marginals,
-)
+from .correlation import Correlation, _check_bit, _table_terms, catalog, marginal, mix
 from .errors import DomainError
 
 # Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
@@ -135,7 +128,10 @@ class SignalReport:
 
 
 def _check_b_set(b_set) -> tuple:
-    settings = tuple(b_set)
+    try:
+        settings = tuple(b_set)
+    except TypeError:
+        raise DomainError(f"b_set must be an iterable of bob settings, got {b_set!r}") from None
     if not settings:
         raise DomainError("b_set must name at least one bob setting")
     return tuple(_check_bit(b) for b in settings)
@@ -144,8 +140,8 @@ def _check_b_set(b_set) -> tuple:
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
     """Largest alice-to-bob marginal shift over the given bob settings."""
     settings = _check_b_set(b_set)
-    _, bob = zero_label_marginals(corr)
-    return max(abs(float(bob[0, b]) - float(bob[1, b])) for b in settings)
+    bob = _table_terms(corr.p.reshape(16).tolist())[2]
+    return max(abs(bob[0][b] - bob[1][b]) for b in settings)
 
 
 def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
@@ -157,7 +153,7 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     winning setting and prior.  Ties go to the setting listed first.
     """
     settings = _check_b_set(b_set)
-    bob = zero_label_marginals(corr)[1].tolist()
+    bob = _table_terms(corr.p.reshape(16).tolist())[2]
     strength = max(abs(bob[0][b] - bob[1][b]) for b in settings)
     info, alpha_star, b_star = _best_channel(bob, settings)
     return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import _numeric_array
 from .errors import ConsistencyError, DomainError, InfeasibleError, UnboundedError
 
 _FEAS_TOL = 1e-9
@@ -176,12 +177,10 @@ def solve_lp(c, a, b) -> SimplexResult:
     reduced cost below -1e-10), leaving rows by minimum ratio with
     smallest-basis-index tie-breaking, which rules out cycling.
 
-    Raises :class:`~signalbox.errors.DomainError` for mismatched shapes
-    or a NaN or infinite entry in ``c``, ``A`` or ``b``.
+    Raises :class:`~signalbox.errors.DomainError` for mismatched shapes,
+    or a NaN, infinite, complex or non-numeric entry in ``c``, ``A`` or ``b``.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    c, a, b = map(_numeric_array, (c, a, b))
     if a.ndim != 2:
         raise DomainError(f"constraint matrix must be 2-d, got {a.ndim}-d")
     m, n = a.shape

@@ -333,8 +333,9 @@ def _verdict_rows(tables: np.ndarray) -> list:
     ``signal_mutual_info``, ``alpha_star``, ``b_star``, ``strength`` and
     ``signal_delta``.  Each table is read out as plain floats once, and
     :func:`~signalbox.correlation._table_terms`, the helper behind
-    :func:`signed_functional`, :func:`zero_label_marginals` and
-    :func:`signaling_deltas`, gives its functional, marginals and shifts.
+    :func:`signed_functional`, :func:`signaling_deltas` and the signal
+    measures of :mod:`signalbox.signaling`, gives its functional,
+    marginals and shifts.
     The channel capacity is Python's ``math``, whose ``log1p`` and
     ``exp`` numpy does not match to the last bit.
     """

@@ -99,7 +99,7 @@ def near_nonsignaling_tables(rng, n):
 def random_table(rng):
     """Unstructured normalized table, one outcome simplex per setting pair."""
     cells = rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
-    return sb.make_correlation(cells)
+    return sb.Correlation(cells)
 
 
 def random_bloch_vector(rng, radius=1.0):

@@ -1,6 +1,7 @@
 """Tables, the four-correlator functional, marginals and the catalog."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from conftest import dirichlet_mixture, random_table, strategy_table
 
 def test_rejects_wrong_shape():
     with pytest.raises(sb.DomainError):
-        sb.make_correlation(np.zeros((2, 2, 2)))
+        sb.Correlation(np.zeros((2, 2, 2)))
     with pytest.raises(sb.DomainError):
-        sb.make_correlation([[0.5, 0.5], [0.5, 0.5]])
+        sb.Correlation([[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_rejects_negative_entries():
@@ -22,13 +23,13 @@ def test_rejects_negative_entries():
     p[0, 0, 0, 0] = -1e-3
     p[0, 0, 1, 1] = 0.25 + 1e-3
     with pytest.raises(sb.NegativeProbabilityError):
-        sb.make_correlation(p)
+        sb.Correlation(p)
 
 
 def test_clamps_rounding_noise():
     p = np.full((2, 2, 2, 2), 0.25)
     p[0, 0] = [[-1e-12, 0.25], [0.25, 0.5 + 1e-12]]
-    corr = sb.make_correlation(p)
+    corr = sb.Correlation(p)
     assert corr.p[0, 0, 0, 0] == 0.0
     assert corr.p.min() >= 0.0
 
@@ -49,7 +50,7 @@ def test_rejects_bad_normalization():
     p = np.full((2, 2, 2, 2), 0.25)
     p[1, 1] *= 1.01
     with pytest.raises(sb.NormalizationError):
-        sb.make_correlation(p)
+        sb.Correlation(p)
 
 
 def test_rejects_non_finite_entries():
@@ -57,7 +58,7 @@ def test_rejects_non_finite_entries():
         p = np.full((2, 2, 2, 2), 0.25)
         p[1, 0, 1, 0] = bad
         with pytest.raises(sb.DomainError if np.isnan(bad) else sb.SignalBoxError):
-            sb.make_correlation(p)
+            sb.Correlation(p)
 
 
 def test_table_is_read_only():
@@ -68,7 +69,33 @@ def test_table_is_read_only():
 
 def test_non_numeric_input():
     with pytest.raises(sb.DomainError):
-        sb.make_correlation([[["a", "b"]]])
+        sb.Correlation([[["a", "b"]]])
+
+
+def test_complex_input_is_refused():
+    """A complex table or weight is refused, with no ComplexWarning on the way.
+
+    A cast to float would drop the imaginary part, and the PR box plus
+    0.3j would classify as the PR box.  A list holding a complex number
+    is refused as a complex ndarray is, and a float32 table still reads.
+    """
+    pr = sb.pr_box().p
+    nested = pr.tolist()
+    nested[0][0][0][0] = complex(nested[0][0][0][0], 0.3)
+    tables = [sb.pr_box()] * 2
+    readers = (sb.Correlation, lambda t: correlation.validate_tables([t]), lambda t: sb.classify_batch([t]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (pr + 0.3j, pr + 0.0j, nested):
+            for read in readers:
+                with pytest.raises(sb.DomainError, match="complex"):
+                    read(bad)
+        for bad in (np.array([0.5 + 0.1j, 0.5]), [0.5 + 0j, 0.5], [0.5, 0.5j]):
+            with pytest.raises(sb.WeightError, match="complex"):
+                sb.mix(bad, tables)
+        with pytest.raises(sb.WeightError, match="cannot interpret"):
+            sb.mix(["x", 0.5], tables)
+        assert sb.Correlation(pr.astype(np.float32)).p.dtype == np.float64
 
 
 def test_pr_box_correlators():
@@ -114,7 +141,7 @@ def test_settings_accept_numpy_integers():
 
 
 def test_disturbance_cost_clips_at_zero():
-    flat = sb.make_correlation(np.full((2, 2, 2, 2), 0.25))
+    flat = sb.Correlation(np.full((2, 2, 2, 2), 0.25))
     assert sb.functional_value(flat) == pytest.approx(0.0)
     assert sb.disturbance_cost(flat) == 0.0
 
@@ -169,8 +196,8 @@ def test_marginals_sum_to_one(rng):
                     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_zero_label_marginals_match_marginal(rng):
-    """Each helper entry is the bits of ``marginal(...)[0]``, clamped noise included."""
+def test_table_terms_marginals_match_marginal(rng):
+    """Each ``_table_terms`` marginal is the bits of ``marginal(...)[0]``, clamped noise included."""
     for k in range(200):
         cells = rng.dirichlet(np.full(4, 0.5), size=4).reshape(2, 2, 2, 2)
         if k % 2:
@@ -184,16 +211,13 @@ def test_zero_label_marginals_match_marginal(rng):
             noise[rng.random(cells.shape) < 0.3] = -0.0
             cells[hit] = noise[hit]
         table = sb.Correlation(cells)
-        alice, bob = correlation.zero_label_marginals(table)
-        assert alice.shape == bob.shape == (2, 2)
+        _, alice, bob, _, _ = correlation._table_terms(table.p.reshape(16).tolist())
         for a in (0, 1):
             for b in (0, 1):
                 want_alice = sb.marginal(table, "alice", a, b)[0]
                 want_bob = sb.marginal(table, "bob", b, a)[0]
-                assert alice[a, b] == want_alice
-                assert bob[a, b] == want_bob
-                assert float(alice[a, b]).hex() == float(want_alice).hex()
-                assert float(bob[a, b]).hex() == float(want_bob).hex()
+                assert alice[a][b].hex() == float(want_alice).hex()
+                assert bob[a][b].hex() == float(want_bob).hex()
 
 
 def test_signal_deltas_of_one_bit_strategy():
@@ -203,7 +227,9 @@ def test_signal_deltas_of_one_bit_strategy():
     assert deltas.to_alice_at_a0 == pytest.approx(0.0)
     assert deltas.to_alice_at_a1 == pytest.approx(0.0)
     assert deltas.max == pytest.approx(1.0)
-    assert np.allclose(deltas.as_array(), [1.0, 0.0, 0.0, 0.0])
+    assert vars(deltas) == {
+        "to_bob_at_b0": 1.0, "to_bob_at_b1": 0.0, "to_alice_at_a1": 0.0, "to_alice_at_a0": 0.0,
+    }
 
 
 def test_pr_box_is_nonsignaling():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -22,9 +23,9 @@ def test_observable_requires_unit_vector():
         sb.Observable(np.array([0.0, 0.0]))
 
 
-def test_observable_from_angle():
-    z = sb.Observable.from_angle(0.0)
-    x = sb.Observable.from_angle(math.pi / 2.0)
+def test_theta_geometry_observables_at_z_and_x():
+    """At theta = pi/4, b0 sits at angle 0 (the z-axis) and b1 at pi/2 (the x-axis)."""
+    _, _, _, z, x = sb.theta_geometry(math.pi / 4.0)
     assert np.allclose(z.matrix, sb.PAULI_Z)
     assert np.allclose(x.matrix, sb.PAULI_X, atol=1e-15)
 
@@ -90,12 +91,30 @@ def test_observable_rejects_non_finite_entries():
         sb.Observable(np.array([np.nan, 0.0, 0.0]))
 
 
+def test_complex_directions_and_bloch_vectors_are_refused():
+    """A complex entry is a DomainError, with no ComplexWarning on the way."""
+    bad = (np.array([0.0, 0.0, 1.0 + 0.0j]), np.array([1e-3j, 0.0, 1.0]), [0.0, 0.0, 1.0 + 0.5j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vec in bad:
+            with pytest.raises(sb.DomainError, match="complex"):
+                sb.Observable(vec)
+            with pytest.raises(sb.DomainError, match="complex"):
+                sb.QubitState.from_bloch(vec)
+        for vec in (["x", 0.0, 1.0], [[0.0], 0.0, 1.0]):
+            with pytest.raises(sb.DomainError, match="cannot interpret"):
+                sb.Observable(vec)
+            with pytest.raises(sb.DomainError, match="cannot interpret"):
+                sb.QubitState.from_bloch(vec)
+
+
 def test_bloch_round_trip(rng):
     for _ in range(30):
         r = random_bloch_vector(rng)
         state = sb.QubitState.from_bloch(r)
         assert np.allclose(state.bloch_vector, r, atol=1e-12)
         assert not state.bloch_vector.flags.writeable
+        assert np.allclose(sb.QubitState(state.rho).bloch_vector, r, atol=1e-12)
     assert np.allclose(sb.QubitState.maximally_mixed().bloch_vector, 0.0)
 
 
@@ -107,15 +126,24 @@ def _trace_bloch_vector(state):
 def test_bloch_vector_matches_the_trace_form(rng):
     """Read off rho's entries, the Bloch vector has the traces' bits, signed zeros included.
 
-    States: random mixed and pure ones, every axis state with +/-0.0
-    components, raw matrices with +/-0.0 and 1e-13 entries in every slot,
-    and the post-measurement states of all of these.
+    Every state is built as ``QubitState(rho)``, the read path.  Matrices:
+    those of random mixed and pure states, of every axis state with +/-0.0
+    components, raw ones with +/-0.0 and 1e-13 entries in every slot, and
+    those of the post-measurement states of all of these.  A state built
+    by ``from_bloch(r)`` keeps ``0.0 + r`` instead, hex for hex.
     """
-    states = [random_state(rng) for _ in range(300)]
-    states += [sb.QubitState.from_bloch(random_observable(rng).n) for _ in range(300)]
-    for vec in itertools.product([0.0, -0.0, 1.0, -1.0, 0.5], repeat=3):
-        if np.linalg.norm(vec) <= 1.0:
-            states.append(sb.QubitState.from_bloch(np.array(vec)))
+    vectors = [random_bloch_vector(rng) for _ in range(300)]
+    vectors += [random_observable(rng).n for _ in range(300)]
+    vectors += [
+        np.array(vec)
+        for vec in itertools.product([0.0, -0.0, 1.0, -1.0, 0.5], repeat=3)
+        if np.linalg.norm(vec) <= 1.0
+    ]
+    states = []
+    for r in vectors:
+        state = sb.QubitState.from_bloch(r)
+        assert [v.hex() for v in state.bloch_vector.tolist()] == [(0.0 + v).hex() for v in r.tolist()]
+        states.append(sb.QubitState(state.rho))
     off, diagonal_im = [0.0, -0.0, 0.3, -1e-13], [0.0, -0.0, 1e-13]
     for d0, d1 in ((0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (0.5, 0.5)):
         for r01, i01, r10, i10 in itertools.product(off, repeat=4):
@@ -126,7 +154,7 @@ def test_bloch_vector_matches_the_trace_form(rng):
                 except sb.SignalBoxError:
                     pass
     observables = [sb.Observable(np.array(v)) for v in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])]
-    states += [sb.post_measurement_state(s, obs) for s in states[::7] for obs in observables]
+    states += [sb.QubitState(sb.post_measurement_state(s, obs).rho) for s in states[::7] for obs in observables]
     assert len(states) > 5000
     for state in states:
         assert state.bloch_vector.tobytes() == _trace_bloch_vector(state).tobytes(), state.rho
@@ -394,7 +422,7 @@ def test_holevo_max_matches_decimal_oracle(rng, monkeypatch):
         mixed_pair = (random_bloch_vector(rng), pure)
         pairs.append(mixed_pair if rng.random() < 0.5 else mixed_pair[::-1])
     states = [tuple(sb.QubitState.from_bloch(v) for v in pair) for pair in pairs]
-    # The states' own Bloch vectors, as read back from their density matrices.
+    # The states' own Bloch vectors, 0.0 + v as from_bloch keeps them.
     pairs = [(s0.bloch_vector, s1.bloch_vector) for s0, s1 in states]
     steps = []
     slopes = quantum._entropy_slopes
@@ -614,9 +642,14 @@ def test_tsirelson_box_reaches_the_quantum_maximum():
 
 
 def test_theta_geometry_domain():
-    for bad in (0.0, math.pi / 2.0, -0.3, 2.0):
-        with pytest.raises(sb.DomainError):
+    for bad in (0.0, math.pi / 2.0, -0.3, 2.0, math.nan):
+        with pytest.raises(sb.DomainError, match="outside"):
             sb.theta_geometry(bad)
+    # Only real numbers are angles; a bool is no angle, as for settings.
+    for bad in (True, False, np.True_, "1", None, 1.0 + 0.0j, [1.0]):
+        with pytest.raises(sb.DomainError, match="sweep angle must be a real number"):
+            sb.theta_geometry(bad)
+    assert sb.theta_geometry(np.float64(0.7))[1].n.tobytes() == sb.theta_geometry(0.7)[1].n.tobytes()
 
 
 def test_theta_geometry_layout():
@@ -712,10 +745,18 @@ def test_sweep_argument_validation(monkeypatch):
         with pytest.raises(sb.DomainError, match="sweep steps must be an integer"):
             sb.theta_sweep(0.9, 1.2, bad)
     assert sb.theta_sweep(0.9, 1.2, np.int64(5)) == sb.theta_sweep(0.9, 1.2, 5)
-    with pytest.raises(sb.DomainError):
+    with pytest.raises(sb.DomainError, match="sweep range is empty"):
         sb.theta_sweep(1.2, 0.9, 61)
-    with pytest.raises(sb.DomainError):
+    with pytest.raises(sb.DomainError, match="sweep range is empty"):
         sb.theta_sweep(1.0, 1.0, 10)
+    # Each endpoint's type and domain are checked before the range, so a
+    # string fails as no angle rather than in the comparison.
+    for lo, hi in ((True, 1.2), ("0.9", 1.2), (0.9, None), (0.9, "1.2"), (np.False_, 1.2)):
+        with pytest.raises(sb.DomainError, match="sweep angle must be a real number"):
+            sb.theta_sweep(lo, hi, 3)
+    for lo, hi in ((2.0, 0.5), (0.9, math.nan), (-0.1, 1.2)):
+        with pytest.raises(sb.DomainError, match="outside"):
+            sb.theta_sweep(lo, hi, 3)
 
     def no_grid(*args, **kwargs):
         raise AssertionError("the step grid was allocated")
@@ -730,7 +771,8 @@ def test_sweep_argument_validation(monkeypatch):
 def test_sweep_batch_matches_scalar_routes():
     """Every batched row agrees with the scalar, matrix-based computations.
 
-    Tables match :func:`sequential_correlation` at each angle.  The
+    Tables equal :func:`sequential_correlation`'s at each angle, byte for
+    byte.  The
     Bloch-vector Holevo search matches the maximum of the Holevo quantity
     of alice's two post-measurement states, from their density matrices'
     eigenvalues, over a weight grid, refined around the coarse maximum
@@ -742,13 +784,45 @@ def test_sweep_batch_matches_scalar_routes():
     for row, batched in zip(rows, tables):
         state, a0, a1, b0, b1 = sb.theta_geometry(row.theta)
         scalar = sb.sequential_correlation(state, a0, a1, b0, b1)
-        assert np.max(np.abs(batched - scalar.p)) <= 1e-12
+        assert batched.tobytes() == scalar.p.tobytes()
         rho0 = sb.post_measurement_state(state, a0)
         rho1 = sb.post_measurement_state(state, a1)
         best = max(coarse, key=lambda w: _matrix_holevo(float(w), rho0, rho1))
         fine = np.linspace(max(0.0, best - 0.0025), min(1.0, best + 0.0025), 501)
         grid_max = max(_matrix_holevo(float(w), rho0, rho1) for w in fine)
         assert abs(row.holevo_info - grid_max) <= 1e-9, row.theta
+
+
+def test_sweep_rows_are_the_scalar_api_values():
+    """Each sweep row carries the scalar API's numbers at its angle, hex for hex.
+
+    On 1322 rows (the full-range 1000-step window, the default and two
+    other fixed windows, and three seeded random ones), the batched table
+    is ``sequential_correlation(*theta_geometry(theta))``'s byte for byte,
+    ``holevo_info`` is ``holevo_max``'s chi on alice's two
+    ``post_measurement_state``s, and ``restricted_info``, ``disturbance``
+    and ``classical`` are ``classify``'s.
+    """
+    rng = np.random.default_rng(1802)
+    windows = [(0.001, 1.5697, 1000), (0.9, 1.2, 61), (0.95, 1.0, 61), (0.3, 1.45, 40)]
+    for steps in (31, 60, 69):
+        lo = float(rng.uniform(1e-3, 1.3))
+        windows.append((lo, float(rng.uniform(lo + 1e-3, 1.5707)), steps))
+    count = 0
+    for lo, hi, steps in windows:
+        tables, _ = quantum._theta_batch(np.linspace(lo, hi, steps))
+        for row, batched in zip(sb.theta_sweep(lo, hi, steps), tables):
+            state, a0, a1, b0, b1 = sb.theta_geometry(row.theta)
+            table = sb.sequential_correlation(state, a0, a1, b0, b1)
+            assert batched.tobytes() == table.p.tobytes(), row.theta
+            post = [sb.post_measurement_state(state, a) for a in (a0, a1)]
+            assert row.holevo_info.hex() == sb.holevo_max(*post)[1].hex(), row.theta
+            report = sb.classify(table)
+            assert row.restricted_info.hex() == report.signal_mutual_info.hex(), row.theta
+            assert row.disturbance.hex() == report.disturbance.hex(), row.theta
+            assert row.classical is report.classical_by_mutual_info
+            count += 1
+    assert count == 1322
 
 
 def test_route_gap_raises_consistency_error(monkeypatch):
@@ -791,7 +865,10 @@ def test_find_crossover_failure_modes():
         sb.find_crossover(1.2, 0.9)
     # The angle domain is checked before the bracket, reversed or not.
     for lo, hi in ((math.nan, 1.0), (1.0, math.nan), (2.0, 0.9), (1.2, -0.1), (0.9, math.inf)):
-        with pytest.raises(sb.DomainError):
+        with pytest.raises(sb.DomainError, match="outside"):
+            sb.find_crossover(lo, hi)
+    for lo, hi in ((None, 1.2), (True, 1.2), ("0.9", 1.2), (0.9, "1.2"), (0.9, 1.2j)):
+        with pytest.raises(sb.DomainError, match="sweep angle must be a real number"):
             sb.find_crossover(lo, hi)
 
 

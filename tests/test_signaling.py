@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
-from signalbox.correlation import zero_label_marginals
+from signalbox.correlation import _table_terms
 from signalbox.quantum import _theta_batch
 from signalbox.signaling import SERIES_GAP, _best_input_weight
 from conftest import (
@@ -267,7 +267,7 @@ def test_capacity_clamps_marginals_past_the_unit_interval():
     p[1, 0] = [[0.3, 0.2], [0.3, 0.2]]
     trimmed = p.copy()
     trimmed[0, 0] = [[0.5, 0.0], [0.5, 0.0]]
-    assert zero_label_marginals(sb.Correlation(p))[1][0, 0] > 1.0 + 1e-12
+    assert _table_terms(p.reshape(16).tolist())[2][0][0] > 1.0 + 1e-12
     for analyse in (sb.classify, sb.signal_info):
         got, want = analyse(sb.Correlation(p)), analyse(sb.Correlation(trimmed))
         for field in dataclasses.fields(got):
@@ -288,13 +288,19 @@ def test_nan_is_outside_every_domain():
 
 
 def test_bob_settings_must_be_integral():
-    """Float settings are rejected; integer types come back as plain ints."""
+    """Float settings are rejected; integer types come back as plain ints.
+
+    A ``b_set`` that is no iterable at all is a DomainError too.
+    """
     table = strategy_table("signal_0_anb")
-    for bad in ((0.0,), (1.0,), (np.float64(0.0),), (0, 0.5), ("0",), (None,)):
+    for bad in ((0.0,), (1.0,), (np.float64(0.0),), (0, 0.5), ("0",), (None,), 0, None, 1.0):
         with pytest.raises(sb.DomainError):
             sb.signal_info(table, b_set=bad)
         with pytest.raises(sb.DomainError):
             sb.signal_strength(table, b_set=bad)
+    for bad in (0, None):
+        with pytest.raises(sb.DomainError, match="b_set must be an iterable"):
+            sb.signal_info(table, b_set=bad)
     for settings, want in (((np.int64(1),), 1), ((np.int64(1), np.int64(0)), 0)):
         report = sb.signal_info(table, b_set=settings)
         assert type(report.b_star) is int and report.b_star == want
@@ -411,7 +417,7 @@ def test_capacity_kernel_is_bit_identical_to_the_checked_chain(rng):
         tables.append(sb.sequential_correlation(state, *observables))
     tables += list(near_nonsignaling_tables(rng, 200))
     for table in tables:
-        bob = zero_label_marginals(table)[1].tolist()
+        bob = _table_terms(table.p.reshape(16).tolist())[2]
         pairs += [(bob[0][b], bob[1][b]) for b in (0, 1)]
     flipped = silent = 0
     for p0, p1 in pairs:
@@ -428,7 +434,7 @@ def test_sweep_verdicts_match_the_checked_chain():
     """classify_batch on the default sweep's tables, against the oracle capacity."""
     tables = _theta_batch(np.linspace(0.9, 1.2, 61))[0]
     for table, report in zip(tables, sb.classify_batch(tables)):
-        bob = zero_label_marginals(sb.Correlation(table))[1].tolist()
+        bob = _table_terms(sb.Correlation(table).p.reshape(16).tolist())[2]
         info, alpha, b_star = _chain_best_channel(bob)
         got = (report.signal_mutual_info, report.signal, report.alpha_star)
         assert _hex(*got) == _hex(info, info, alpha)

@@ -1,5 +1,7 @@
 """Dense two-phase simplex solver, checked against scipy on random programs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -42,6 +44,23 @@ def test_shape_validation():
         sb.solve_lp(np.ones(3), np.ones((2, 3)), np.ones(3))
     with pytest.raises(sb.DomainError):
         sb.solve_lp(np.ones(3), np.ones(3), np.ones(1))
+
+
+def test_complex_program_is_refused():
+    """A complex c, A or b is a DomainError, with no ComplexWarning on the way."""
+    c, a, b = [1.0, 2.0], [[1.0, 1.0]], [1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (
+            (np.array(c) + 1e-3j, a, b),
+            (c, [[1.0, 1.0 + 0j]], b),
+            (c, a, np.array([1.0 + 0.5j])),
+        ):
+            with pytest.raises(sb.DomainError, match="complex"):
+                sb.solve_lp(*bad)
+        with pytest.raises(sb.DomainError, match="cannot interpret"):
+            sb.solve_lp(c, [["x", 1.0]], b)
+        assert sb.solve_lp(c, a, b).objective == 1.0
 
 
 def test_redundant_rows_are_dropped():

@@ -256,7 +256,7 @@ def _closed_form_three_reads(corr, sigma=0.0):
         Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
         _max_residual, _weighted_tables, catalog,
     )
-    from signalbox.correlation import disturbance_cost, signaling_deltas, zero_label_marginals
+    from signalbox.correlation import _table_terms, disturbance_cost, signaling_deltas
 
     cost = disturbance_cost(corr)
     if not -1e-12 <= sigma <= cost + 1e-12:
@@ -270,9 +270,9 @@ def _closed_form_three_reads(corr, sigma=0.0):
             "closed form handles a single active shift (bob at b=0); "
             f"other channels shift by up to {max(side_shifts)}"
         )
-    _, bob = zero_label_marginals(corr)
+    bob = _table_terms(corr.p.reshape(16).tolist())[2]
     # Signed shift of bob's b=0 marginal when alice flips her setting.
-    shift = float(bob[0, 0]) - float(bob[1, 0])
+    shift = bob[0][0] - bob[1][0]
     window = (cost + 3.0 * sigma) / 4.0
     if abs(shift) > window + 1e-12:
         raise PreconditionError(
@@ -687,8 +687,9 @@ def test_verdict_kernel_is_bit_identical_to_the_array_chain(rng):
     for k, p in enumerate(tables):
         corr = sb.Correlation(p)
         assert sb.signed_functional(corr).hex() == float(functional[k]).hex()
-        for got, chain in zip(correlation.zero_label_marginals(corr), (alice[k], bob[k])):
-            assert got.shape == (2, 2) and got.tobytes() == chain.tobytes()
+        _, got_alice, got_bob, _, _ = correlation._table_terms(corr.p.reshape(16).tolist())
+        for got, chain in ((got_alice, alice[k]), (got_bob, bob[k])):
+            assert np.array(got).tobytes() == chain.tobytes()
         deltas = sb.signaling_deltas(corr)
         chain = (to_bob[k, 0], to_bob[k, 1], to_alice[k, 1], to_alice[k, 0])
         assert [v.hex() for v in vars(deltas).values()] == [float(v).hex() for v in chain]
