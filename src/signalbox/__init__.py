@@ -44,7 +44,6 @@ from .correlation import (
     save_correlation,
     signaling_deltas,
     signed_functional,
-    strategy_ids,
     to_json_dict,
 )
 from .errors import (

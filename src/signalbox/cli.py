@@ -31,6 +31,7 @@ from .correlation import (
 from .errors import DomainError, NoCrossoverError, SignalBoxError
 from .signaling import cloning_violation, randomness_report, unbalanced_pr
 from .simulate import (
+    _MEASURES,
     _sig12,
     classify,
     decomposition_json_dict,
@@ -38,8 +39,6 @@ from .simulate import (
     report_json_dict,
     tsirelson_signal_box,
 )
-
-DEMO_NAMES = ("pr-box", "d01", "tsirelson", "tsirelson-signal", "sigma", "qp")
 
 
 class _UsageError(Exception):
@@ -68,15 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    analyze = commands.add_parser(
-        "analyze", help="classify a correlation table from JSON"
-    )
-    analyze.add_argument("input", nargs="?", help="correlation JSON file")
-    analyze.add_argument("--in", dest="input_path", help="correlation JSON file")
-    analyze.add_argument("--out", dest="output_path", help="write the report here")
+    def out(sub, written):
+        sub.add_argument("--out", dest="output_path", help=f"write {written} here")
+
+    def table_io(sub, written):
+        sub.add_argument("input", nargs="?", help="correlation JSON file")
+        sub.add_argument("--in", dest="input_path", help="correlation JSON file")
+        out(sub, written)
+
+    analyze = commands.add_parser("analyze", help="classify a correlation table from JSON")
+    analyze.set_defaults(handler=cmd_analyze)
+    table_io(analyze, "the report")
     analyze.add_argument(
         "--measure",
-        choices=("mutual_info", "delta"),
+        choices=_MEASURES,
         default="mutual_info",
         help="signal measure the verdict uses",
     )
@@ -84,31 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
     decompose = commands.add_parser(
         "decompose", help="minimal-communication mixture over the strategy catalog"
     )
-    decompose.add_argument("input", nargs="?", help="correlation JSON file")
-    decompose.add_argument("--in", dest="input_path", help="correlation JSON file")
-    decompose.add_argument("--out", dest="output_path", help="write the weights here")
+    decompose.set_defaults(handler=cmd_decompose)
+    table_io(decompose, "the weights")
     decompose.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="largest acceptable reconstruction residual",
+        "--tol", type=float, default=1e-9, help="largest acceptable reconstruction residual"
     )
 
     sweep = commands.add_parser("sweep", help="angle sweep as CSV")
+    sweep.set_defaults(handler=cmd_sweep)
     sweep.add_argument("--theta-min", type=float, default=0.9)
     sweep.add_argument("--theta-max", type=float, default=1.2)
     sweep.add_argument("--steps", type=int, default=61)
-    sweep.add_argument("--out", dest="output_path", help="write the CSV here")
+    out(sweep, "the CSV")
 
     demo = commands.add_parser("demo", help="print a named example table")
+    demo.set_defaults(handler=cmd_demo)
     demo.add_argument("name", choices=DEMO_NAMES)
-    demo.add_argument(
-        "--p",
-        type=float,
-        default=0.25,
-        help="mixing weight for the qp demo",
-    )
-    demo.add_argument("--out", dest="output_path", help="write the demo output here")
+    demo.add_argument("--p", type=float, default=0.25, help="mixing weight for the qp demo")
+    out(demo, "the demo output")
     return parser
 
 
@@ -127,11 +124,9 @@ def _emit(text: str, output_path) -> int:
 
 def _load_or_report(args):
     """The input correlation, or None once the reason is on stderr (exit 2)."""
-    positional = getattr(args, "input", None)
-    flagged = getattr(args, "input_path", None)
-    if positional and flagged:
+    if args.input and args.input_path:
         raise _UsageError("give the input file either positionally or via --in, not both")
-    path = positional or flagged
+    path = args.input or args.input_path
     try:
         if path is None:
             return _read_correlation(sys.stdin, "stdin")
@@ -163,8 +158,7 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     # A NaN or infinite tolerance would switch the residual check off.
     if not math.isfinite(args.tol):
-        print("signalbox: decompose needs a finite --tol", file=sys.stderr)
-        return 1
+        raise _UsageError("decompose needs a finite --tol")
     table = _load_or_report(args)
     if table is None:
         return 2
@@ -179,20 +173,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
-        print("signalbox: sweep needs --steps of at least 2", file=sys.stderr)
-        return 1
+        raise _UsageError("sweep needs --steps of at least 2")
     if args.steps > quantum.MAX_SWEEP_STEPS:
-        print(
-            f"signalbox: sweep allows --steps of at most {quantum.MAX_SWEEP_STEPS}",
-            file=sys.stderr,
-        )
-        return 1
+        raise _UsageError(f"sweep allows --steps of at most {quantum.MAX_SWEEP_STEPS}")
     if not args.theta_max > args.theta_min:
-        print(
-            "signalbox: sweep needs --theta-min strictly below --theta-max",
-            file=sys.stderr,
-        )
-        return 1
+        raise _UsageError("sweep needs --theta-min strictly below --theta-max")
     rows = quantum.theta_sweep(args.theta_min, args.theta_max, args.steps)
     text = quantum.sweep_csv(rows)
     with contextlib.suppress(NoCrossoverError):
@@ -200,64 +185,57 @@ def cmd_sweep(args) -> int:
     return _emit(text, args.output_path)
 
 
-# Demos that print only a table and its report.
-_DEMO_TABLES = {
-    "pr-box": pr_box,
-    "d01": lambda: catalog("signal_0_anb").as_correlation(),
-    "tsirelson": quantum.tsirelson_box,
-    "tsirelson-signal": tsirelson_signal_box,
+def _table_payload(table) -> dict:
+    return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
+
+
+def _sigma_payload(p: float) -> dict:
+    state, a0, a1, b0, b1 = quantum.sigma_settings()
+    table = quantum.sequential_correlation(state, a0, a1, b0, b1)
+    report = classify(table)
+    rho0, rho1 = (quantum.post_measurement_state(state, a) for a in (a0, a1))
+    return {
+        "table": to_json_dict(table),
+        "report": report_json_dict(report),
+        "mu": _sig12(report.signal_mutual_info),
+        "alpha_star": _sig12(report.alpha_star),
+        "s": _sig12(report.strength),
+        "tau": _sig12(quantum.trace_distance(rho0, rho1)),
+        "chi": _sig12(quantum.holevo(report.alpha_star, rho0, rho1)),
+        "bound": _sig12(quantum.signal_corrected_bound()),
+    }
+
+
+def _qp_payload(p: float) -> dict:
+    table = unbalanced_pr(p)
+    trade = randomness_report(p)
+    payload = {
+        "table": to_json_dict(table),
+        "report": report_json_dict(classify(table, measure="delta")),
+        "p": _sig12(trade.p),
+        "s": _sig12(trade.strength),
+        "intrinsic": _sig12(trade.intrinsic),
+        "tradeoff": _sig12(trade.tradeoff),
+    }
+    if p <= 0.5:
+        payload["cloning_violation"] = _sig12(cloning_violation(p))
+    return payload
+
+
+# Each demo's payload from the --p weight, which only qp reads; in --help order.
+_DEMOS = {
+    "pr-box": lambda p: _table_payload(pr_box()),
+    "d01": lambda p: _table_payload(catalog("signal_0_anb").as_correlation()),
+    "tsirelson": lambda p: _table_payload(quantum.tsirelson_box()),
+    "tsirelson-signal": lambda p: _table_payload(tsirelson_signal_box()),
+    "sigma": _sigma_payload,
+    "qp": _qp_payload,
 }
-
-
-def _demo_payload(name: str, p: float) -> dict:
-    if name in _DEMO_TABLES:
-        table = _DEMO_TABLES[name]()
-        return {"table": to_json_dict(table), "report": report_json_dict(classify(table))}
-    if name == "sigma":
-        state, a0, a1, b0, b1 = quantum.sigma_settings()
-        table = quantum.sequential_correlation(state, a0, a1, b0, b1)
-        report = classify(table)
-        rho0 = quantum.post_measurement_state(state, a0)
-        rho1 = quantum.post_measurement_state(state, a1)
-        chi = quantum.holevo(report.alpha_star, rho0, rho1)
-        return {
-            "table": to_json_dict(table),
-            "report": report_json_dict(report),
-            "mu": _sig12(report.signal_mutual_info),
-            "alpha_star": _sig12(report.alpha_star),
-            "s": _sig12(report.strength),
-            "tau": _sig12(quantum.trace_distance(rho0, rho1)),
-            "chi": _sig12(chi),
-            "bound": _sig12(quantum.signal_corrected_bound()),
-        }
-    if name == "qp":
-        table = unbalanced_pr(p)
-        trade = randomness_report(p)
-        payload = {
-            "table": to_json_dict(table),
-            "report": report_json_dict(classify(table, measure="delta")),
-            "p": _sig12(trade.p),
-            "s": _sig12(trade.strength),
-            "intrinsic": _sig12(trade.intrinsic),
-            "tradeoff": _sig12(trade.tradeoff),
-        }
-        if p <= 0.5:
-            payload["cloning_violation"] = _sig12(cloning_violation(p))
-        return payload
-    raise _UsageError(f"unknown demo {name!r}")
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def cmd_demo(args) -> int:
-    text = _json_text(_demo_payload(args.name, args.p))
-    return _emit(text, args.output_path)
-
-
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "decompose": cmd_decompose,
-    "sweep": cmd_sweep,
-    "demo": cmd_demo,
-}
+    return _emit(_json_text(_DEMOS[args.name](args.p)), args.output_path)
 
 
 def run(argv=None) -> int:
@@ -265,7 +243,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"signalbox: {exc}", file=sys.stderr)
         return 1

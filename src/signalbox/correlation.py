@@ -186,6 +186,13 @@ def _check_bit(value, name="setting") -> int:
     return int(value)
 
 
+def _check_real(value, name):
+    """``value`` itself if it is a real number and not a bool; anything else is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _table_terms(t) -> tuple:
     """Signed functional, zero-label marginals and shifts of one table.
 
@@ -345,9 +352,8 @@ class Strategy:
     def as_correlation(self) -> Correlation:
         """The deterministic (one-hot) correlation table of this strategy."""
         p = np.zeros((2, 2, 2, 2))
-        for a in (0, 1):
-            for b in (0, 1):
-                p[a, b, self.x_rule[a][b], self.y_rule[a][b]] = 1.0
+        x, y = self.x_rule, self.y_rule
+        p[(0, 0, 1, 1), (0, 1, 0, 1), x[0] + x[1], y[0] + y[1]] = 1.0
         return Correlation(p)
 
 
@@ -391,24 +397,14 @@ VIOLATING_IDS = (
 )
 
 # Pairs of violating strategies whose equal mixture is exactly pr_box().
-VIOLATING_PAIRS = (
-    ("signal_0_anb", "signal_1_canb"),
-    ("signal_na_cab", "signal_a_ab"),
-    ("signal_anb_0", "signal_canb_1"),
-    ("signal_nanb_nb", "signal_cnanb_b"),
+VIOLATING_PAIRS = tuple(
+    (VIOLATING_IDS[i], VIOLATING_IDS[j]) for i, j in ((0, 3), (1, 2), (4, 7), (5, 6))
 )
 
 # One-bit strategies that echo a setting on both sides; signed functional
 # is +2 when the two rules agree and -2 when one side negates.
-NONVIOLATING_IDS = (
-    "signal_a_a",
-    "signal_a_na",
-    "signal_na_a",
-    "signal_na_na",
-    "signal_b_b",
-    "signal_b_nb",
-    "signal_nb_b",
-    "signal_nb_nb",
+NONVIOLATING_IDS = tuple(
+    f"signal_{xt}_{yt}" for s in ("a", "b") for xt in (s, "n" + s) for yt in (s, "n" + s)
 )
 
 FULL_BASIS = LOCAL_IDS + VIOLATING_IDS + NONVIOLATING_IDS
@@ -453,7 +449,7 @@ _COLUMNS = {ident: k for k, ident in enumerate(FULL_BASIS)}
 
 def _unknown_strategy(ident) -> UnknownStrategyError:
     return UnknownStrategyError(
-        f"unknown strategy {ident!r}; see signalbox.strategy_ids()"
+        f"unknown strategy {ident!r}; see signalbox.FULL_BASIS"
     )
 
 
@@ -489,27 +485,15 @@ def strategy_table(ident: str) -> np.ndarray:
     return _STRATEGY_TABLES[strategy_column(ident)]
 
 
-def strategy_ids() -> tuple:
-    """All catalog identifiers, locals first, 32 in total."""
-    return FULL_BASIS
-
-
 def pr_box() -> Correlation:
     """The extremal box with functional value 4.
 
     Outcomes are uniformly random on each side but perfectly follow
     ``x XOR y = a AND (NOT b)``, matching the sign pattern of the
     functional.  Equal mixtures of the paired violating strategies
-    reproduce this table exactly.
+    reproduce this table exactly; it is the mean of the first pair's tables.
     """
-    p = np.zeros((2, 2, 2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            for x in (0, 1):
-                for y in (0, 1):
-                    if (x ^ y) == (a & (1 - b)):
-                        p[a, b, x, y] = 0.5
-    return Correlation(p)
+    return Correlation(0.5 * (strategy_table("signal_0_anb") + strategy_table("signal_1_canb")))
 
 
 def to_json_dict(corr: Correlation) -> dict:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, _numeric_array, validate_tables
+from .correlation import Correlation, _check_bit, _check_real, _numeric_array, validate_tables
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
 from .simulate import _verdict, _verdict_rows
@@ -97,9 +97,7 @@ class Observable:
 
     def projector(self, label: int) -> np.ndarray:
         """Projector onto the outcome with value (-1)**label."""
-        if label not in (0, 1):
-            raise DomainError(f"outcome label must be 0 or 1, got {label!r}")
-        return 0.5 * (IDENTITY + (-1.0) ** label * self.matrix)
+        return 0.5 * (IDENTITY + (-1.0) ** _check_bit(label, "outcome label") * self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +277,7 @@ def holevo(alpha: float, r0: QubitState, r1: QubitState) -> float:
 
     The objective :func:`holevo_max` maximises: at its weight, its chi.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not 0.0 <= _check_real(alpha, "ensemble weight") <= 1.0:
         raise DomainError(f"ensemble weight {alpha} outside [0, 1]")
     terms = _holevo_terms(r0.bloch_vector[None], r1.bloch_vector[None])
     return float(_holevo_objective(alpha, *terms)[0])
@@ -434,9 +432,7 @@ def theta_geometry(theta: float):
 
 def _check_angles(*thetas) -> None:
     for theta in thetas:
-        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-            raise DomainError(f"sweep angle must be a real number, got {theta!r}")
-        if not 0.0 < theta < math.pi / 2.0:
+        if not 0.0 < _check_real(theta, "sweep angle") < math.pi / 2.0:
             raise DomainError(f"sweep angle {theta} outside (0, pi/2)")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correlation import Correlation, _check_bit, _table_terms, catalog, marginal, mix
+from .correlation import Correlation, _check_bit, _check_real, _table_terms, catalog, marginal, mix
 from .errors import DomainError
 
 # Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
@@ -36,7 +36,7 @@ def _entropy(q: float) -> float:
 
 def _check_unit(what: str, *values: float) -> None:
     for value in values:
-        if not -1e-12 <= value <= 1.0 + 1e-12:  # NaN fails too
+        if not -1e-12 <= _check_real(value, what) <= 1.0 + 1e-12:  # NaN fails too
             raise DomainError(f"{what} {value} outside [0, 1]")
 
 
@@ -67,7 +67,10 @@ def _mutual_info(alpha: float, p0: float, p1: float) -> float:
     blended = alpha * p0 + beta * p1
     if blended > 0.5:
         blended = alpha * (1.0 - p0) + beta * (1.0 - p1)
-    return _entropy(blended) - alpha * _entropy(p0) - beta * _entropy(p1)
+    # The information is at least 0; rounding can take a near-silent
+    # channel's difference of entropies a few ulps below it.
+    info = _entropy(blended) - alpha * _entropy(p0) - beta * _entropy(p1)
+    return info if info > 0.0 else 0.0
 
 
 def _xlogx_slope(hi: float, lo: float, width: float) -> float:
@@ -182,7 +185,7 @@ def unbalanced_pr(p: float) -> Correlation:
     away from the midpoint the mixture trades outcome randomness for
     marginal signaling while the functional stays at 4.
     """
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= _check_real(p, "mixing weight") <= 1.0:
         raise DomainError(f"mixing weight {p} outside [0, 1]")
     return mix(
         [p, 1.0 - p],
@@ -231,6 +234,6 @@ def cloning_violation(p: float) -> float:
     randomness the mixture injects.  A perfect broadcast of alice's
     setting would need the shortfall to vanish.
     """
-    if not 0.0 <= p <= 0.5:
+    if not 0.0 <= _check_real(p, "mixing weight") <= 0.5:
         raise DomainError(f"mixing weight {p} outside [0, 1/2]")
     return 1.0 - signal_strength(unbalanced_pr(p))

@@ -34,6 +34,7 @@ from .correlation import (
     _STRATEGY_TABLES,
     Correlation,
     StrategyKind,
+    _check_real,
     _table_terms,
     catalog,
     disturbance_cost,
@@ -144,7 +145,7 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     # One read of the table gives the cost, the shifts and bob's marginals.
     functional, _, bob, to_bob, to_alice = _table_terms(corr.p.reshape(16).tolist())
     cost = disturbance_from_functional(abs(functional))
-    if not -1e-12 <= sigma <= cost + 1e-12:
+    if not -1e-12 <= _check_real(sigma, "sigma") <= cost + 1e-12:
         raise DomainError(f"sigma {sigma} outside [0, {cost}]")
     sigma = min(max(sigma, 0.0), cost)
 
@@ -260,9 +261,13 @@ def communication_cost(corr: Correlation) -> float:
     return max(disturbance_cost(corr), signaling_deltas(corr).max)
 
 
+# The signal measures a verdict can use; the CLI offers the same choices.
+_MEASURES = ("mutual_info", "delta")
+
+
 def _check_measure(measure: str) -> None:
-    if measure not in ("mutual_info", "delta"):
-        raise DomainError(f"measure must be 'mutual_info' or 'delta', got {measure!r}")
+    if measure not in _MEASURES:
+        raise DomainError(f"measure must be {' or '.join(map(repr, _MEASURES))}, got {measure!r}")
 
 
 def classify(corr: Correlation, measure: str = "mutual_info") -> ClassificationReport:

@@ -32,6 +32,16 @@ SUPER_ALICE_IDS = sb.LOCAL_IDS + (
 # form accepts, since every other channel stays silent.
 BOB_SHIFT_IDS = sb.PLUS_LOCAL_IDS + ("signal_0_anb", "signal_1_canb")
 
+# A valid table whose b=0 channel differs by 2.5e-14: its capacity, a
+# difference of entropies, once rounded to -1.67e-16 bits, which put eta
+# above c_lambda.
+NEAR_SILENT = np.array(
+    [
+        [[[2.5e-14, 0.0], [0.25, 0.75]], [[0.25, 0.0], [0.25, 0.5]]],
+        [[[0.25, 0.5], [0.0, 0.25]], [[0.5, 0.5], [0.0, 0.0]]],
+    ]
+)
+
 
 @pytest.fixture
 def rng():

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, round trips."""
 
+import argparse
 import io
 import json
 import math
@@ -288,6 +289,61 @@ def test_demo_names_all_run(tmp_path, capsys):
         "sigma",
         "qp",
     }
+
+
+# Each subcommand's arguments as (option_strings, dest, default, choices,
+# help), in declaration order, frozen from the parser as it was first
+# written; --help prints them in this order.
+_ARGUMENTS = {
+    "analyze": [
+        ([], "input", None, None, "correlation JSON file"),
+        (["--in"], "input_path", None, None, "correlation JSON file"),
+        (["--out"], "output_path", None, None, "write the report here"),
+        (["--measure"], "measure", "mutual_info", ("mutual_info", "delta"),
+         "signal measure the verdict uses"),
+    ],
+    "decompose": [
+        ([], "input", None, None, "correlation JSON file"),
+        (["--in"], "input_path", None, None, "correlation JSON file"),
+        (["--out"], "output_path", None, None, "write the weights here"),
+        (["--tol"], "tol", 1e-09, None, "largest acceptable reconstruction residual"),
+    ],
+    "sweep": [
+        (["--theta-min"], "theta_min", 0.9, None, None),
+        (["--theta-max"], "theta_max", 1.2, None, None),
+        (["--steps"], "steps", 61, None, None),
+        (["--out"], "output_path", None, None, "write the CSV here"),
+    ],
+    "demo": [
+        ([], "name", None, ("pr-box", "d01", "tsirelson", "tsirelson-signal", "sigma", "qp"),
+         None),
+        (["--p"], "p", 0.25, None, "mixing weight for the qp demo"),
+        (["--out"], "output_path", None, None, "write the demo output here"),
+    ],
+}
+
+
+def test_subcommand_arguments_are_frozen():
+    """Names, help lines and every argument of each subcommand, in order;
+    each subcommand runs the handler bound where it is built."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(c.dest, c.help) for c in commands._choices_actions] == [
+        ("analyze", "classify a correlation table from JSON"),
+        ("decompose", "minimal-communication mixture over the strategy catalog"),
+        ("sweep", "angle sweep as CSV"),
+        ("demo", "print a named example table"),
+    ]
+    assert list(commands.choices) == list(_ARGUMENTS)
+    for name, sub in commands.choices.items():
+        got = [
+            (a.option_strings, a.dest, a.default, a.choices, a.help)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == _ARGUMENTS[name], name
+        assert sub.get_default("handler") is getattr(cli, f"cmd_{name}")
+    assert DEMO_NAMES == _ARGUMENTS["demo"][0][3]
 
 
 def test_demo_rejects_unknown_name(capsys):

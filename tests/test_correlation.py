@@ -237,14 +237,40 @@ def test_pr_box_is_nonsignaling():
 
 
 def test_catalog_size_and_kinds():
-    ids = sb.strategy_ids()
+    ids = sb.FULL_BASIS
     assert len(ids) == 32
     assert len(set(ids)) == 32
     kinds = [sb.catalog(i).kind for i in ids]
     assert kinds.count(sb.StrategyKind.LOCAL) == 16
     assert kinds.count(sb.StrategyKind.ONE_BIT_VIOLATING) == 8
     assert kinds.count(sb.StrategyKind.ONE_BIT_NONVIOLATING) == 8
-    assert ids == sb.FULL_BASIS
+    assert ids == sb.LOCAL_IDS + sb.VIOLATING_IDS + sb.NONVIOLATING_IDS
+
+
+def test_derived_id_lists_match_their_literals():
+    """The computed lists, against the literal tuples they replaced."""
+    assert sb.NONVIOLATING_IDS == (
+        "signal_a_a",
+        "signal_a_na",
+        "signal_na_a",
+        "signal_na_na",
+        "signal_b_b",
+        "signal_b_nb",
+        "signal_nb_b",
+        "signal_nb_nb",
+    )
+    assert sb.VIOLATING_PAIRS == (
+        ("signal_0_anb", "signal_1_canb"),
+        ("signal_na_cab", "signal_a_ab"),
+        ("signal_anb_0", "signal_canb_1"),
+        ("signal_nanb_nb", "signal_cnanb_b"),
+    )
+
+
+def test_unknown_strategy_names_the_full_basis():
+    for lookup in (sb.catalog, correlation.strategy_column):
+        with pytest.raises(sb.UnknownStrategyError, match=r"see signalbox\.FULL_BASIS"):
+            lookup("signal_q_q")
 
 
 def test_catalog_rejects_unknown_id():
@@ -332,7 +358,7 @@ def test_strategy_rejects_bad_rules():
 
 
 def test_strategy_tables_are_deterministic():
-    for ident in sb.strategy_ids():
+    for ident in sb.FULL_BASIS:
         p = strategy_table(ident).p
         # one unit cell per setting pair
         assert np.array_equal(np.sort(p.reshape(4, 4), axis=1)[:, :3], np.zeros((4, 3)))
@@ -357,10 +383,19 @@ def test_functional_signs_by_kind():
 
 
 def test_violating_pairs_average_to_pr_box():
-    pr = sb.pr_box()
+    # pr_box is built from the first pair, so the parity rule of its
+    # docstring is the independent reference here.
+    parity = np.zeros((2, 2, 2, 2))
+    for a in (0, 1):
+        for b in (0, 1):
+            for x in (0, 1):
+                for y in (0, 1):
+                    if (x ^ y) == (a & (1 - b)):
+                        parity[a, b, x, y] = 0.5
+    assert sb.pr_box().p.tobytes() == parity.tobytes()
     for first, second in sb.VIOLATING_PAIRS:
         avg = sb.mix([0.5, 0.5], [strategy_table(first), strategy_table(second)])
-        assert np.array_equal(avg.p, pr.p)
+        assert avg.p.tobytes() == parity.tobytes()
 
 
 def test_local_mixtures_respect_the_classical_ceiling(rng):

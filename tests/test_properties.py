@@ -3,12 +3,13 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signalbox as sb
 from signalbox.correlation import validate_tables
 from signalbox.errors import DomainError, NegativeProbabilityError, NormalizationError
+from conftest import NEAR_SILENT
 
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -37,6 +38,7 @@ tables = st.one_of(unstructured(), catalog_mixture(), deterministic)
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(tables, min_size=1, max_size=6), st.sampled_from(("mutual_info", "delta")))
+@example([NEAR_SILENT], "mutual_info")
 def test_verdict_bounds(batch, measure):
     """``0 <= eta <= c_lambda``, ``S <= C``, and capacity never beats the shift."""
     for report in sb.classify_batch(np.array(batch), measure):

@@ -49,6 +49,17 @@ def test_projectors_resolve_identity(rng):
         assert np.allclose(obs.matrix, plus - minus, atol=1e-12)
 
 
+def test_projector_labels_follow_the_outcome_label_rule():
+    """Labels are the integers 0 and 1, as in a strategy rule: bools, floats
+    and other integers raise, numpy integers are read as ints."""
+    obs = sb.Observable(np.array([0.0, 0.0, 1.0]))
+    for label in (True, False, 1.0, 0.0, 2, -1, "1", None):
+        with pytest.raises(sb.DomainError, match="outcome label must be 0 or 1"):
+            obs.projector(label)
+    for label in (0, 1):
+        assert obs.projector(np.int64(label)).tobytes() == obs.projector(label).tobytes()
+
+
 def test_state_validation():
     with pytest.raises(sb.NormalizationError):
         sb.QubitState(np.array([[0.6, 0.0], [0.0, 0.6]]))  # trace 1.2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,6 +13,7 @@ from signalbox.correlation import _table_terms
 from signalbox.quantum import _theta_batch
 from signalbox.signaling import SERIES_GAP, _best_input_weight
 from conftest import (
+    NEAR_SILENT,
     bob_shift_mixture,
     near_nonsignaling_tables,
     random_quantum_instance,
@@ -278,6 +280,50 @@ def test_capacity_clamps_marginals_past_the_unit_interval():
                 assert value == expected, field.name
 
 
+def test_near_silent_channel_capacity_is_never_negative():
+    assert sb.channel_mutual_info(0.5, 0.25 + 2.5e-14, 0.25) == 0.0
+    assert _best_input_weight(0.25 + 2.5e-14, 0.25)[1] == 0.0
+    for measure in ("mutual_info", "delta"):
+        report = sb.classify(sb.Correlation(NEAR_SILENT), measure)
+        assert report.signal_mutual_info == 0.0
+        assert 0.0 <= report.eta <= report.disturbance
+
+
+def test_scalar_arguments_must_be_real_numbers():
+    """One rule at every scalar argument: a real number that is not a bool.
+
+    Anything else is a DomainError naming the argument, and never a
+    TypeError or a warning; values in range keep their results.
+    """
+    state = sb.QubitState.from_bloch([0.0, 0.0, 1.0])
+    table = sb.unbalanced_pr(0.3)
+    sites = {
+        "ensemble weight": [lambda v: sb.holevo(v, state, state)],
+        "binary_entropy argument": [
+            sb.binary_entropy,
+            lambda v: sb.channel_mutual_info(0.5, v, 0.2),
+            lambda v: sb.channel_mutual_info(0.5, 0.2, v),
+        ],
+        "input weight": [lambda v: sb.channel_mutual_info(v, 0.5, 0.2)],
+        "mixing weight": [sb.unbalanced_pr, sb.randomness_report, sb.cloning_violation],
+        "sigma": [lambda v: sb.closed_form_decompose(table, sigma=v)],
+        "sweep angle": [sb.theta_geometry],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, calls in sites.items():
+            for call in calls:
+                for bad in (True, False, 0.5j, np.complex128(0.3), "0.3", None, [0.3]):
+                    with pytest.raises(sb.DomainError, match=f"^{name} must be a real number"):
+                        call(bad)
+                with pytest.raises(sb.DomainError, match=f"^{name} .* outside "):
+                    call(7.0)
+    assert sb.holevo(1, state, state) == sb.holevo(1.0, state, state) == 0.0
+    assert sb.binary_entropy(np.float32(0.5)) == 1.0
+    assert sb.unbalanced_pr(np.float64(0.3)).p.tobytes() == table.p.tobytes()
+    assert sb.cloning_violation(0) == 0.0
+
+
 def test_nan_is_outside_every_domain():
     """NaN fails the range checks instead of reading as a confident 0."""
     for args in ((math.nan, 0.2, 0.7), (0.5, math.nan, 0.7), (0.5, 0.2, math.nan)):
@@ -419,15 +465,19 @@ def test_capacity_kernel_is_bit_identical_to_the_checked_chain(rng):
     for table in tables:
         bob = _table_terms(table.p.reshape(16).tolist())[2]
         pairs += [(bob[0][b], bob[1][b]) for b in (0, 1)]
-    flipped = silent = 0
+    flipped = silent = below = 0
     for p0, p1 in pairs:
-        want = _chain_best_input_weight(p0, p1)
+        alpha, info = _chain_best_input_weight(p0, p1)
+        # The kernel clamps the information at 0, where the chain can
+        # round a few ulps below it.
+        below += info < 0.0
+        want = (alpha, info if info >= 0.0 else 0.0)
         assert _hex(*_best_input_weight(p0, p1)) == _hex(*want), (p0, p1)
         if abs(p0 - p1) >= 1e-15:
             x0, x1 = (min(1.0, max(0.0, p)) for p in (p0, p1))
             flipped += x0 + x1 > 1.0
             silent += x0 == x1
-    assert flipped > 1000 and silent > 0
+    assert flipped > 1000 and silent > 0 and below > 0
 
 
 def test_sweep_verdicts_match_the_checked_chain():
