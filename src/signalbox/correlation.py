@@ -64,7 +64,9 @@ class Correlation:
     :class:`~signalbox.errors.NegativeProbabilityError`.  The entry
     checks are those :func:`validate_tables` runs on a batch, with the
     same errors and messages, and input that is not numeric raises
-    :class:`~signalbox.errors.DomainError` in both.
+    :class:`~signalbox.errors.DomainError` in both.  The 16 checked
+    entries are kept as a tuple of floats, ``_entries``, in
+    ``p[a][b][x][y]`` order, so the kernels read the table once.
     """
 
     p: np.ndarray
@@ -75,7 +77,7 @@ class Correlation:
             raise DomainError(
                 f"correlation table must have shape (2, 2, 2, 2), got {arr.shape}"
             )
-        _check_table(arr)
+        object.__setattr__(self, "_entries", _check_table(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -109,14 +111,15 @@ def _check_entries(arr: np.ndarray) -> None:
         )
 
 
-def _check_table(arr: np.ndarray) -> None:
+def _check_table(arr: np.ndarray) -> tuple:
     """:func:`_check_entries` of one ``(2, 2, 2, 2)`` table, over its 16 floats.
 
     The same checks in the same order, with the same errors, messages and
     clamp, in plain float arithmetic instead of five numpy reductions on
     a 16-entry array.  A setting pair's sum is ``(((0.0 + p0) + p1) + p2)
     + p3``, the order of numpy's ``sum(axis=(-2, -1))``, so ``worst`` has
-    its bits.
+    its bits.  Returns the 16 entries as clamped, ``-0.0`` kept: those of
+    ``arr.reshape(16).tolist()`` after the clamp.
     """
     t = arr.reshape(16).tolist()
     # min() is order-dependent with NaN, so NaN is looked for first.
@@ -141,6 +144,7 @@ def _check_table(arr: np.ndarray) -> None:
         raise NormalizationError(
             f"per-setting outcome sums deviate from 1 by {worst}"
         )
+    return tuple(t)
 
 
 def _numeric_array(data, error=DomainError) -> np.ndarray:
@@ -193,6 +197,18 @@ def _check_real(value, name):
     return value
 
 
+def _frozen_record(cls, values):
+    """``cls(*values)`` for a frozen dataclass, without one ``object.__setattr__`` per field.
+
+    ``cls`` must have no ``__post_init__``, no defaults and no ``init=False``
+    fields, so that its generated ``__init__`` only stores ``values`` in
+    field order; ``==``, ``hash``, ``repr`` and ``replace`` are the class's own.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return record
+
+
 def _table_terms(t) -> tuple:
     """Signed functional, zero-label marginals and shifts of one table.
 
@@ -220,7 +236,7 @@ def _table_terms(t) -> tuple:
 
 def signed_functional(corr: Correlation) -> float:
     """The combination E(0,0) + E(0,1) - E(1,0) + E(1,1), sign kept."""
-    return _table_terms(corr.p.reshape(16).tolist())[0]
+    return _table_terms(corr._entries)[0]
 
 
 def functional_value(corr: Correlation) -> float:
@@ -314,7 +330,7 @@ class SignalDeltas:
 
 def signaling_deltas(corr: Correlation) -> SignalDeltas:
     """All four marginal-shift magnitudes of a table."""
-    *_, to_bob, to_alice = _table_terms(corr.p.reshape(16).tolist())
+    *_, to_bob, to_alice = _table_terms(corr._entries)
     return SignalDeltas(to_bob[0], to_bob[1], to_alice[1], to_alice[0])
 
 

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, _check_bit, _check_real, _numeric_array, validate_tables
+from .correlation import (
+    Correlation, _check_bit, _check_real, _frozen_record, _numeric_array, validate_tables,
+)
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
 from .simulate import _verdict, _verdict_rows
@@ -540,14 +542,8 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     thetas = np.linspace(theta_min, theta_max, steps)
     tables, chis = _theta_batch(thetas)
     return [
-        SweepRow(
-            theta=theta,
-            functional=lam,
-            functional_norm=lam / 2.0,
-            restricted_info=info,
-            disturbance=floor,
-            holevo_info=chi,
-            classical=_verdict(floor, info)[2],
+        _frozen_record(
+            SweepRow, (theta, lam, lam / 2.0, info, floor, chi, _verdict(floor, info)[2])
         )
         for theta, (lam, floor, info, *_), chi in zip(
             thetas.tolist(), _verdict_rows(validate_tables(tables)), chis.tolist()

@@ -143,7 +143,7 @@ def _check_b_set(b_set) -> tuple:
 def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
     """Largest alice-to-bob marginal shift over the given bob settings."""
     settings = _check_b_set(b_set)
-    bob = _table_terms(corr.p.reshape(16).tolist())[2]
+    bob = _table_terms(corr._entries)[2]
     return max(abs(bob[0][b] - bob[1][b]) for b in settings)
 
 
@@ -156,7 +156,7 @@ def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
     winning setting and prior.  Ties go to the setting listed first.
     """
     settings = _check_b_set(b_set)
-    bob = _table_terms(corr.p.reshape(16).tolist())[2]
+    bob = _table_terms(corr._entries)[2]
     strength = max(abs(bob[0][b] - bob[1][b]) for b in settings)
     info, alpha_star, b_star = _best_channel(bob, settings)
     return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)

@@ -35,6 +35,7 @@ from .correlation import (
     Correlation,
     StrategyKind,
     _check_real,
+    _frozen_record,
     _table_terms,
     catalog,
     disturbance_cost,
@@ -143,7 +144,7 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     leaves the positive span of the +2 locals.
     """
     # One read of the table gives the cost, the shifts and bob's marginals.
-    functional, _, bob, to_bob, to_alice = _table_terms(corr.p.reshape(16).tolist())
+    functional, _, bob, to_bob, to_alice = _table_terms(corr._entries)
     cost = disturbance_from_functional(abs(functional))
     if not -1e-12 <= _check_real(sigma, "sigma") <= cost + 1e-12:
         raise DomainError(f"sigma {sigma} outside [0, {cost}]")
@@ -281,10 +282,11 @@ def classify(corr: Correlation, measure: str = "mutual_info") -> ClassificationR
 
     A table is classical when the deficit ``eta = C - S`` vanishes,
     i.e. when the observed signal pays for the disturbance cost.  The
-    N=1 case of :func:`classify_batch`'s kernel.
+    verdict kernel :func:`_verdict_row` runs on the entries the
+    :class:`~signalbox.correlation.Correlation` already read.
     """
     _check_measure(measure)
-    return _verdicts(corr.p[None], measure)[0]
+    return _report(_verdict_row(corr._entries), measure)
 
 
 def classify_batch(tables, measure: str = "mutual_info") -> list:
@@ -298,66 +300,49 @@ def classify_batch(tables, measure: str = "mutual_info") -> list:
     reports wrap the plain rows of :func:`_verdict_rows`.
     """
     _check_measure(measure)
-    return _verdicts(validate_tables(tables), measure)
+    return [_report(row, measure) for row in _verdict_rows(validate_tables(tables))]
 
 
-def _verdicts(tables: np.ndarray, measure: str) -> list:
-    """Reports of validated tables ``(N, 2, 2, 2, 2)``, built from :func:`_verdict_rows`."""
-    reports = []
-    for lam, floor, info, alpha_star, b_star, strength, shift in _verdict_rows(tables):
-        by_info, by_delta = _verdict(floor, info), _verdict(floor, shift)
-        signal, (total, eta, classical) = (
-            (info, by_info) if measure == "mutual_info" else (shift, by_delta)
-        )
-        reports.append(
-            ClassificationReport(
-                functional=lam,
-                disturbance=floor,
-                signal=signal,
-                strength=strength,
-                cost=total,
-                eta=eta,
-                classical=classical,
-                signal_mutual_info=info,
-                signal_delta=shift,
-                classical_by_mutual_info=by_info[2],
-                classical_by_delta=by_delta[2],
-                alpha_star=alpha_star,
-                b_star=b_star,
-                measure=measure,
-            )
-        )
-    return reports
+def _report(row: tuple, measure: str) -> ClassificationReport:
+    """The report of one :func:`_verdict_row` under ``measure``."""
+    lam, floor, info, alpha_star, b_star, strength, shift = row
+    by_info, by_delta = _verdict(floor, info), _verdict(floor, shift)
+    signal, (total, eta, classical) = (
+        (info, by_info) if measure == "mutual_info" else (shift, by_delta)
+    )
+    return _frozen_record(ClassificationReport, (
+        lam, floor, signal, strength, total, eta, classical, info, shift,
+        by_info[2], by_delta[2], alpha_star, b_star, measure,
+    ))
 
 
 def _verdict_rows(tables: np.ndarray) -> list:
-    """Verdict inputs of validated tables ``(N, 2, 2, 2, 2)``, one flat loop.
+    """:func:`_verdict_row` of each validated table ``(N, 2, 2, 2, 2)``."""
+    return list(map(_verdict_row, tables.reshape(len(tables), 16).tolist()))
 
-    One tuple per table, ``(lam, floor, info, alpha_star, b_star,
-    strength, shift)``: a report's ``functional``, ``disturbance``,
+
+def _verdict_row(t) -> tuple:
+    """Verdict inputs of one validated table, given as its 16 entries in floats.
+
+    One tuple, ``(lam, floor, info, alpha_star, b_star, strength,
+    shift)``: a report's ``functional``, ``disturbance``,
     ``signal_mutual_info``, ``alpha_star``, ``b_star``, ``strength`` and
-    ``signal_delta``.  Each table is read out as plain floats once, and
-    :func:`~signalbox.correlation._table_terms`, the helper behind
-    :func:`signed_functional`, :func:`signaling_deltas` and the signal
-    measures of :mod:`signalbox.signaling`, gives its functional,
-    marginals and shifts.
+    ``signal_delta``.  :func:`~signalbox.correlation._table_terms`, the
+    helper behind :func:`signed_functional`, :func:`signaling_deltas`
+    and the signal measures of :mod:`signalbox.signaling`, gives its
+    functional, marginals and shifts.
     The channel capacity is Python's ``math``, whose ``log1p`` and
     ``exp`` numpy does not match to the last bit.
     """
-    rows = []
-    for t in tables.reshape(len(tables), 16).tolist():
-        functional, _, bob, (to_bob_0, to_bob_1), (to_alice_0, to_alice_1) = _table_terms(t)
-        lam = abs(functional)
-        # Each party's largest marginal shift over its own two settings.  The
-        # shifts are finite and never -0.0, so a comparison gives numpy's max.
-        strength = to_bob_0 if to_bob_0 >= to_bob_1 else to_bob_1
-        to_alice = to_alice_0 if to_alice_0 >= to_alice_1 else to_alice_1
-        shift = strength if strength >= to_alice else to_alice
-        info, alpha_star, b_star = _best_channel(bob)
-        rows.append(
-            (lam, disturbance_from_functional(lam), info, alpha_star, b_star, strength, shift)
-        )
-    return rows
+    functional, _, bob, (to_bob_0, to_bob_1), (to_alice_0, to_alice_1) = _table_terms(t)
+    lam = abs(functional)
+    # Each party's largest marginal shift over its own two settings.  The
+    # shifts are finite and never -0.0, so a comparison gives numpy's max.
+    strength = to_bob_0 if to_bob_0 >= to_bob_1 else to_bob_1
+    to_alice = to_alice_0 if to_alice_0 >= to_alice_1 else to_alice_1
+    shift = strength if strength >= to_alice else to_alice
+    info, alpha_star, b_star = _best_channel(bob)
+    return lam, disturbance_from_functional(lam), info, alpha_star, b_star, strength, shift
 
 
 def _verdict(floor: float, signal: float):

@@ -177,11 +177,20 @@ def test_decompose_golden_bytes(capsys, name, code):
         ("demo_tsirelson_signal", ["demo", "tsirelson-signal"]),
         ("demo_qp_0.3", ["demo", "qp", "--p", "0.3"]),
         ("analyze_pr_box", ["analyze", str(GOLDEN / "decompose_pr_box.json")]),
+    ]
+    + [
+        (
+            f"analyze_{table}_{measure}",
+            ["analyze", "--measure", measure, str(GOLDEN / f"decompose_{table}.json")],
+        )
+        for table in ("sub_cost", "super_cost", "unbalanced_pr_0.3")
+        for measure in ("mutual_info", "delta")
     ],
 )
 def test_sweep_and_demo_golden_bytes(capsys, name, argv):
     """The exact bytes of the default sweep, a window without a crossover,
-    every demo and one analyze, frozen under tests/golden."""
+    every demo, and analyze on the decompose inputs under both measures,
+    frozen under tests/golden."""
     assert run(argv) == 0
     out, err = capsys.readouterr()
     assert (out.encode(), err) == ((GOLDEN / f"{name}.stdout").read_bytes(), "")

@@ -1,13 +1,19 @@
-"""Properties of the signal-deficit verdict over generated tables."""
+"""Properties of the signal-deficit verdict over generated tables, and of its reports."""
 
+import ast
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signalbox as sb
-from signalbox.correlation import validate_tables
+from signalbox.correlation import _frozen_record, validate_tables
 from signalbox.errors import DomainError, NegativeProbabilityError, NormalizationError
 from conftest import NEAR_SILENT
 
@@ -152,3 +158,84 @@ def test_validators_reject_non_numeric_input_alike(data):
     batch = _validator_outcome(lambda d: validate_tables([d]), data)
     single = _validator_outcome(sb.Correlation, data)
     assert batch[0] is single[0] is sb.DomainError
+
+
+# A table with a -0.0 entry, and one whose entry in [-1e-9, 0) is clamped.
+_SIGNED_ZERO = np.where(sb.pr_box().p == 0.0, -0.0, sb.pr_box().p)
+_CLAMPED = np.full((2, 2, 2, 2), 0.25)
+_CLAMPED[1, 0, 1, 0], _CLAMPED[1, 0, 1, 1] = -5e-10, 0.5 + 5e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_tables())
+@example(_SIGNED_ZERO)
+@example(_CLAMPED)
+def test_kept_entries_are_the_validated_table(table):
+    """``Correlation(t)._entries`` holds the bits of ``p.reshape(16).tolist()``.
+
+    An entry in ``[-1e-9, 0)`` reads ``0.0`` and ``-0.0`` is kept, in both.
+    """
+    try:
+        corr = sb.Correlation(table)
+    except sb.SignalBoxError:
+        return
+    clamped = [0.0 if -1e-9 <= v < 0.0 else v for v in np.asarray(table).reshape(16).tolist()]
+    assert type(corr._entries) is tuple
+    assert list(map(float.hex, corr._entries)) == list(map(float.hex, corr.p.reshape(16).tolist()))
+    assert list(map(float.hex, corr._entries)) == list(map(float.hex, clamped))
+
+
+def _frozen_record_classes():
+    """Every class the package passes to ``_frozen_record``, read off its source."""
+    classes = set()
+    for info in pkgutil.iter_modules(sb.__path__, "signalbox."):
+        module = importlib.import_module(info.name)
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_frozen_record":
+                classes.add(getattr(module, node.args[0].id))
+    return classes
+
+
+def test_frozen_record_classes_store_only_their_init_arguments():
+    """``_frozen_record`` skips ``__init__``, so it may only build classes whose
+    generated ``__init__`` does nothing else: frozen dataclasses with no
+    ``__post_init__``, no defaults, and no ``init=False`` or pseudo-fields."""
+    classes = _frozen_record_classes()
+    assert classes == {sb.ClassificationReport, sb.SweepRow}
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen
+        assert not hasattr(cls, "__post_init__")
+        assert list(cls.__dataclass_fields__.values()) == list(dataclasses.fields(cls))
+        for field in dataclasses.fields(cls):
+            assert field.init
+            assert field.default is dataclasses.MISSING
+            assert field.default_factory is dataclasses.MISSING
+
+
+_FIELD_VALUES = {"float": st.floats(), "bool": st.booleans(), "int": st.integers(0, 1), "str": st.text()}
+
+
+def _records(cls):
+    """``cls`` with two tuples of values for its fields, drawn by annotation."""
+    values = st.tuples(*(_FIELD_VALUES[field.type] for field in dataclasses.fields(cls)))
+    return st.tuples(st.just(cls), values, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([sb.ClassificationReport, sb.SweepRow]).flatmap(_records))
+def test_frozen_record_is_the_generated_init(drawn):
+    """``_frozen_record(cls, v)`` is ``cls(*v)``: equal, with the same hash,
+    repr, ``astuple`` and ``replace``, and as frozen."""
+    cls, values, others = drawn
+    got, want = _frozen_record(cls, values), cls(*values)
+    assert type(got) is cls
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    for field, other in zip(dataclasses.fields(cls), others):
+        assert dataclasses.replace(got, **{field.name: other}) == dataclasses.replace(
+            want, **{field.name: other}
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, field.name, other)
