@@ -32,6 +32,7 @@ from .errors import DomainError, NoCrossoverError, SignalBoxError
 from .signaling import cloning_violation, randomness_report, unbalanced_pr
 from .simulate import (
     _MEASURES,
+    _RESIDUAL_TOL,
     _sig12,
     classify,
     decomposition_json_dict,
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.set_defaults(handler=cmd_decompose)
     table_io(decompose, "the weights")
     decompose.add_argument(
-        "--tol", type=float, default=1e-9, help="largest acceptable reconstruction residual"
+        "--tol", type=float, default=_RESIDUAL_TOL,
+        help="largest acceptable reconstruction residual",
     )
 
     sweep = commands.add_parser("sweep", help="angle sweep as CSV")

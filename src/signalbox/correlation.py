@@ -190,6 +190,10 @@ def _check_bit(value, name="setting") -> int:
     return int(value)
 
 
+# How far any checked real input may stray past its bound by rounding.
+_INPUT_SLACK = 1e-12
+
+
 def _check_real(value, name):
     """``value`` itself if it is a real number and not a bool; anything else is a DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -282,10 +286,10 @@ def mix(weights, correlations) -> Correlation:
     finite = np.isfinite(w)
     if not finite.all():
         raise WeightError(f"non-finite mixture weight {float(w[~finite][0])}")
-    if float(w.min()) < -1e-12:
+    if float(w.min()) < -_INPUT_SLACK:
         raise WeightError(f"negative mixture weight {float(w.min())}")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > _INPUT_SLACK:
         raise WeightError(f"mixture weights sum to {total}, expected 1")
     stack = np.stack([c.p for c in tables])
     return Correlation(np.einsum("i,iabxy->abxy", np.clip(w, 0.0, None), stack))

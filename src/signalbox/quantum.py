@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import (
-    Correlation, _check_bit, _check_real, _frozen_record, _numeric_array, validate_tables,
+    _INPUT_SLACK, Correlation, _check_bit, _check_real, _frozen_record, _numeric_array,
+    validate_tables,
 )
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
@@ -41,8 +42,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-_UNIT_TOL = 1e-12
-_STATE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 _ROUTE_TOL = 1e-8
 _EPS = np.finfo(float).eps
@@ -88,7 +87,7 @@ class Observable:
         if not np.all(np.isfinite(vec)):
             raise DomainError("Bloch direction has a non-finite entry")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if abs(norm - 1.0) > _INPUT_SLACK:
             raise DomainError(f"Bloch direction has norm {norm}, expected 1")
         vec.setflags(write=False)
         object.__setattr__(self, "n", vec)
@@ -109,16 +108,19 @@ class QubitState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.rho, dtype=complex)
+        try:
+            m = np.array(self.rho, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cannot interpret input as a numeric array: {exc}") from exc
         if m.shape != (2, 2):
             raise DomainError(f"density matrix must be 2x2, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("density matrix has a non-finite entry")
-        if np.abs(m - m.conj().T).max() > _STATE_TOL:
+        if np.abs(m - m.conj().T).max() > _INPUT_SLACK:
             raise DomainError("density matrix is not Hermitian")
         (m00, m01), (m10, m11) = m.tolist()
         trace = m00.real + m11.real
-        if abs(trace - 1.0) > _STATE_TOL:
+        if abs(trace - 1.0) > _INPUT_SLACK:
             raise NormalizationError(f"density matrix has trace {trace}, expected 1")
         # Adding 0.0 turns -0.0 into 0.0, as the traces Tr(sigma_k rho) do.
         x = 0.0 + (m10.real + m01.real)
@@ -141,11 +143,14 @@ class QubitState:
             raise DomainError(f"Bloch vector must be a 3-vector, got shape {vec.shape}")
         if not all(map(math.isfinite, vec.tolist())):
             raise DomainError("Bloch vector has a non-finite entry")
-        if float(np.linalg.norm(vec)) > 1.0 + 1e-12:
+        if float(np.linalg.norm(vec)) > 1.0 + _INPUT_SLACK:
             raise DomainError("Bloch vector lies outside the unit ball")
-        state = cls(0.5 * (IDENTITY + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z))
+        # A vector that passes these checks gives a rho that QubitState(rho) accepts.
+        rho = 0.5 * (IDENTITY + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
+        rho.setflags(write=False)
         vec.setflags(write=False)
-        object.__setattr__(state, "_bloch", vec)
+        state = object.__new__(cls)
+        state.__dict__.update(rho=rho, _bloch=vec)
         return state
 
     @classmethod

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correlation import Correlation, _check_bit, _check_real, _table_terms, catalog, marginal, mix
+from .correlation import (
+    _INPUT_SLACK, Correlation, _check_bit, _check_real, _table_terms, marginal, strategy_table,
+)
 from .errors import DomainError
 
 # Relative gap |p0 - p1| / min(p0, p1) below which the optimal input
@@ -36,7 +38,7 @@ def _entropy(q: float) -> float:
 
 def _check_unit(what: str, *values: float) -> None:
     for value in values:
-        if not -1e-12 <= _check_real(value, what) <= 1.0 + 1e-12:  # NaN fails too
+        if not -_INPUT_SLACK <= _check_real(value, what) <= 1.0 + _INPUT_SLACK:  # NaN fails too
             raise DomainError(f"{what} {value} outside [0, 1]")
 
 
@@ -183,16 +185,13 @@ def unbalanced_pr(p: float) -> Correlation:
     Mixes ``signal_0_anb`` with weight ``p`` against ``signal_1_canb``.
     At ``p = 1/2`` the table is exactly :func:`signalbox.correlation.pr_box`;
     away from the midpoint the mixture trades outcome randomness for
-    marginal signaling while the functional stays at 4.
+    marginal signaling while the functional stays at 4.  The catalog's
+    tables, validated at import, are mixed with the bits of ``mix``.
     """
     if not 0.0 <= _check_real(p, "mixing weight") <= 1.0:
         raise DomainError(f"mixing weight {p} outside [0, 1]")
-    return mix(
-        [p, 1.0 - p],
-        [
-            catalog("signal_0_anb").as_correlation(),
-            catalog("signal_1_canb").as_correlation(),
-        ],
+    return Correlation(
+        p * strategy_table("signal_0_anb") + (1.0 - p) * strategy_table("signal_1_canb")
     )
 
 

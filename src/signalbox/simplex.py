@@ -52,7 +52,7 @@ class SimplexResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _eliminate(shape, data, tol):
+def _eliminate(shape, data):
     """Partial-pivoting elimination of A alone, cached per matrix.
 
     A arrives as its shape and C-order bytes, so that it can key the
@@ -75,7 +75,7 @@ def _eliminate(shape, data, tol):
         if rank >= m:
             break
         piv = rank + int(np.argmax(np.abs(work[rank:, col])))
-        if abs(work[piv, col]) <= tol:
+        if abs(work[piv, col]) <= _PIVOT_TOL:
             continue
         if piv != rank:
             work[[rank, piv]] = work[[piv, rank]]
@@ -95,7 +95,7 @@ def _eliminate(shape, data, tol):
     return tuple(steps), keep, tableau, cost_row
 
 
-def _consistent_record(a, b, tol):
+def _consistent_record(a, b):
     """The elimination record of A, once b is checked consistent with it.
 
     Replays the elimination of A on b with the same elementwise
@@ -107,7 +107,7 @@ def _consistent_record(a, b, tol):
     InfeasibleError when elimination exposes a row 0 = beta with beta
     nonzero, i.e. the equality system is contradictory.
     """
-    record = _eliminate(a.shape, a.tobytes(), tol)
+    record = _eliminate(a.shape, a.tobytes())
     steps, keep = record[:2]
     beta = b.tolist()
     for rank, (piv, factors) in enumerate(steps):
@@ -192,7 +192,7 @@ def solve_lp(c, a, b) -> SimplexResult:
         if not np.isfinite(values).all():
             raise DomainError(f"{name} has a non-finite entry")
 
-    _, keep, template, cost_template = _consistent_record(a, b, _PIVOT_TOL)
+    _, keep, template, cost_template = _consistent_record(a, b)
     m = len(keep)
     if m == 0:
         # Every equation was vacuous; the origin is optimal for c >= 0.

@@ -31,6 +31,7 @@ from .correlation import (
     STRATEGY_COSTS,
     STRATEGY_MATRIX,
     VIOLATING_IDS,
+    _INPUT_SLACK,
     _STRATEGY_TABLES,
     Correlation,
     StrategyKind,
@@ -52,10 +53,11 @@ _RESIDUAL_TOL = 1e-9
 _CLASSICAL_TOL = 1e-9
 # Mixture weights below this are float noise and are dropped from results.
 _WEIGHT_CUTOFF = 1e-12
+# Of full column rank, 8, as a test pins, so lstsq needs no rank check.
 _PLUS_LOCAL_COLUMNS = STRATEGY_MATRIX[
     :, [strategy_column(ident) for ident in PLUS_LOCAL_IDS]
 ]
-# The default basis's equalities: every table entry, then normalization.
+# Table entries, then normalization; a basis's equalities select its columns.
 _CATALOG_CONSTRAINTS = np.vstack([STRATEGY_MATRIX, np.ones((1, len(FULL_BASIS)))])
 _CATALOG_CONSTRAINTS.setflags(write=False)
 
@@ -146,7 +148,7 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     # One read of the table gives the cost, the shifts and bob's marginals.
     functional, _, bob, to_bob, to_alice = _table_terms(corr._entries)
     cost = disturbance_from_functional(abs(functional))
-    if not -1e-12 <= _check_real(sigma, "sigma") <= cost + 1e-12:
+    if not -_INPUT_SLACK <= _check_real(sigma, "sigma") <= cost + _INPUT_SLACK:
         raise DomainError(f"sigma {sigma} outside [0, {cost}]")
     sigma = min(max(sigma, 0.0), cost)
 
@@ -159,36 +161,24 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     # Signed shift of bob's b=0 marginal when alice flips her setting.
     shift = bob[0][0] - bob[1][0]
     window = (cost + 3.0 * sigma) / 4.0
-    if abs(shift) > window + 1e-12:
+    if abs(shift) > window + _INPUT_SLACK:
         raise PreconditionError(
             f"shift {abs(shift)} exceeds the positivity window {window} "
             f"for sigma={sigma}"
         )
 
-    weights = {}
-    base = (cost - sigma) / 8.0
+    weights = dict.fromkeys(VIOLATING_IDS, (cost - sigma) / 8.0)
     lifted = (cost + 3.0 * sigma) / 8.0
-    for ident in VIOLATING_IDS:
-        weights[ident] = base
-    weights["signal_0_anb"] = lifted + shift / 2.0
-    weights["signal_1_canb"] = lifted - shift / 2.0
-    for ident, value in weights.items():
-        if value < -1e-9:
-            raise PreconditionError(
-                f"one-bit weight for {ident} came out negative ({value})"
-            )
-        weights[ident] = max(0.0, value)
+    # The window check keeps these above about -5e-13, half its slack.
+    weights["signal_0_anb"] = max(0.0, lifted + shift / 2.0)
+    weights["signal_1_canb"] = max(0.0, lifted - shift / 2.0)
 
     # Subtracted one table after another, in dict order, as in _max_residual.
     remainder = np.subtract.reduce(
         np.concatenate([corr.p[None], _weighted_tables(weights)]), axis=0
     )
 
-    local_w, _, rank, _ = np.linalg.lstsq(
-        _PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None
-    )
-    if rank < _PLUS_LOCAL_COLUMNS.shape[1]:
-        raise InfeasibleError("local strategy columns are rank deficient")
+    local_w = np.linalg.lstsq(_PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None)[0]
     if float(local_w.min()) < -1e-9:
         raise InfeasibleError(
             f"local remainder needs a negative weight ({float(local_w.min())})"
@@ -218,16 +208,14 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     outside the convex hull of the chosen basis.
     """
     if basis is None:
-        ids, costs, a = FULL_BASIS, STRATEGY_COSTS, _CATALOG_CONSTRAINTS
+        ids, columns = FULL_BASIS, slice(None)
     else:
         ids = tuple(basis)
         if not ids:
             raise DomainError("basis must name at least one strategy")
         columns = [strategy_column(ident) for ident in ids]
-        costs = STRATEGY_COSTS[columns]
-        a = np.vstack([STRATEGY_MATRIX[:, columns], np.ones((1, len(ids)))])
     rhs = np.concatenate([corr.p.ravel(), [1.0]])
-    solution = solve_lp(costs, a, rhs)
+    solution = solve_lp(STRATEGY_COSTS[columns], _CATALOG_CONSTRAINTS[:, columns], rhs)
     weights = {}
     for ident, value in zip(ids, solution.x.tolist()):
         if value > _WEIGHT_CUTOFF:

@@ -69,6 +69,12 @@ def test_state_validation():
         sb.QubitState(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative weight
     with pytest.raises(sb.DomainError):
         sb.QubitState.from_bloch(np.array([0.0, 0.0, 1.5]))
+    for bad in ("x", [[0.5, 0.0], [0.0]], {"a": 1}):
+        with pytest.raises(sb.DomainError, match="cannot interpret input as a numeric array"):
+            sb.QubitState(bad)
+    # Complex entries are a density matrix's own; only non-numbers are refused.
+    state = sb.QubitState([[0.5, -0.5j], [0.5j, 0.5]])
+    assert state.bloch_vector.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_state_rejects_non_finite_entries():
@@ -127,6 +133,28 @@ def test_bloch_round_trip(rng):
         assert not state.bloch_vector.flags.writeable
         assert np.allclose(sb.QubitState(state.rho).bloch_vector, r, atol=1e-12)
     assert np.allclose(sb.QubitState.maximally_mixed().bloch_vector, 0.0)
+
+
+def test_bloch_state_passes_the_density_matrix_checks(rng):
+    """``QubitState(from_bloch(r).rho)`` is accepted, keeps rho and reads back r within 2e-16.
+
+    So ``from_bloch`` may skip those checks: r runs up to radius 1 + 1e-12,
+    the edge of the unit-ball check, and includes the poles and axes.
+    """
+    vectors = [np.eye(3)[k] * s for k in range(3) for s in (1.0, -1.0, 1.0 + 1e-12)]
+    for k in range(4000):
+        v = rng.normal(size=3)
+        radius = (rng.random() ** (1.0 / 3.0), 1.0, 1.0 + 1e-12 * rng.random(), 1.0 - 1e-15)[k % 4]
+        vectors.append(v / np.linalg.norm(v) * radius)
+    for r in vectors:
+        if np.linalg.norm(r) > 1.0 + 1e-12:
+            continue
+        built = sb.QubitState.from_bloch(r)
+        read = sb.QubitState(built.rho)
+        assert read.rho.tobytes() == built.rho.tobytes()
+        assert not built.rho.flags.writeable
+        assert np.abs(read.bloch_vector - r).max() <= 2e-16
+        assert built.bloch_vector.tobytes() == (0.0 + r).tobytes()
 
 
 def _trace_bloch_vector(state):

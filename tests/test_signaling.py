@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,25 @@ def test_unbalanced_endpoints_are_catalog_strategies():
         sb.unbalanced_pr(1.0).p, strategy_table("signal_0_anb").p
     )
     assert np.array_equal(sb.unbalanced_pr(0.5).p, sb.pr_box().p)
+
+
+def _unbalanced_by_mix(p):
+    """unbalanced_pr as it stood: mix of the two freshly built catalog tables."""
+    return sb.mix(
+        [p, 1.0 - p],
+        [sb.catalog("signal_0_anb").as_correlation(), sb.catalog("signal_1_canb").as_correlation()],
+    )
+
+
+def test_unbalanced_family_is_bit_identical_to_the_mix_chain(rng):
+    """Weighted catalog tables give the mix chain's table and entries, hex for hex."""
+    weights = [0, 1, 0.0, 1.0, -0.0, 0.5, 1e-300, 5e-324, 2.0**-53, 1.0 - 2.0**-53]
+    weights += [Fraction(3, 10), np.float32(0.3), np.float16(0.7), np.float64(0.1)]
+    weights += rng.uniform(0.0, 1.0, 500).tolist() + (10.0 ** -rng.uniform(0, 300, 100)).tolist()
+    for p in weights:
+        got, want = sb.unbalanced_pr(p), _unbalanced_by_mix(p)
+        assert got.p.tobytes() == want.p.tobytes(), p
+        assert [v.hex() for v in got._entries] == [v.hex() for v in want._entries], p
 
 
 def test_unbalanced_rejects_out_of_range():

@@ -5,13 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import signalbox as sb
 from signalbox import correlation, simulate
+from signalbox.correlation import _table_terms, disturbance_from_functional
 from signalbox.quantum import _theta_batch
 from signalbox.signaling import _best_channel
 from signalbox.simulate import _verdict_rows
 from conftest import (
+    BOB_SHIFT_IDS,
     bob_shift_mixture,
     dirichlet_mixture,
     near_nonsignaling_tables,
@@ -349,6 +353,52 @@ def test_closed_form_single_read_is_bit_identical_to_three_reads(rng):
         assert _decomposition_bits(sb.closed_form_decompose, table, sigma) == want
         errors += isinstance(want, tuple) and len(want) == 2
     assert 30 <= errors <= 270
+
+
+def test_plus_local_columns_have_full_rank():
+    """closed_form_decompose solves over these columns and tests their rank no more."""
+    assert np.linalg.matrix_rank(simulate._PLUS_LOCAL_COLUMNS) == 8
+
+
+_BOB_SHIFT_WEIGHTS = (
+    st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: np.array(w) / np.sum(w))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOB_SHIFT_WEIGHTS, st.floats(0.0, 1.0))
+@example(np.array([0.0] * 8 + [0.3, 0.7]), 0.0)
+@example(np.array([0.0] * 8 + [0.3, 0.7]), 1.0)
+def test_closed_form_one_bit_weights_at_the_window_edge(weights, inside):
+    """At the positivity window's edge, and up to its 1e-12 slack past it, every
+    one-bit weight is at least -5e-13 before the clamp at 0.
+
+    That bound is why closed_form_decompose has no negativity check of its
+    own.  sigma starts at the edge, where the window equals the shift, and
+    steps down by up to 4e-12/3, which shrinks the window by up to 1e-12.
+    A weight is half of window minus shift, so its floor is half the slack,
+    less the rounding of ``window + 1e-12`` (window <= 1): -5.000028e-13
+    has been seen at the slack's very end.
+    """
+    table = sb.mix(weights, [strategy_table(i) for i in BOB_SHIFT_IDS])
+    functional, _, bob, *_ = _table_terms(table._entries)
+    cost = disturbance_from_functional(abs(functional))
+    shift = bob[0][0] - bob[1][0]
+    edge = (4.0 * abs(shift) - cost) / 3.0
+    for sigma in (edge, edge - inside * 4e-12 / 3.0):
+        if not 0.0 <= sigma <= cost:
+            continue
+        try:
+            dec = sb.closed_form_decompose(table, sigma=sigma)
+        except sb.PreconditionError:
+            continue  # rounded past the slack
+        lifted = (cost + 3.0 * sigma) / 8.0
+        pair = {"signal_0_anb": lifted + shift / 2.0, "signal_1_canb": lifted - shift / 2.0}
+        for ident, value in pair.items():
+            assert value >= -5e-13 - 2.0**-53
+            assert dec.weights.get(ident, 0.0) == (value if value > 1e-12 else 0.0)
 
 
 def test_communication_cost_examples():
