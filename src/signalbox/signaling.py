@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .correlation import (
-    _INPUT_SLACK, Correlation, _check_bit, _check_real, _table_terms, marginal, strategy_table,
+    _INPUT_SLACK, Correlation, _check_real, _table_terms, marginal, strategy_table,
 )
 from .errors import DomainError
 
@@ -132,51 +132,38 @@ class SignalReport:
     b_star: int
 
 
-def _check_b_set(b_set) -> tuple:
-    try:
-        settings = tuple(b_set)
-    except TypeError:
-        raise DomainError(f"b_set must be an iterable of bob settings, got {b_set!r}") from None
-    if not settings:
-        raise DomainError("b_set must name at least one bob setting")
-    return tuple(_check_bit(b) for b in settings)
-
-
-def signal_strength(corr: Correlation, b_set=(0, 1)) -> float:
-    """Largest alice-to-bob marginal shift over the given bob settings."""
-    settings = _check_b_set(b_set)
+def signal_strength(corr: Correlation) -> float:
+    """Largest alice-to-bob marginal shift over both bob settings."""
     bob = _table_terms(corr._entries)[2]
-    return max(abs(bob[0][b] - bob[1][b]) for b in settings)
+    return max(abs(bob[0][b] - bob[1][b]) for b in (0, 1))
 
 
-def signal_info(corr: Correlation, b_set=(0, 1)) -> SignalReport:
+def signal_info(corr: Correlation) -> SignalReport:
     """Best-case information of the alice-to-bob channel, in bits.
 
-    For each bob setting in ``b_set`` the pair of conditional marginals
-    forms a binary channel; its capacity-achieving input prior has a
-    closed form (see :func:`_best_input_weight`).  The report keeps the
-    winning setting and prior.  Ties go to the setting listed first.
+    For each bob setting the pair of conditional marginals forms a
+    binary channel; its capacity-achieving input prior has a closed form
+    (see :func:`_best_input_weight`).  The report keeps the winning
+    setting and prior.  Ties go to b = 0.
     """
-    settings = _check_b_set(b_set)
     bob = _table_terms(corr._entries)[2]
-    strength = max(abs(bob[0][b] - bob[1][b]) for b in settings)
-    info, alpha_star, b_star = _best_channel(bob, settings)
+    strength = max(abs(bob[0][b] - bob[1][b]) for b in (0, 1))
+    info, alpha_star, b_star = _best_channel(bob)
     return SignalReport(strength=strength, info=info, alpha_star=alpha_star, b_star=b_star)
 
 
-def _best_channel(bob, settings=(0, 1)):
+def _best_channel(bob):
     """``(info, alpha_star, b_star)`` of the most informative bob setting.
 
     ``bob[a][b]`` is bob's ``P(outcome label 0)`` as nested float lists;
     each setting's capacity is :func:`_best_input_weight`'s, ties going
-    to the setting listed first.
+    to b = 0.
     """
-    best = None
-    for b in settings:
-        alpha, value = _best_input_weight(bob[0][b], bob[1][b])
-        if best is None or value > best[0] + 1e-15:
-            best = (value, alpha, b)
-    return best
+    alpha_0, info_0 = _best_input_weight(bob[0][0], bob[1][0])
+    alpha_1, info_1 = _best_input_weight(bob[0][1], bob[1][1])
+    if info_1 > info_0 + 1e-15:
+        return info_1, alpha_1, 1
+    return info_0, alpha_0, 0
 
 
 def unbalanced_pr(p: float) -> Correlation:

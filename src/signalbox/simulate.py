@@ -53,10 +53,16 @@ _RESIDUAL_TOL = 1e-9
 _CLASSICAL_TOL = 1e-9
 # Mixture weights below this are float noise and are dropped from results.
 _WEIGHT_CUTOFF = 1e-12
-# Of full column rank, 8, as a test pins, so lstsq needs no rank check.
-_PLUS_LOCAL_COLUMNS = STRATEGY_MATRIX[
-    :, [strategy_column(ident) for ident in PLUS_LOCAL_IDS]
+# The closed form's sixteen strategies, one column each: the +2 locals,
+# then the violating octet.  Each local reaches one table entry that no
+# other of the sixteen reaches; _LOCAL_ENTRIES holds it, in local order.
+_CLOSED_FORM_COLUMNS = STRATEGY_MATRIX[
+    :, [strategy_column(ident) for ident in PLUS_LOCAL_IDS + VIOLATING_IDS]
 ]
+_LOCAL_ENTRIES = tuple(
+    int(np.flatnonzero((column == 1.0) & (_CLOSED_FORM_COLUMNS.sum(axis=1) == 1.0))[0])
+    for column in _CLOSED_FORM_COLUMNS.T[: len(PLUS_LOCAL_IDS)]
+)
 # Table entries, then normalization; a basis's equalities select its columns.
 _CATALOG_CONSTRAINTS = np.vstack([STRATEGY_MATRIX, np.ones((1, len(FULL_BASIS)))])
 _CATALOG_CONSTRAINTS.setflags(write=False)
@@ -110,17 +116,14 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
     return _max_residual(corr, decomposition.weights)
 
 
-def _weighted_tables(weights: dict) -> np.ndarray:
-    """``weight * table`` of every strategy in ``weights``, stacked in dict order."""
-    tables = _STRATEGY_TABLES[[strategy_column(ident) for ident in weights]]
-    return np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
-
-
 def _max_residual(corr: Correlation, weights: dict) -> float:
-    # A reduce down axis 0 adds the stacked tables one after another, in
-    # dict order, from zero: the sum of a loop of 4-D adds, bit for bit.
-    # A matrix product may add in another order and move the last bits.
-    total = np.add.reduce(_weighted_tables(weights), axis=0, initial=0.0)
+    # A reduce down axis 0 adds the stacked ``weight * table`` one after
+    # another, in dict order, from zero: the sum of a loop of 4-D adds,
+    # bit for bit.  A matrix product may add in another order and move
+    # the last bits.
+    tables = _STRATEGY_TABLES[[strategy_column(ident) for ident in weights]]
+    weighted = np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
+    total = np.add.reduce(weighted, axis=0, initial=0.0)
     return float(np.abs(corr.p - total).max())
 
 
@@ -135,15 +138,17 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
         symmetric six:  (cost - sigma) / 8
         imbalanced pair: (cost + 3 sigma) / 8 +/- shift / 2
 
-    and the local remainder is solved over the eight locals whose signed
-    functional is +2.  ``sigma`` moves weight between the symmetric and
+    Each of the eight locals whose signed functional is +2 is the only
+    one of these sixteen strategies that reaches one table entry, and
+    takes that entry as its weight, so the locals do not depend on
+    ``sigma``.  ``sigma`` moves weight between the symmetric and
     imbalanced assignments without changing the total cost; any value in
     ``[0, cost]`` yields the same cost and residual.
 
     Raises :class:`~signalbox.errors.PreconditionError` when several
     shifts are active or the shift exceeds the window, and
-    :class:`~signalbox.errors.InfeasibleError` when the local remainder
-    leaves the positive span of the +2 locals.
+    :class:`~signalbox.errors.InfeasibleError` when the weights miss the
+    table by more than 1e-9: the table is off the single-shift family.
     """
     # One read of the table gives the cost, the shifts and bob's marginals.
     functional, _, bob, to_bob, to_alice = _table_terms(corr._entries)
@@ -173,22 +178,13 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
     weights["signal_0_anb"] = max(0.0, lifted + shift / 2.0)
     weights["signal_1_canb"] = max(0.0, lifted - shift / 2.0)
 
-    # Subtracted one table after another, in dict order, as in _max_residual.
-    remainder = np.subtract.reduce(
-        np.concatenate([corr.p[None], _weighted_tables(weights)]), axis=0
-    )
-
-    local_w = np.linalg.lstsq(_PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None)[0]
-    if float(local_w.min()) < -1e-9:
-        raise InfeasibleError(
-            f"local remainder needs a negative weight ({float(local_w.min())})"
-        )
-    for ident, value in zip(PLUS_LOCAL_IDS, local_w):
-        weights[ident] = max(0.0, float(value))
+    # No violating strategy reaches a local's entry, so the entry is its weight.
+    for ident, k in zip(PLUS_LOCAL_IDS, _LOCAL_ENTRIES):
+        weights[ident] = corr._entries[k]
 
     weights = {k: v for k, v in weights.items() if v > _WEIGHT_CUTOFF}
     one_bit = sum(
-        v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL
+        (v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL), 0.0
     )
     residual = _max_residual(corr, weights)
     if residual > _RESIDUAL_TOL:

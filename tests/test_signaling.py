@@ -92,20 +92,6 @@ def test_signal_info_on_perfect_one_bit_channel():
     assert report.strength == pytest.approx(1.0)
 
 
-def test_signal_info_b_set_restriction():
-    # all the signal of this strategy sits in the b=0 channel
-    table = strategy_table("signal_0_anb")
-    assert sb.signal_info(table, b_set=(1,)).info == pytest.approx(0.0, abs=1e-9)
-    assert sb.signal_info(table, b_set=(0,)).info == pytest.approx(1.0, abs=1e-9)
-
-
-def test_signal_info_rejects_bad_b_set():
-    with pytest.raises(sb.DomainError):
-        sb.signal_info(sb.pr_box(), b_set=())
-    with pytest.raises(sb.DomainError):
-        sb.signal_info(sb.pr_box(), b_set=(0, 2))
-
-
 def test_unbalanced_family_functional_is_flat():
     for p in (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0):
         assert sb.functional_value(sb.unbalanced_pr(p)) == pytest.approx(4.0)
@@ -254,23 +240,23 @@ def test_capacity_matches_decimal_oracle(rng):
             cases.append(pair if rng.random() < 0.5 else pair[::-1])
     worst = 0.0
     for p0, p1 in cases:
-        report = sb.signal_info(_bob_channel_table(p0, p1), b_set=(0,))
+        report = sb.signal_info(_bob_channel_table(p0, p1))
         alpha, info = _oracle_capacity(p0, p1)
         assert 0.0 <= report.alpha_star <= 1.0
         assert abs(report.info - info) <= 1e-14, (p0, p1, report.info, info)
         if abs(p0 - p1) >= 1e-15:
             worst = max(worst, abs(report.alpha_star - alpha))
     assert worst <= 1e-9
-    report = sb.signal_info(_bob_channel_table(1.0, 0.5), b_set=(0,))
+    report = sb.signal_info(_bob_channel_table(1.0, 0.5))
     assert report.alpha_star == pytest.approx(0.6, abs=1e-15)
     assert report.info == pytest.approx(MU, abs=1e-15)
     for p0, p1 in ((1.0, 0.0), (0.0, 1.0)):
-        report = sb.signal_info(_bob_channel_table(p0, p1), b_set=(0,))
+        report = sb.signal_info(_bob_channel_table(p0, p1))
         assert (report.alpha_star, report.info) == (0.5, 1.0)
     # Output probability near 1, where h is steep: the capacity stays
     # non-negative and within 1e-15 of the oracle.
     near_one = (0.9999999999999827, 0.9999999999999942)
-    report = sb.signal_info(_bob_channel_table(*near_one), b_set=(0,))
+    report = sb.signal_info(_bob_channel_table(*near_one))
     assert report.info >= 0.0
     assert abs(report.info - _oracle_capacity(*near_one)[1]) <= 1e-15
 
@@ -282,7 +268,7 @@ def test_capacity_clamps_marginals_past_the_unit_interval():
     output, used to fail the entropy's 1e-12 range check, so a table
     that passed validation could not be classified.
     """
-    report = sb.signal_info(_bob_channel_table(1.0 + 1e-10, 1.0), b_set=(0,))
+    report = sb.signal_info(_bob_channel_table(1.0 + 1e-10, 1.0))
     assert (report.alpha_star, report.info) == (0.5, 0.0)
     p = np.full((2, 2, 2, 2), 0.25)
     p[0, 0] = [[0.50000000025, 0.0], [0.50000000025, 0.0]]
@@ -353,45 +339,10 @@ def test_nan_is_outside_every_domain():
         sb.binary_entropy(math.nan)
 
 
-def test_bob_settings_must_be_integral():
-    """Float settings are rejected; integer types come back as plain ints.
-
-    A ``b_set`` that is no iterable at all is a DomainError too.
-    """
-    table = strategy_table("signal_0_anb")
-    for bad in ((0.0,), (1.0,), (np.float64(0.0),), (0, 0.5), ("0",), (None,), 0, None, 1.0):
-        with pytest.raises(sb.DomainError):
-            sb.signal_info(table, b_set=bad)
-        with pytest.raises(sb.DomainError):
-            sb.signal_strength(table, b_set=bad)
-    for bad in (0, None):
-        with pytest.raises(sb.DomainError, match="b_set must be an iterable"):
-            sb.signal_info(table, b_set=bad)
-    for settings, want in (((np.int64(1),), 1), ((np.int64(1), np.int64(0)), 0)):
-        report = sb.signal_info(table, b_set=settings)
-        assert type(report.b_star) is int and report.b_star == want
-    assert sb.signal_strength(table, b_set=(np.int8(0),)) == 1.0
-
-
-def test_bob_settings_reject_bools():
-    """A bool is no bob setting, as for correlation's own setting check."""
-    table = strategy_table("signal_0_anb")
-    with pytest.raises(sb.DomainError, match="setting must be 0 or 1, got True"):
-        sb.signal_info(table, b_set=(True,))
-    with pytest.raises(sb.DomainError, match="setting must be 0 or 1, got False"):
-        sb.signal_strength(table, b_set=(False,))
-    for bad in ((np.True_,), (0, True), (False, 1)):
-        with pytest.raises(sb.DomainError):
-            sb.signal_info(table, b_set=bad)
-        with pytest.raises(sb.DomainError):
-            sb.signal_strength(table, b_set=bad)
-
-
 def test_signal_info_ties_go_to_first_listed_setting():
-    """Within 1e-15 of each other, the setting listed first wins."""
+    """Within 1e-15 of each other, the first setting, b = 0, wins."""
     silent = sb.pr_box()
     assert sb.signal_info(silent).b_star == 0
-    assert sb.signal_info(silent, b_set=(1, 0)).b_star == 1
     assert sb.classify(silent).b_star == 0
 
 

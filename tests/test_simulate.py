@@ -21,7 +21,6 @@ from conftest import (
     near_nonsignaling_tables,
     random_quantum_instance,
     random_table,
-    signed_gap,
     strategy_table,
     sub_cost_mixture,
     super_cost_mixture,
@@ -211,15 +210,15 @@ def test_verify_reconstruction_flags_mismatch():
 
 
 def _loop_total(start, weights, step):
-    """The dict-order loop the stacked reduces replaced: one 4-D update per strategy."""
+    """The dict-order loop the stacked reduce replaced: one 4-D update per strategy."""
     total = np.array(start, dtype=float)
     for ident, weight in weights.items():
         step(total, weight * correlation.strategy_table(ident))
     return total
 
 
-def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng, monkeypatch):
-    """_max_residual and the closed form's remainder against 4-D loops, by bits."""
+def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng):
+    """_max_residual against a loop of 4-D adds, by bits."""
     ids = list(sb.FULL_BASIS)
     for k in range(300):
         corr = (random_table(rng), sub_cost_mixture(rng)[0], sb.pr_box())[k % 3]
@@ -234,31 +233,13 @@ def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng, monkeypat
         assert simulate._max_residual(corr, weights).hex() == want
         assert sb.verify_reconstruction(corr, dec).hex() == want
 
-    # The closed form subtracts its one-bit weights from the table before
-    # solving for the locals; capture what it subtracts and what it solves.
-    seen = []
-    weighted, lstsq = simulate._weighted_tables, np.linalg.lstsq
-    monkeypatch.setattr(simulate, "_weighted_tables", lambda w: seen.append(dict(w)) or weighted(w))
-    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: seen.append(b.copy()) or lstsq(a, b, **kw))
-    for _ in range(100):
-        table, _ = bob_shift_mixture(rng)
-        cost = sb.disturbance_cost(table)
-        shift = abs(signed_gap(table, "bob", 0))
-        sigma = float(rng.uniform(max(0.0, (4.0 * shift - cost) / 3.0), cost))
-        seen.clear()
-        dec = sb.closed_form_decompose(table, sigma=sigma)
-        one_bit, remainder, final = seen
-        want = _loop_total(table.p, one_bit, np.ndarray.__isub__)
-        assert remainder.tobytes() == want.ravel().tobytes()
-        assert final == dec.weights
-
 
 def _closed_form_three_reads(corr, sigma=0.0):
     """closed_form_decompose as it stood: cost, shifts and marginals each read the table."""
     from signalbox.simulate import (
-        PLUS_LOCAL_IDS, VIOLATING_IDS, _PLUS_LOCAL_COLUMNS, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
+        PLUS_LOCAL_IDS, VIOLATING_IDS, _LOCAL_ENTRIES, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
         Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
-        _max_residual, _weighted_tables, catalog,
+        _max_residual, catalog,
     )
     from signalbox.correlation import _table_terms, disturbance_cost, signaling_deltas
 
@@ -298,16 +279,77 @@ def _closed_form_three_reads(corr, sigma=0.0):
             )
         weights[ident] = max(0.0, value)
 
+    entries = corr.p.reshape(16).tolist()
+    for ident, k in zip(PLUS_LOCAL_IDS, _LOCAL_ENTRIES):
+        weights[ident] = entries[k]
+
+    weights = {k: v for k, v in weights.items() if v > _WEIGHT_CUTOFF}
+    one_bit = sum(
+        (v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL), 0.0
+    )
+    residual = _max_residual(corr, weights)
+    if residual > _RESIDUAL_TOL:
+        raise InfeasibleError(
+            f"closed-form reconstruction misses the table by {residual}"
+        )
+    return Decomposition(weights=weights, cost=one_bit, residual=residual)
+
+
+# The least-squares fit that solved for the locals before they were read
+# off the table, kept verbatim as the record of the replaced solver.
+_PLUS_LOCAL_COLUMNS = correlation.STRATEGY_MATRIX[
+    :, [correlation.strategy_column(ident) for ident in sb.PLUS_LOCAL_IDS]
+]
+
+
+def _weighted_tables(weights: dict) -> np.ndarray:
+    """``weight * table`` of every strategy in ``weights``, stacked in dict order."""
+    tables = correlation._STRATEGY_TABLES[[correlation.strategy_column(ident) for ident in weights]]
+    return np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
+
+
+def _closed_form_lstsq(corr, sigma=0.0):
+    """closed_form_decompose with its locals fitted by lstsq to the table's remainder."""
+    from signalbox.simulate import (
+        PLUS_LOCAL_IDS, VIOLATING_IDS, _INPUT_SLACK, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
+        Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
+        _check_real, _max_residual, catalog, disturbance_from_functional,
+    )
+
+    # One read of the table gives the cost, the shifts and bob's marginals.
+    functional, _, bob, to_bob, to_alice = _table_terms(corr._entries)
+    cost = disturbance_from_functional(abs(functional))
+    if not -_INPUT_SLACK <= _check_real(sigma, "sigma") <= cost + _INPUT_SLACK:
+        raise DomainError(f"sigma {sigma} outside [0, {cost}]")
+    sigma = min(max(sigma, 0.0), cost)
+
+    side_shifts = (to_bob[1], to_alice[1], to_alice[0])
+    if max(side_shifts) > 1e-9:
+        raise PreconditionError(
+            "closed form handles a single active shift (bob at b=0); "
+            f"other channels shift by up to {max(side_shifts)}"
+        )
+    # Signed shift of bob's b=0 marginal when alice flips her setting.
+    shift = bob[0][0] - bob[1][0]
+    window = (cost + 3.0 * sigma) / 4.0
+    if abs(shift) > window + _INPUT_SLACK:
+        raise PreconditionError(
+            f"shift {abs(shift)} exceeds the positivity window {window} "
+            f"for sigma={sigma}"
+        )
+
+    weights = dict.fromkeys(VIOLATING_IDS, (cost - sigma) / 8.0)
+    lifted = (cost + 3.0 * sigma) / 8.0
+    # The window check keeps these above about -5e-13, half its slack.
+    weights["signal_0_anb"] = max(0.0, lifted + shift / 2.0)
+    weights["signal_1_canb"] = max(0.0, lifted - shift / 2.0)
+
     # Subtracted one table after another, in dict order, as in _max_residual.
     remainder = np.subtract.reduce(
         np.concatenate([corr.p[None], _weighted_tables(weights)]), axis=0
     )
 
-    local_w, _, rank, _ = np.linalg.lstsq(
-        _PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None
-    )
-    if rank < _PLUS_LOCAL_COLUMNS.shape[1]:
-        raise InfeasibleError("local strategy columns are rank deficient")
+    local_w = np.linalg.lstsq(_PLUS_LOCAL_COLUMNS, remainder.ravel(), rcond=None)[0]
     if float(local_w.min()) < -1e-9:
         raise InfeasibleError(
             f"local remainder needs a negative weight ({float(local_w.min())})"
@@ -335,29 +377,86 @@ def _decomposition_bits(fn, table, sigma):
     return [(k, v.hex()) for k, v in dec.weights.items()], dec.cost.hex(), dec.residual.hex()
 
 
-def test_closed_form_single_read_is_bit_identical_to_three_reads(rng):
-    """One table read gives the three-read Decomposition, hex for hex, errors included.
-
-    300 bob-shift mixtures with sigma across its window, below it (shift
-    past the window), past the cost and below 0, plus tables with other
-    channels active.
-    """
-    errors = 0
+def _closed_form_mix(rng):
+    """300 (table, sigma) pairs: bob-shift mixtures with sigma across its window,
+    below it (shift past the window), past the cost and below 0, plus tables
+    with other channels active."""
     for k in range(300):
         table, _ = bob_shift_mixture(rng)
         if k % 10 == 9:
             table = (random_table(rng), sub_cost_mixture(rng)[0], strategy_table("signal_anb_0"))[k % 3]
         cost = sb.disturbance_cost(table)
-        sigma = float((rng.uniform(0.0, cost), 0.0, cost, rng.uniform(-0.2, cost + 0.2))[k % 4])
+        yield table, float((rng.uniform(0.0, cost), 0.0, cost, rng.uniform(-0.2, cost + 0.2))[k % 4])
+
+
+def test_closed_form_single_read_is_bit_identical_to_three_reads(rng):
+    """One table read gives the three-read Decomposition, hex for hex, errors included."""
+    errors = 0
+    for table, sigma in _closed_form_mix(rng):
         want = _decomposition_bits(_closed_form_three_reads, table, sigma)
         assert _decomposition_bits(sb.closed_form_decompose, table, sigma) == want
         errors += isinstance(want, tuple) and len(want) == 2
     assert 30 <= errors <= 270
 
 
-def test_plus_local_columns_have_full_rank():
-    """closed_form_decompose solves over these columns and tests their rank no more."""
-    assert np.linalg.matrix_rank(simulate._PLUS_LOCAL_COLUMNS) == 8
+def test_closed_form_reads_agree_with_the_lstsq_fit(rng):
+    """Reading the locals off the table moves only the locals' last bits.
+
+    Against the least-squares fit, on the mix of the single-read test:
+    the cost and the one-bit weights are hex-equal, each local weight is
+    within 2e-15, and every error has the same class and message.
+    """
+    decompositions = 0
+    for table, sigma in _closed_form_mix(rng):
+        try:
+            fit = _closed_form_lstsq(table, sigma)
+        except sb.SignalBoxError as exc:
+            assert _decomposition_bits(sb.closed_form_decompose, table, sigma) == (type(exc), str(exc))
+            continue
+        decompositions += 1
+        dec = sb.closed_form_decompose(table, sigma)
+        assert dec.cost.hex() == fit.cost.hex()
+        assert set(dec.weights) == set(fit.weights)
+        for ident, weight in fit.weights.items():
+            if ident in sb.PLUS_LOCAL_IDS:
+                assert abs(dec.weights[ident] - weight) <= 2e-15, ident
+            else:
+                assert dec.weights[ident].hex() == weight.hex(), ident
+    assert decompositions >= 30
+
+
+def test_local_entries_are_reached_by_their_local_alone():
+    """Each +2 local is the only one of the closed form's sixteen strategies
+    that reaches its entry of _LOCAL_ENTRIES, so that entry is its weight."""
+    sixteen = sb.PLUS_LOCAL_IDS + sb.VIOLATING_IDS
+    assert simulate._LOCAL_ENTRIES == (8, 14, 1, 6, 5, 2, 13, 11)
+    for ident, k in zip(sb.PLUS_LOCAL_IDS, simulate._LOCAL_ENTRIES):
+        reach = [other for other in sixteen if correlation.strategy_table(other).flat[k] != 0.0]
+        assert reach == [ident]
+
+
+def test_closed_form_is_exact_on_dyadic_mixtures(rng):
+    """Bob-shift mixtures in 1/64ths decompose exactly: each local weight is
+    its mixture weight and the residual is 0.0."""
+    for _ in range(200):
+        counts = rng.multinomial(64, rng.dirichlet(np.full(len(BOB_SHIFT_IDS), 0.5)))
+        mixture = dict(zip(BOB_SHIFT_IDS, (counts / 64.0).tolist()))
+        table = sb.mix(list(mixture.values()), [strategy_table(i) for i in BOB_SHIFT_IDS])
+        dec = sb.closed_form_decompose(table, sigma=sb.disturbance_cost(table))
+        assert dec.residual == 0.0
+        for ident in sb.PLUS_LOCAL_IDS:
+            assert dec.weights.get(ident, 0.0) == mixture[ident], ident
+
+
+def test_closed_form_of_a_local_table():
+    """A +2 local is its own decomposition, at cost 0.0 as a float; a -2
+    local is off the family and misses the table."""
+    for ident in sb.PLUS_LOCAL_IDS:
+        dec = sb.closed_form_decompose(strategy_table(ident))
+        assert dec.weights == {ident: 1.0}
+        assert (dec.cost.hex(), dec.residual) == ((0.0).hex(), 0.0)
+    with pytest.raises(sb.InfeasibleError, match="closed-form reconstruction misses the table by"):
+        sb.closed_form_decompose(strategy_table("local_1_0"))
 
 
 _BOB_SHIFT_WEIGHTS = (
