@@ -16,9 +16,10 @@ h((1 + |r|)/2)).  The scalar functions and state helpers are their N=1
 case, and the angle sweep runs all its angles as one batch, so a sweep
 row holds the scalar helpers' values at its angle, bit for bit; a state
 built by ``from_bloch`` keeps the vector it was given.  The crossover
-bisection takes three or more levels per batch.  Matrices appear only
-in the projector route and in a state's ``rho``.  Observables are +/-1
-valued (label l means value (-1)**l); entropies are in bits.
+bisection batches its path towards the gap's known sign change into one
+route call.  Matrices appear only in the projector route and in a
+state's ``rho``.  Observables are +/-1 valued (label l means value
+(-1)**l); entropies are in bits.
 """
 
 from __future__ import annotations
@@ -608,43 +609,27 @@ def _bisection_path(lo: float, hi: float, theta: float) -> list:
     return path
 
 
-def _root_estimate(gaps: dict, lo: float, hi: float) -> float:
-    """Zero of the gap by inverse interpolation, a guess and never a sign.
-
-    Interpolates the angle as a cubic in the gap through the four
-    computed angles nearest the bracket [lo, hi], which holds none of
-    them.  Two equal gaps leave no interpolant, and the bracket's centre
-    stands in.
-    """
-    centre = 0.5 * (lo + hi)
-    nodes = sorted(gaps, key=lambda theta: abs(theta - centre))[:4]
-    estimate = 0.0
-    for theta in nodes:
-        weight = theta
-        for other in nodes:
-            if other != theta:
-                if gaps[other] == gaps[theta]:
-                    return centre
-                weight *= gaps[other] / (gaps[other] - gaps[theta])
-        estimate += weight
-    return estimate
+# Where the sweep geometry's gap changes sign: the low end of the last
+# bracket of a bisection that computes one gap at a time over (1.06, 1.08),
+# one ulp wide.  Sampled over (0, pi/2), the gap changes sign nowhere else.
+_CROSSOVER_GUESS = 1.0701081368277094
 
 
 def find_crossover(theta_min: float, theta_max: float) -> float:
     """Angle where the restricted information first covers the cost.
 
     Bisects ``restricted_info - disturbance`` to within ``CROSSOVER_TOL``;
-    no Holevo quantity is computed.  Gaps are computed in batches: the
-    first route call takes the endpoints and the 7 midpoints of the next
-    three levels, on every branch.  Each later call takes the 7 midpoints
-    of the three levels below the current bracket, plus the midpoints
-    of the path a bisection would follow below them towards the root
-    estimate of :func:`_root_estimate`.  A wrong estimate only cuts that
-    path short, and the next call starts where the walk left it; since
-    every call covers three levels, no window takes more calls than at
-    three levels a call.  Every sign is read from an exact,
-    route-checked gap, so the walk makes the sign decisions, and returns
-    the angle, of a bisection that computes one gap at a time.
+    no Holevo quantity is computed.  The gap is a fixed function of the
+    angle, with one sign change, at ``_CROSSOVER_GUESS``, so one route
+    call takes the endpoints and, when the guess lies between them, the
+    midpoints of the path a bisection follows towards the guess, which
+    settles a bracketing window in that one call.  Should the walk leave
+    that path, as a gap whose sign is rounding noise next to the root or
+    a wrong guess would make it, each later call takes the 7 midpoints
+    of the three levels below the current bracket.  The guess only picks
+    the angles: every sign is read from an exact, route-checked gap, so
+    the walk makes the sign decisions, and returns the angle, of a
+    bisection that computes one gap at a time.
     Raises :class:`~signalbox.errors.DomainError` for an endpoint not real
     or outside (0, pi/2), NaN included, checked first; then
     :class:`~signalbox.errors.NoCrossoverError` when the interval is
@@ -656,7 +641,9 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
             f"interval [{theta_min}, {theta_max}] does not bracket a sign change"
         )
     lo, hi = theta_min, theta_max
-    points = [lo, hi] + _midpoints(lo, hi, 3)
+    points = [lo, hi]
+    if lo < _CROSSOVER_GUESS < hi:
+        points += _bisection_path(lo, hi, _CROSSOVER_GUESS)
     gaps = dict(zip(points, _crossover_gaps(points)))
     g_lo = gaps[lo]
     g_hi = gaps[hi]
@@ -671,8 +658,7 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if mid not in gaps:
-            path = _bisection_path(lo, hi, _root_estimate(gaps, lo, hi))
-            points = _midpoints(lo, hi, 3) + path[3:]
+            points = _midpoints(lo, hi, 3)
             gaps.update(zip(points, _crossover_gaps(points)))
         g_mid = gaps[mid]
         if g_mid == 0.0:

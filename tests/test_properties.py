@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -72,23 +73,45 @@ _WRONG_SHAPES = st.sampled_from(
 )
 
 
-@st.composite
-def edited_tables(draw):
-    """A normalized table with up to three entries set to edge values.
+def _edit_table(table, edits):
+    """``table`` with each ``(index, value, balanced)`` edit applied in turn.
 
-    Each edit may be balanced by the opposite change to the other outcome
-    of the same ``(a, b, x)`` row, so that negativity is reached with the
-    normalization kept.
+    A balanced edit moves the opposite change onto the other outcome of
+    the same ``(a, b, x)`` row, so that negativity is reached with the
+    normalization kept.  The entries are Python floats, so an edit that
+    meets ``-inf + inf`` leaves a silent NaN, which the validators must
+    refuse, rather than a numpy warning.
     """
-    cells = draw(unstructured()).reshape(16)
-    for index, value, balanced in draw(
-        st.lists(st.tuples(st.integers(0, 15), _EDGE_ENTRIES | _UNIT, st.booleans()), max_size=3)
-    ):
+    cells = np.asarray(table, dtype=float).reshape(16).tolist()
+    for index, value, balanced in edits:
         partner = index ^ 1
         if balanced and math.isfinite(value):
             cells[partner] += cells[index] - value
         cells[index] = value
-    return cells.reshape(2, 2, 2, 2)
+    return np.array(cells).reshape(2, 2, 2, 2)
+
+
+@st.composite
+def edited_tables(draw):
+    """A normalized table with up to three entries set to edge values."""
+    edits = st.lists(st.tuples(st.integers(0, 15), _EDGE_ENTRIES | _UNIT, st.booleans()), max_size=3)
+    return _edit_table(draw(unstructured()), draw(edits))
+
+
+def test_edits_through_infinities_leave_a_nan_without_a_warning():
+    """Balancing an edit against an infinite partner gives NaN, quietly.
+
+    Drawn with numpy scalars, this sequence raised "invalid value
+    encountered in scalar add" while the table was drawn.
+    """
+    edits = [(0, -math.inf, False), (1, math.inf, False), (1, 0.5, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _edit_table(np.full((2, 2, 2, 2), 0.25), edits)
+    assert math.isnan(table[0, 0, 0, 0]) and table[0, 0, 0, 1] == 0.5
+    for check in (sb.Correlation, lambda t: validate_tables(t[None])):
+        with pytest.raises(DomainError, match="NaN"):
+            check(table)
 
 
 def _validator_outcome(check, data):

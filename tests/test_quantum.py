@@ -987,6 +987,11 @@ def test_find_crossover_matches_scalar_bisection():
         (0.95, 1.0),
         (1.07, 1.0700001),
         (1, 1.2),
+        # The first midpoint is the guess itself, and windows that hug it.
+        (quantum._CROSSOVER_GUESS - 0.125, quantum._CROSSOVER_GUESS + 0.125),
+        (1.07, 1.0702),
+        (quantum._CROSSOVER_GUESS - 5e-14, quantum._CROSSOVER_GUESS + 5e-14),
+        (0.001, 1.5697),
     ]
     bracketing = 0
     for lo, hi in windows:
@@ -1032,16 +1037,8 @@ def test_crossover_gaps_are_classify_batch_gaps(monkeypatch):
         ]
 
 
-def test_find_crossover_predicts_the_bisection_path(monkeypatch):
-    """Route calls: 9 angles, then three levels plus a predicted path each.
-
-    (0.9, 1.2) takes at most 3 route calls (4 at three levels a call) and
-    gives the one-point-at-a-time angle, hex for hex.  On bracketing
-    windows like the benchmark's (0.2 to 0.4 wide, ends 0.02 or more from
-    the crossover) no window takes more calls than three levels a call
-    would, 1 + ceil((levels - 3) / 3) for a walk of that many levels, and
-    the mean is at most 3.
-    """
+def _counting_route_calls(monkeypatch):
+    """Patch the route check to record each call's angle count; returns the list."""
     calls = []
     checked = quantum._checked_tables
 
@@ -1050,24 +1047,86 @@ def test_find_crossover_predicts_the_bisection_path(monkeypatch):
         return checked(r, a, b)
 
     monkeypatch.setattr(quantum, "_checked_tables", counting)
+    return calls
+
+
+def test_find_crossover_takes_one_route_call(monkeypatch):
+    """One route call: the endpoints plus, around the guess, the path to it.
+
+    (0.9, 1.2) takes one call of 14 angles and gives the
+    one-point-at-a-time angle, hex for hex.  Bracketing windows like the
+    benchmark's (0.2 to 0.4 wide, ends 0.02 or more from the crossover)
+    take exactly one call, and windows without the guess one call of
+    their 2 endpoints.
+    """
+    calls = _counting_route_calls(monkeypatch)
     theta = sb.find_crossover(0.9, 1.2)
+    assert calls == [14]
     monkeypatch.undo()
     assert theta.hex() == _scalar_crossover(0.9, 1.2).hex()
-    assert len(calls) <= 3
-    assert calls[0] == 9 and all(n >= 7 for n in calls[1:])
 
-    monkeypatch.setattr(quantum, "_checked_tables", counting)
+    calls = _counting_route_calls(monkeypatch)
     rng = np.random.default_rng(1401)
-    counts = []
     for _ in range(60):
         width = rng.uniform(0.2, 0.4)
         lo = rng.uniform(1.0701 - width + 0.02, 1.0701 - 0.02)
         calls.clear()
-        theta = sb.find_crossover(lo, lo + width)
-        levels = len(quantum._bisection_path(lo, lo + width, theta))
-        assert len(calls) <= 1 + math.ceil((levels - 3) / 3), (lo, width)
-        counts.append(len(calls))
-    assert np.mean(counts) <= 3.0
+        sb.find_crossover(lo, lo + width)
+        assert len(calls) == 1, (lo, width)
+    for lo, hi in ((0.95, 1.0), (0.1, 0.5), (1.1, 1.5), (1.0, 1.07)):
+        calls.clear()
+        with pytest.raises(sb.NoCrossoverError):
+            sb.find_crossover(lo, hi)
+        assert calls == [2], (lo, hi)
+
+
+def test_crossover_guess_is_the_gap_sign_change():
+    """``_CROSSOVER_GUESS`` is where the computed gap changes sign, its only change.
+
+    A bisection over the N=1 route, one gap at a time, run until its
+    midpoint is an endpoint, ends within 1e-12 of the guess; over 2001
+    angles across (0, pi/2) the batched gap changes sign once, around it.
+    """
+
+    def gap(theta):
+        table = sb.sequential_correlation(*sb.theta_geometry(theta))
+        return sb.signal_info(table).info - sb.disturbance_cost(table)
+
+    lo, hi = 1.06, 1.08
+    g_lo = gap(lo)
+    assert g_lo < 0.0 < gap(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (gap(mid) > 0.0) == (g_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    assert abs(lo - quantum._CROSSOVER_GUESS) <= 1e-12
+    assert abs(hi - quantum._CROSSOVER_GUESS) <= 1e-12
+
+    thetas = np.linspace(1e-3, math.pi / 2.0 - 1e-3, 2001)
+    positive = np.array(quantum._crossover_gaps(thetas)) > 0.0
+    changes = np.flatnonzero(positive[1:] != positive[:-1])
+    assert len(changes) == 1
+    assert thetas[changes[0]] < quantum._CROSSOVER_GUESS < thetas[changes[0] + 1]
+
+
+@pytest.mark.parametrize("guess", [1.15, 0.95])
+def test_find_crossover_survives_a_wrong_guess(monkeypatch, guess):
+    """A wrong guess costs route calls, never the answer.
+
+    The walk leaves the guessed path, takes the 7 midpoints of three
+    levels a call from there, and still returns the one-point-at-a-time
+    angle, hex for hex.
+    """
+    windows = ((0.9, 1.2), (1.0, 1.5))
+    want = [_scalar_crossover(lo, hi).hex() for lo, hi in windows]
+    monkeypatch.setattr(quantum, "_CROSSOVER_GUESS", guess)
+    calls = _counting_route_calls(monkeypatch)
+    for (lo, hi), angle in zip(windows, want):
+        calls.clear()
+        assert sb.find_crossover(lo, hi).hex() == angle
+        assert len(calls) > 1 and set(calls[1:]) == {7}, calls
 
 
 def test_find_crossover_route_check_runs(monkeypatch):
