@@ -93,6 +93,15 @@ class Observable:
         vec.setflags(write=False)
         object.__setattr__(self, "n", vec)
 
+    @classmethod
+    def _built(cls, n) -> "Observable":
+        """``Observable(n)`` for a unit direction this module built, without the checks."""
+        vec = np.array(n, dtype=float)
+        vec.setflags(write=False)
+        observable = object.__new__(cls)
+        observable.__dict__.update(n=vec)
+        return observable
+
     @property
     def matrix(self) -> np.ndarray:
         return self.n[0] * PAULI_X + self.n[1] * PAULI_Y + self.n[2] * PAULI_Z
@@ -407,8 +416,8 @@ def sigma_settings():
     b=0 channel carrying all the information.
     Returns ``(state, a0, a1, b0, b1)``.
     """
-    z = Observable(np.array([0.0, 0.0, 1.0]))
-    x = Observable(np.array([1.0, 0.0, 0.0]))
+    z = Observable._built((0.0, 0.0, 1.0))
+    x = Observable._built((1.0, 0.0, 0.0))
     state = QubitState.from_bloch(np.array([0.0, 0.0, 1.0]))
     return state, z, x, z, x
 
@@ -434,7 +443,7 @@ def theta_geometry(theta: float):
     """
     _check_angles(theta)
     alice, bob = _theta_directions(np.array([theta], dtype=float))
-    a0, a1, b0, b1 = map(Observable, np.concatenate([alice[0], bob[0]]))
+    a0, a1, b0, b1 = map(Observable._built, np.concatenate([alice[0], bob[0]]))
     return QubitState.from_bloch(a1.n), a0, a1, b0, b1
 
 

@@ -11,13 +11,16 @@ partial pivoting; an inconsistent system raises
 :class:`~signalbox.errors.InfeasibleError` at that stage already.  The
 pivot choices depend on A alone, so one record per matrix (a small LRU
 cache) holds the elimination's steps, the rows it keeps and the phase-1
-tableau and cost row built from them, all independent of b.  Each solve
-replays the steps on its right-hand side with the same elementwise
-operations, skipping zero factors, and copies the tableau with b written
-in.  Every result is bit-identical to eliminating ``[A | b]`` and
-building the tableau afresh, and to pivoting row by row: the pivots
-update all touched rows in one masked operation, element by element
-exactly as a loop over the rows would.
+tableau built from them, all independent of b.  Each solve replays the
+steps on its right-hand side with the same elementwise operations,
+skipping zero factors, and copies the tableau with b written in.  The
+reduced costs are the tableau's last row, so each pivot updates every
+touched row, costs included, in one masked operation, element by element
+exactly as a loop over the rows would.  Every result is bit-identical to
+eliminating ``[A | b]`` and building the tableau afresh with a separate
+cost row: a Bland pivot's entering cost is nonzero, so it updates the
+cost row, and a pivot that ejects an artificial may skip it: by then
+phase 1's objective has been read, and phase 2 rebuilds the costs.
 """
 
 from __future__ import annotations
@@ -56,14 +59,14 @@ def _eliminate(shape, data):
     """Partial-pivoting elimination of A alone, cached per matrix.
 
     A arrives as its shape and C-order bytes, so that it can key the
-    cache.  Returns ``(steps, keep, tableau, cost_row)``.  ``steps`` holds
-    the ``(pivot row, factors)`` of every elimination step, step k making
-    row k the pivot row, with only the nonzero factors kept as ``(row,
+    cache.  Returns ``(steps, keep, tableau)``.  ``steps`` holds the
+    ``(pivot row, factors)`` of every elimination step, step k making row
+    k the pivot row, with only the nonzero factors kept as ``(row,
     factor)`` pairs.  ``keep`` holds the sorted indices of a maximal
     independent row subset.  ``tableau`` is the read-only phase-1
-    template ``[A_keep | I | 0]`` and ``cost_row`` its reduced costs,
-    ``-A_keep.sum(axis=0)`` followed by zeros.  The pivot choices read
-    only A's columns, so one record serves every right-hand side.
+    template ``[A_keep | I | 0]`` above its reduced costs
+    ``[-A_keep.sum(axis=0) | 0 | 0]``.  The pivot choices read only A's
+    columns, so one record serves every right-hand side.
     """
     a = np.frombuffer(data, dtype=float).reshape(shape)
     work = a.copy()
@@ -87,12 +90,13 @@ def _eliminate(shape, data):
         rank += 1
     keep = np.array(sorted(order[:rank]), dtype=np.intp)
     a_keep = a[keep]
-    tableau = np.hstack([a_keep, np.eye(rank), np.zeros((rank, 1))])
-    cost_row = np.zeros(n + rank + 1)
-    cost_row[:n] = -a_keep.sum(axis=0)
-    for array in (keep, tableau, cost_row):
+    tableau = np.zeros((rank + 1, n + rank + 1))
+    tableau[:rank, :n] = a_keep
+    tableau[:rank, n:-1] = np.eye(rank)
+    tableau[rank, :n] = -a_keep.sum(axis=0)
+    for array in (keep, tableau):
         array.setflags(write=False)
-    return tuple(steps), keep, tableau, cost_row
+    return tuple(steps), keep, tableau
 
 
 def _consistent_record(a, b):
@@ -124,34 +128,31 @@ def _consistent_record(a, b):
     return record
 
 
-def _pivot(tableau, cost_row, basis, leave, enter):
+def _pivot(tableau, basis, leave, enter):
     row = tableau[leave]
     row /= row[enter]
     column = tableau[:, enter]
     touched = column != 0.0
     touched[leave] = False
-    np.subtract(
-        tableau, np.multiply.outer(column, row), out=tableau, where=touched[:, None]
-    )
-    cost_row -= cost_row[enter] * row
+    np.subtract(tableau, column[:, None] * row, out=tableau, where=touched[:, None])
     basis[leave] = enter
 
 
-def _run_simplex(tableau, cost_row, basis, ncols):
-    """Bland-rule simplex loop on a canonical tableau.
+def _run_simplex(tableau, basis, ncols):
+    """Bland-rule simplex loop on a canonical tableau, costs in its last row.
 
     ``ncols`` is the number of eligible entering columns (the rhs column
     and any columns beyond ncols never enter).  Returns the pivot count.
     """
     iterations = 0
     while True:
-        eligible = cost_row[:ncols] < -_PIVOT_TOL
+        eligible = tableau[-1, :ncols] < -_PIVOT_TOL
         enter = int(eligible.argmax())
         if not eligible[enter]:
             return iterations
         leave = -1
         best = np.inf
-        rows = zip(tableau[:, enter].tolist(), tableau[:, -1].tolist())
+        rows = zip(tableau[:-1, enter].tolist(), tableau[:-1, -1].tolist())
         for i, (coef, rhs) in enumerate(rows):
             if coef > _PIVOT_TOL:
                 ratio = rhs / coef
@@ -161,7 +162,7 @@ def _run_simplex(tableau, cost_row, basis, ncols):
                     leave = i
         if leave < 0:
             raise UnboundedError("objective is unbounded below on the feasible set")
-        _pivot(tableau, cost_row, basis, leave, enter)
+        _pivot(tableau, basis, leave, enter)
         iterations += 1
         if iterations > _MAX_PIVOTS:
             raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
@@ -192,7 +193,7 @@ def solve_lp(c, a, b) -> SimplexResult:
         if not np.isfinite(values).all():
             raise DomainError(f"{name} has a non-finite entry")
 
-    _, keep, template, cost_template = _consistent_record(a, b)
+    _, keep, template = _consistent_record(a, b)
     m = len(keep)
     if m == 0:
         # Every equation was vacuous; the origin is optimal for c >= 0.
@@ -200,30 +201,30 @@ def solve_lp(c, a, b) -> SimplexResult:
             return SimplexResult(np.zeros(n), 0.0, c.copy(), 0)
         raise UnboundedError("no constraints remain and the objective decreases")
 
-    # Phase 1 tableau: [A | I | b] with the artificial identity basic,
-    # each row with b < 0 negated (apart from its artificial column).
+    # Phase 1: [A | I | b] above its costs, the artificial identity basic
+    # and each row with b < 0 negated (apart from its artificial column).
     tableau = template.copy()
-    cost_row = cost_template.copy()
     b = b[keep]
     flip = b < 0.0
     if flip.any():
         a = a[keep]
         a[flip] *= -1.0
         b[flip] *= -1.0
-        tableau[:, :n] = a
-        cost_row[:n] = -a.sum(axis=0)
-    tableau[:, -1] = b
-    cost_row[-1] = -b.sum()
+        tableau[:m, :n] = a
+        tableau[m, :n] = -a.sum(axis=0)
+    tableau[:m, -1] = b
+    tableau[m, -1] = -b.sum()
     basis = [n + i for i in range(m)]
 
-    iterations = _run_simplex(tableau, cost_row, basis, n + m)
-    if -cost_row[-1] > _FEAS_TOL:
+    iterations = _run_simplex(tableau, basis, n + m)
+    if -tableau[m, -1] > _FEAS_TOL:
         raise InfeasibleError(
-            f"no nonnegative solution: phase-1 optimum {-cost_row[-1]:.3e} > 0"
+            f"no nonnegative solution: phase-1 optimum {-tableau[m, -1]:.3e} > 0"
         )
 
     # Eject any artificial still basic at value zero.  After rank
     # reduction the real columns span every row, so a pivot always exists.
+    # A pivot here may leave the cost row stale; phase 2 rebuilds it.
     for i in range(m):
         if basis[i] >= n:
             eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
@@ -231,26 +232,25 @@ def solve_lp(c, a, b) -> SimplexResult:
                 raise ConsistencyError(
                     "redundant row survived rank reduction; cannot eject artificial"
                 )
-            _pivot(tableau, cost_row, basis, i, int(eligible[0]))
+            _pivot(tableau, basis, i, int(eligible[0]))
             iterations += 1
 
-    # Phase 2: drop artificial columns, rebuild reduced costs for c.  The
-    # reduce subtracts the rows c_B[i] * T[i] one after another from c.
+    # Phase 2: drop artificial columns and rebuild the last row's reduced
+    # costs for c, subtracting the rows c_B[i] * T[i] one after another.
     tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    terms = np.empty((m + 1, n + 1))
+    terms = np.zeros((m + 1, n + 1))
     terms[0, :n] = c
-    terms[0, n] = 0.0
-    np.multiply(c[basis][:, None], tableau, out=terms[1:])
-    cost_row = np.subtract.reduce(terms, axis=0)
+    np.multiply(c[basis][:, None], tableau[:m], out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=tableau[m])
 
-    iterations += _run_simplex(tableau, cost_row, basis, n)
+    iterations += _run_simplex(tableau, basis, n)
 
     x = np.zeros(n)
-    x[basis] = tableau[:, -1]
+    x[basis] = tableau[:m, -1]
     x[x < 0.0] = 0.0
     return SimplexResult(
         x=x,
         objective=float(c @ x),
-        reduced_costs=cost_row[:n].copy(),
+        reduced_costs=tableau[m, :n].copy(),
         iterations=iterations,
     )

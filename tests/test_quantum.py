@@ -691,6 +691,20 @@ def test_theta_geometry_domain():
     assert sb.theta_geometry(np.float64(0.7))[1].n.tobytes() == sb.theta_geometry(0.7)[1].n.tobytes()
 
 
+def test_built_observables_pass_the_direction_checks():
+    """``Observable(v)`` accepts every direction the geometries build, with the same bytes.
+
+    So ``theta_geometry`` and ``sigma_settings`` may skip those checks.
+    """
+    thetas = np.concatenate([np.linspace(1e-4, math.pi / 2.0 - 1e-4, 2001), [0.7, math.pi / 4.0]])
+    built = [obs for theta in thetas.tolist() for obs in sb.theta_geometry(theta)[1:]]
+    built += sb.sigma_settings()[1:]
+    for obs in built:
+        checked = sb.Observable(obs.n)
+        assert checked.n.tobytes() == obs.n.tobytes()
+        assert checked.n.dtype == obs.n.dtype and not obs.n.flags.writeable
+
+
 def test_theta_geometry_layout():
     state, a0, a1, b0, b1 = sb.theta_geometry(0.7)
     assert np.allclose(b0.n, [0.0, 0.0, 1.0])
