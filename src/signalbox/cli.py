@@ -204,7 +204,7 @@ def _sigma_payload(p: float) -> dict:
         "s": _sig12(report.strength),
         "tau": _sig12(quantum.trace_distance(rho0, rho1)),
         "chi": _sig12(quantum.holevo(report.alpha_star, rho0, rho1)),
-        "bound": _sig12(quantum.signal_corrected_bound()),
+        "bound": _sig12(quantum._corrected_bound(report.signal_mutual_info)),
     }
 
 

@@ -472,9 +472,12 @@ def signal_corrected_bound() -> float:
     spot rather than hard-coded.  A table beating this bound is
     nonclassical outright; one below it is not settled by this test.
     """
-    state, a0, a1, b0, b1 = sigma_settings()
-    table = sequential_correlation(state, a0, a1, b0, b1)
-    mu = signal_info(table).info
+    table = sequential_correlation(*sigma_settings())
+    return _corrected_bound(signal_info(table).info)
+
+
+def _corrected_bound(mu: float) -> float:
+    """The functional ceiling ``2 * (mu + 1)`` for a fully classical signal ``mu``."""
     return 2.0 * (mu + 1.0)
 
 

@@ -21,6 +21,8 @@ eliminating ``[A | b]`` and building the tableau afresh with a separate
 cost row: a Bland pivot's entering cost is nonzero, so it updates the
 cost row, and a pivot that ejects an artificial may skip it: by then
 phase 1's objective has been read, and phase 2 rebuilds the costs.
+Phase 2 runs in the same array, its artificial columns barred from
+entering; a pivot updates each column on its own, so the bits hold.
 """
 
 from __future__ import annotations
@@ -144,18 +146,20 @@ def _run_simplex(tableau, basis, ncols):
     ``ncols`` is the number of eligible entering columns (the rhs column
     and any columns beyond ncols never enter).  Returns the pivot count.
     """
+    # Views: each pivot writes through them, so they stay current.
+    costs = tableau[-1, :ncols]
+    rhs = tableau[:-1, -1]
     iterations = 0
     while True:
-        eligible = tableau[-1, :ncols] < -_PIVOT_TOL
+        eligible = costs < -_PIVOT_TOL
         enter = int(eligible.argmax())
         if not eligible[enter]:
             return iterations
-        leave = -1
-        best = np.inf
-        rows = zip(tableau[:-1, enter].tolist(), tableau[:-1, -1].tolist())
-        for i, (coef, rhs) in enumerate(rows):
+        leave, best = -1, np.inf
+        values = rhs.tolist()
+        for i, coef in enumerate(tableau[:-1, enter].tolist()):
             if coef > _PIVOT_TOL:
-                ratio = rhs / coef
+                ratio = values[i] / coef
                 if ratio < best - 1e-12:
                     best, leave = ratio, i
                 elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
@@ -173,7 +177,8 @@ def solve_lp(c, a, b) -> SimplexResult:
 
     Two-phase method: phase 1 drives artificial variables to zero (a
     strictly positive phase-1 optimum means the program is infeasible),
-    phase 2 optimizes the real objective with artificials ejected.
+    phase 2 optimizes the real objective in the same tableau, with
+    artificials ejected and barred from entering.
     Entering variables are chosen by Bland's rule (smallest index with a
     reduced cost below -1e-10), leaving rows by minimum ratio with
     smallest-basis-index tie-breaking, which rules out cycling.
@@ -189,8 +194,9 @@ def solve_lp(c, a, b) -> SimplexResult:
         raise DomainError(
             f"shape mismatch: A is {a.shape}, c is {c.shape}, b is {b.shape}"
         )
+    # count_nonzero: .all() and .any() pay a Python-level wrapper per call.
     for name, values in (("c", c), ("A", a), ("b", b)):
-        if not np.isfinite(values).all():
+        if np.count_nonzero(np.isfinite(values)) != values.size:
             raise DomainError(f"{name} has a non-finite entry")
 
     _, keep, template = _consistent_record(a, b)
@@ -206,7 +212,7 @@ def solve_lp(c, a, b) -> SimplexResult:
     tableau = template.copy()
     b = b[keep]
     flip = b < 0.0
-    if flip.any():
+    if np.count_nonzero(flip):
         a = a[keep]
         a[flip] *= -1.0
         b[flip] *= -1.0
@@ -235,10 +241,9 @@ def solve_lp(c, a, b) -> SimplexResult:
             _pivot(tableau, basis, i, int(eligible[0]))
             iterations += 1
 
-    # Phase 2: drop artificial columns and rebuild the last row's reduced
-    # costs for c, subtracting the rows c_B[i] * T[i] one after another.
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    terms = np.zeros((m + 1, n + 1))
+    # Phase 2, in the same array: rebuild the last row's reduced costs
+    # for c, subtracting the rows c_B[i] * T[i] one after another.
+    terms = np.zeros(tableau.shape)
     terms[0, :n] = c
     np.multiply(c[basis][:, None], tableau[:m], out=terms[1:])
     np.subtract.reduce(terms, axis=0, out=tableau[m])

@@ -66,6 +66,7 @@ _LOCAL_ENTRIES = tuple(
 # Table entries, then normalization; a basis's equalities select its columns.
 _CATALOG_CONSTRAINTS = np.vstack([STRATEGY_MATRIX, np.ones((1, len(FULL_BASIS)))])
 _CATALOG_CONSTRAINTS.setflags(write=False)
+_STRATEGY_ROWS = _STRATEGY_TABLES.reshape(len(FULL_BASIS), -1)
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,17 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
 
 
 def _max_residual(corr: Correlation, weights: dict) -> float:
-    # A reduce down axis 0 adds the stacked ``weight * table`` one after
-    # another, in dict order, from zero: the sum of a loop of 4-D adds,
-    # bit for bit.  A matrix product may add in another order and move
-    # the last bits.
-    tables = _STRATEGY_TABLES[[strategy_column(ident) for ident in weights]]
-    weighted = np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
+    rows = _STRATEGY_ROWS[[strategy_column(ident) for ident in weights]]
+    return _residual(corr, np.array(list(weights.values())), rows)
+
+
+def _residual(corr: Correlation, values: np.ndarray, rows: np.ndarray) -> float:
+    # Max-norm gap to ``values`` times the (k, 16) strategy rows.  A reduce
+    # down axis 0 adds the stacked ``value * row`` one after another from
+    # zero, bit for bit a loop of adds; a matrix product may move bits.
+    weighted = values.reshape(-1, 1) * rows
     total = np.add.reduce(weighted, axis=0, initial=0.0)
-    return float(np.abs(corr.p - total).max())
+    return float(np.abs(corr.p.ravel() - total).max())
 
 
 def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decomposition:
@@ -203,6 +207,8 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     weight on any non-local strategy.  Infeasibility means the table is
     outside the convex hull of the chosen basis.
     """
+    if isinstance(basis, str):
+        raise DomainError(f"basis must be a collection of strategy ids, not {basis!r}")
     if basis is None:
         ids, columns = FULL_BASIS, slice(None)
     else:
@@ -210,16 +216,15 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
         if not ids:
             raise DomainError("basis must name at least one strategy")
         columns = [strategy_column(ident) for ident in ids]
-    rhs = np.concatenate([corr.p.ravel(), [1.0]])
+    rhs = corr._entries + (1.0,)
     solution = solve_lp(STRATEGY_COSTS[columns], _CATALOG_CONSTRAINTS[:, columns], rhs)
-    weights = {}
-    for ident, value in zip(ids, solution.x.tolist()):
-        if value > _WEIGHT_CUTOFF:
-            weights[ident] = value
+    # Bland's rule never lets a repeated id's later copy enter: kept ids are distinct.
+    kept = np.flatnonzero(solution.x > _WEIGHT_CUTOFF)
+    values = solution.x[kept]
     return Decomposition(
-        weights=weights,
+        weights=dict(zip([ids[k] for k in kept.tolist()], values.tolist())),
         cost=float(solution.objective),
-        residual=_max_residual(corr, weights),
+        residual=_residual(corr, values, _STRATEGY_ROWS[columns].take(kept, axis=0)),
     )
 
 

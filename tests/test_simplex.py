@@ -159,22 +159,24 @@ def test_matches_scipy_on_strategy_membership(rng):
 
 
 @pytest.mark.parametrize(
-    "c, a, b",
+    "c, a, b, name",
     [
-        ([1.0, 1.0], [[1.0, np.inf]], [1.0]),
-        ([1.0, 1.0], [[1.0, 1.0]], [np.nan]),
-        ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+        ([1.0, 1.0], [[1.0, np.inf]], [1.0], "A"),
+        ([1.0, 1.0], [[1.0, 1.0]], [np.nan], "b"),
+        ([np.nan, 1.0], [[1.0, 1.0]], [1.0], "c"),
+        # Both A and b are non-finite: the checks run c, then A, then b.
+        ([1.0, 1.0], [[np.nan, 1.0]], [-np.inf], "A"),
     ],
-    ids=["inf-in-A", "nan-in-b", "nan-in-c"],
+    ids=["inf-in-A", "nan-in-b", "nan-in-c", "nan-in-A-and-inf-in-b"],
 )
-def test_non_finite_program_is_rejected(monkeypatch, c, a, b):
-    """A NaN or infinity raises DomainError before any elimination runs."""
+def test_non_finite_program_is_rejected(monkeypatch, c, a, b, name):
+    """A NaN or infinity raises DomainError, naming the first bad array, before any elimination."""
 
     def no_elimination(*args):
         raise AssertionError("elimination ran on non-finite input")
 
     monkeypatch.setattr(simplex, "_consistent_record", no_elimination)
-    with pytest.raises(sb.DomainError, match="non-finite"):
+    with pytest.raises(sb.DomainError, match=f"^{name} has a non-finite entry$"):
         sb.solve_lp(np.array(c), np.array(a), np.array(b))
 
 

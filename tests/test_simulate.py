@@ -234,6 +234,91 @@ def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng):
         assert sb.verify_reconstruction(corr, dec).hex() == want
 
 
+def _weights_loop_lp_min_cost(corr, basis=None):
+    """lp_min_cost as it stood: a weights loop over the solution, then the 4-D residual chain."""
+    from signalbox.correlation import _STRATEGY_TABLES, strategy_column
+    from signalbox.simulate import (
+        FULL_BASIS, STRATEGY_COSTS, _CATALOG_CONSTRAINTS, _WEIGHT_CUTOFF, Decomposition,
+        DomainError, solve_lp,
+    )
+
+    def _max_residual(corr, weights):
+        tables = _STRATEGY_TABLES[[strategy_column(ident) for ident in weights]]
+        weighted = np.array(list(weights.values())).reshape(-1, 1, 1, 1, 1) * tables
+        total = np.add.reduce(weighted, axis=0, initial=0.0)
+        return float(np.abs(corr.p - total).max())
+
+    if basis is None:
+        ids, columns = FULL_BASIS, slice(None)
+    else:
+        ids = tuple(basis)
+        if not ids:
+            raise DomainError("basis must name at least one strategy")
+        columns = [strategy_column(ident) for ident in ids]
+    rhs = np.concatenate([corr.p.ravel(), [1.0]])
+    solution = solve_lp(STRATEGY_COSTS[columns], _CATALOG_CONSTRAINTS[:, columns], rhs)
+    weights = {}
+    for ident, value in zip(ids, solution.x.tolist()):
+        if value > _WEIGHT_CUTOFF:
+            weights[ident] = value
+    return Decomposition(
+        weights=weights,
+        cost=float(solution.objective),
+        residual=_max_residual(corr, weights),
+    )
+
+
+def _decomposition_key(decompose, *args):
+    """Weights (ids in order), cost and residual as hex, or the error class and message."""
+    try:
+        dec = decompose(*args)
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
+    return [(k, v.hex()) for k, v in dec.weights.items()], dec.cost.hex(), dec.residual.hex()
+
+
+def _qubit_table(state, observables):
+    return sb.sequential_correlation(state, *observables)
+
+
+def test_lp_result_assembly_is_bit_identical_to_the_weights_loop(rng):
+    """lp_min_cost against its replaced result assembly, over 2100 catalog tables."""
+    draws = (
+        lambda: sub_cost_mixture(rng)[0],
+        lambda: super_cost_mixture(rng, "bob")[0],
+        lambda: super_cost_mixture(rng, "alice")[0],
+        lambda: bob_shift_mixture(rng)[0],
+        lambda: _qubit_table(*random_quantum_instance(rng)),
+        lambda: random_table(rng),
+    )
+    shuffled = tuple(rng.permutation(sb.FULL_BASIS).tolist())
+    bases = (
+        sb.LOCAL_IDS,
+        sb.PLUS_LOCAL_IDS + sb.VIOLATING_IDS,
+        shuffled[:20],
+        shuffled,
+        # A repeated strategy: only its first copy can enter a Bland pivot.
+        ("signal_0_anb",) + sb.FULL_BASIS,
+    )
+    outcomes = {"InfeasibleError": 0, "solved": 0, "custom basis": 0}
+    for k in range(2100):
+        corr = draws[k % len(draws)]()
+        args = (corr,) if k % 3 else (corr, bases[k // 3 % len(bases)])
+        want = _decomposition_key(_weights_loop_lp_min_cost, *args)
+        assert _decomposition_key(sb.lp_min_cost, *args) == want
+        outcomes["solved" if isinstance(want[0], list) else want[0].__name__] += 1
+        outcomes["custom basis"] += len(args) == 2
+    assert min(outcomes.values()) >= 500, outcomes
+
+
+def test_lp_refuses_a_bare_string_basis():
+    """A string is one id, not a basis: it is refused, not read letter by letter."""
+    with pytest.raises(sb.DomainError, match="collection of strategy ids"):
+        sb.lp_min_cost(sb.pr_box(), basis="signal_0_anb")
+    single = sb.lp_min_cost(strategy_table("signal_0_anb"), basis=("signal_0_anb",))
+    assert single.weights == {"signal_0_anb": 1.0}
+
+
 def _closed_form_three_reads(corr, sigma=0.0):
     """closed_form_decompose as it stood: cost, shifts and marginals each read the table."""
     from signalbox.simulate import (
