@@ -17,8 +17,20 @@ Submodules:
   and LP) and issues the signal-deficit verdict.
 * :mod:`signalbox.simplex` is the small self-contained LP solver.
 * :mod:`signalbox.cli` is the command-line front end.
+
+The verdict itself needs only the table, its marginal shifts and its
+channel capacity, so ``quantum`` and ``simplex``, about a third of the
+package's code, load on first use: the names they export are served
+through the module-level ``__getattr__`` below, and
+:func:`~signalbox.simulate.lp_min_cost` imports the solver when it is
+called.  A process that only classifies tables never compiles or runs
+either module.  A lazily served name is looked up afresh on each access
+and never bound here, so a wrapper set on the submodule's own attribute,
+as a tracer or a test sets it, is seen through the package as well and
+is gone from it once put back.
 """
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .correlation import (
@@ -59,30 +71,6 @@ from .errors import (
     UnknownStrategyError,
     WeightError,
 )
-from .quantum import (
-    IDENTITY,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Observable,
-    QubitState,
-    SweepRow,
-    expanded_formula_table,
-    find_crossover,
-    holevo,
-    holevo_max,
-    post_measurement_state,
-    projector_update_table,
-    sequential_correlation,
-    sigma_settings,
-    signal_corrected_bound,
-    sweep_csv,
-    theta_geometry,
-    theta_sweep,
-    trace_distance,
-    tsirelson_box,
-    von_neumann_entropy,
-)
 from .signaling import (
     RandomnessReport,
     SignalReport,
@@ -94,7 +82,6 @@ from .signaling import (
     signal_strength,
     unbalanced_pr,
 )
-from .simplex import SimplexResult, solve_lp
 from .simulate import (
     ClassificationReport,
     Decomposition,
@@ -111,9 +98,54 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-# Every public name imported above, and nothing else.
+# Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "IDENTITY",
+            "PAULI_X",
+            "PAULI_Y",
+            "PAULI_Z",
+            "Observable",
+            "QubitState",
+            "SweepRow",
+            "expanded_formula_table",
+            "find_crossover",
+            "holevo",
+            "holevo_max",
+            "post_measurement_state",
+            "projector_update_table",
+            "sequential_correlation",
+            "sigma_settings",
+            "signal_corrected_bound",
+            "sweep_csv",
+            "theta_geometry",
+            "theta_sweep",
+            "trace_distance",
+            "tsirelson_box",
+            "von_neumann_entropy",
+        ),
+        "quantum",
+    ),
+    **dict.fromkeys(("SimplexResult", "solve_lp"), "simplex"),
+}
+
+# Every public name imported above or served lazily, and nothing else.
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + list(_LAZY)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        return getattr(_import_module(f"{__name__}.{module}"), name)
+    if name in _LAZY.values():
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -13,6 +13,11 @@ for a fixed invocation.
 
 from __future__ import annotations
 
+# Before the standard library: compiled after argparse's modules are
+# resident, the qubit layer's compile raises the peak resident set of a
+# process without cached bytecode by about 0.1-0.4 MB.
+from . import quantum
+
 import argparse
 import contextlib
 import functools
@@ -20,7 +25,6 @@ import json
 import math
 import sys
 
-from . import quantum
 from .correlation import (
     _read_correlation,
     catalog,

@@ -330,7 +330,7 @@ def _entropy_slopes(nu: np.ndarray):
     ratio = np.arctanh(radius) / radius
     bend = (1.0 / (1.0 - radius * radius) - ratio) / (radius * radius)
     small = nu < 1e-8
-    if small.any():
+    if np.count_nonzero(small):
         ratio = np.where(small, 1.0 + nu / 3.0, ratio)
         bend = np.where(small, 2.0 / 3.0, bend)
     return -ratio / (2.0 * math.log(2.0)), -bend / (4.0 * math.log(2.0))
@@ -376,7 +376,7 @@ def _holevo_max_batch(r0: np.ndarray, r1: np.ndarray):
     # test below turns into a bisection step.
     with np.errstate(all="ignore"):
         for _ in range(100):  # bisection alone settles within 45 steps
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
             slope = c1 + 2.0 * alpha * c2
             d1, d2 = _entropy_slopes(c0 + alpha * (c1 + alpha * c2))
@@ -628,14 +628,17 @@ _CROSSOVER_GUESS = 1.0701081368277094
 
 
 def find_crossover(theta_min: float, theta_max: float) -> float:
-    """Angle where the restricted information first covers the cost.
+    """Angle where the restricted information first exceeds the cost.
 
-    Bisects ``restricted_info - disturbance`` to within ``CROSSOVER_TOL``;
-    no Holevo quantity is computed.  The gap is a fixed function of the
-    angle, with one sign change, at ``_CROSSOVER_GUESS``, so one route
-    call takes the endpoints and, when the guess lies between them, the
-    midpoints of the path a bisection follows towards the guess, which
-    settles a bracketing window in that one call.  Should the walk leave
+    Bisects the sign of ``restricted_info - disturbance > 0`` to within
+    ``CROSSOVER_TOL``, so the angle returned is where the gap first
+    becomes positive; a gap of exactly 0.0, as below about 5e-9 where
+    the channel is silent, counts as not positive and is never returned
+    as a crossover.  No Holevo quantity is computed.  The gap is a fixed
+    function of the angle, with one sign change, at ``_CROSSOVER_GUESS``,
+    so one route call takes the endpoints and, when the guess lies
+    between them, the midpoints of the path a bisection follows towards
+    the guess, which settles a bracketing window in that one call.  Should the walk leave
     that path, as a gap whose sign is rounding noise next to the root or
     a wrong guess would make it, each later call takes the 7 midpoints
     of the three levels below the current bracket.  The guess only picks
@@ -657,13 +660,8 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
     if lo < _CROSSOVER_GUESS < hi:
         points += _bisection_path(lo, hi, _CROSSOVER_GUESS)
     gaps = dict(zip(points, _crossover_gaps(points)))
-    g_lo = gaps[lo]
-    g_hi = gaps[hi]
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
+    positive_lo = gaps[lo] > 0.0
+    if positive_lo == (gaps[hi] > 0.0):
         raise NoCrossoverError(
             f"no sign change of info minus cost on [{theta_min}, {theta_max}]"
         )
@@ -672,11 +670,8 @@ def find_crossover(theta_min: float, theta_max: float) -> float:
         if mid not in gaps:
             points = _midpoints(lo, hi, 3)
             gaps.update(zip(points, _crossover_gaps(points)))
-        g_mid = gaps[mid]
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+        if (gaps[mid] > 0.0) == positive_lo:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

@@ -47,7 +47,6 @@ from .correlation import (
 )
 from .errors import DomainError, InfeasibleError, PreconditionError
 from .signaling import _best_channel
-from .simplex import solve_lp
 
 _RESIDUAL_TOL = 1e-9
 _CLASSICAL_TOL = 1e-9
@@ -207,6 +206,10 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     weight on any non-local strategy.  Infeasibility means the table is
     outside the convex hull of the chosen basis.
     """
+    # Imported here, so that a process that never prices a table never
+    # loads the solver; the lookup also sees whatever solve_lp is bound now.
+    from .simplex import solve_lp
+
     if isinstance(basis, str):
         raise DomainError(f"basis must be a collection of strategy ids, not {basis!r}")
     if basis is None:

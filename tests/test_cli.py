@@ -255,6 +255,14 @@ def test_sweep_window_without_crossover(capsys):
     assert len(out.strip().split("\n")) == 62
 
 
+def test_sweep_from_zero_gap_endpoint_reports_the_crossover(capsys):
+    """A window starting where the gap rounds to 0.0 still reports 1.0701."""
+    assert run(["sweep", "--theta-min", "1e-9", "--theta-max", "1.2"]) == 0
+    trailer = capsys.readouterr().out.strip().split("\n")[-1]
+    assert trailer.startswith("# crossover=")
+    assert float(trailer.split("=", 1)[1]) == pytest.approx(1.0701, abs=2e-4)
+
+
 def test_sweep_bad_ranges(capsys, monkeypatch):
     assert run(["sweep", "--steps", "1"]) == 1
     assert run(["sweep", "--theta-min", "1.2", "--theta-max", "0.9"]) == 1

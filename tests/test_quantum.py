@@ -945,23 +945,15 @@ def _scalar_crossover(theta_min, theta_max):
             f"interval [{theta_min}, {theta_max}] does not bracket a sign change"
         )
     lo, hi = theta_min, theta_max
-    g_lo = gap(lo)
-    g_hi = gap(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
+    positive_lo = gap(lo) > 0.0
+    if positive_lo == (gap(hi) > 0.0):
         raise sb.NoCrossoverError(
             f"no sign change of info minus cost on [{theta_min}, {theta_max}]"
         )
     while hi - lo > quantum.CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+        if (gap(mid) > 0.0) == positive_lo:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -1013,6 +1005,22 @@ def test_find_crossover_matches_scalar_bisection():
         assert _outcome(sb.find_crossover, lo, hi) == want, (lo, hi)
         bracketing += isinstance(want, str)
     assert 150 <= bracketing <= len(windows) - 150
+
+
+def test_zero_gap_is_not_a_crossover():
+    """Below about 5e-9 the gap rounds to exactly 0.0, which is not positive.
+
+    A window there brackets no sign change, and one reaching past 1.07
+    finds the angle where the gap first becomes positive, not its endpoint.
+    """
+    assert quantum._crossover_gaps([1e-300, 1e-9, 2e-9]) == [0.0, 0.0, 0.0]
+    for lo, hi in ((1e-9, 2e-9), (1e-300, 0.5)):
+        for finder in (sb.find_crossover, _scalar_crossover):
+            with pytest.raises(sb.NoCrossoverError):
+                finder(lo, hi)
+    theta = sb.find_crossover(1e-9, 1.2)
+    assert theta == pytest.approx(1.0701049806, abs=1e-10)
+    assert theta.hex() == _scalar_crossover(1e-9, 1.2).hex()
 
 
 def test_crossover_gaps_match_scalar_route():

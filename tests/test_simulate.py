@@ -237,9 +237,10 @@ def test_stacked_residual_is_bit_identical_to_the_dict_order_loop(rng):
 def _weights_loop_lp_min_cost(corr, basis=None):
     """lp_min_cost as it stood: a weights loop over the solution, then the 4-D residual chain."""
     from signalbox.correlation import _STRATEGY_TABLES, strategy_column
+    from signalbox.simplex import solve_lp
     from signalbox.simulate import (
         FULL_BASIS, STRATEGY_COSTS, _CATALOG_CONSTRAINTS, _WEIGHT_CUTOFF, Decomposition,
-        DomainError, solve_lp,
+        DomainError,
     )
 
     def _max_residual(corr, weights):
