@@ -9,20 +9,22 @@ as an oracle in the test suite.  No external solver is involved.
 Redundant equalities are removed up front by Gaussian elimination with
 partial pivoting; an inconsistent system raises
 :class:`~signalbox.errors.InfeasibleError` at that stage already.  The
-pivot choices depend on A alone, so one record per matrix (a small LRU
-cache) holds the elimination's steps, the rows it keeps and the phase-1
-tableau built from them, all independent of b.  Each solve replays the
-steps on its right-hand side with the same elementwise operations,
-skipping zero factors, and copies the tableau with b written in.  The
-reduced costs are the tableau's last row, so each pivot updates every
-touched row, costs included, in one masked operation, element by element
-exactly as a loop over the rows would.  Every result is bit-identical to
-eliminating ``[A | b]`` and building the tableau afresh with a separate
-cost row: a Bland pivot's entering cost is nonzero, so it updates the
-cost row, and a pivot that ejects an artificial may skip it: by then
-phase 1's objective has been read, and phase 2 rebuilds the costs.
-Phase 2 runs in the same array, its artificial columns barred from
-entering; a pivot updates each column on its own, so the bits hold.
+pivot choices depend on A alone, so one record per matrix holds the
+elimination's steps, the rows it keeps and the phase-1 tableau built
+from them, all independent of b.  A solve finds a prepared program's
+record (:func:`_prepare`) by A's identity, any other by A's bytes.
+Each solve replays the steps on its right-hand side with the same
+elementwise operations, skipping zero factors, and copies the tableau
+with b written in.  The reduced costs are the tableau's last row, so
+each pivot updates every touched row, costs included, in one masked
+operation, element by element exactly as a loop over the rows would.
+Every result is bit-identical to eliminating ``[A | b]`` and building
+the tableau afresh with a separate cost row: a Bland pivot's entering
+cost is nonzero, so it updates the cost row, and a pivot that ejects an
+artificial may skip it: by then phase 1's objective has been read, and
+phase 2 rebuilds the costs.  Phase 2 runs in the same array, its
+artificial columns barred from entering; a pivot updates each column on
+its own, so the bits hold.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _numeric_array
+from .correlation import _frozen_record, _numeric_array
 from .errors import ConsistencyError, DomainError, InfeasibleError, UnboundedError
 
 _FEAS_TOL = 1e-9
 # Pivot and reduced-cost threshold: entries within it count as zero.
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
+# id(A) -> (A, c, record) of each prepared program; holding A keeps its id unique.
+_PROGRAMS = {}
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,20 @@ def _eliminate(shape, data):
     return tuple(steps), keep, tableau
 
 
+def _prepare(a, c):
+    """Check and eliminate a read-only float64 A once, with its costs c, for :func:`solve_lp`.
+
+    A solve on this A skips A's conversion and checks, and c's too when c
+    is this very object; neither array may be written afterwards.
+    """
+    for array in (a, c):
+        if array.dtype != np.float64 or array.flags.writeable or not np.isfinite(array).all():
+            raise DomainError("a prepared program needs read-only, finite float64 arrays")
+    if a.ndim != 2 or c.shape != a.shape[1:]:
+        raise DomainError(f"shape mismatch: A is {a.shape}, c is {c.shape}")
+    _PROGRAMS[id(a)] = (a, c, _eliminate.__wrapped__(a.shape, a.tobytes()))
+
+
 def _consistent_record(a, b):
     """The elimination record of A, once b is checked consistent with it.
 
@@ -113,7 +131,8 @@ def _consistent_record(a, b):
     InfeasibleError when elimination exposes a row 0 = beta with beta
     nonzero, i.e. the equality system is contradictory.
     """
-    record = _eliminate(a.shape, a.tobytes())
+    program = _PROGRAMS.get(id(a))
+    record = _eliminate(a.shape, a.tobytes()) if program is None else program[2]
     steps, keep = record[:2]
     beta = b.tolist()
     for rank, (piv, factors) in enumerate(steps):
@@ -186,9 +205,15 @@ def solve_lp(c, a, b) -> SimplexResult:
     Raises :class:`~signalbox.errors.DomainError` for mismatched shapes,
     or a NaN, infinite, complex or non-numeric entry in ``c``, ``A`` or ``b``.
     """
-    c, a, b = map(_numeric_array, (c, a, b))
-    if a.ndim != 2:
-        raise DomainError(f"constraint matrix must be 2-d, got {a.ndim}-d")
+    program = _PROGRAMS.get(id(a))
+    if program is None:
+        c, a, b = map(_numeric_array, (c, a, b))
+        if a.ndim != 2:
+            raise DomainError(f"constraint matrix must be 2-d, got {a.ndim}-d")
+        checked = ()
+    else:  # a prepared A, and its own c, were converted and checked once
+        checked = ("A", "c") if c is program[1] else ("A",)
+        c, b = c if "c" in checked else _numeric_array(c), _numeric_array(b)
     m, n = a.shape
     if c.shape != (n,) or b.shape != (m,):
         raise DomainError(
@@ -196,7 +221,7 @@ def solve_lp(c, a, b) -> SimplexResult:
         )
     # count_nonzero: .all() and .any() pay a Python-level wrapper per call.
     for name, values in (("c", c), ("A", a), ("b", b)):
-        if np.count_nonzero(np.isfinite(values)) != values.size:
+        if name not in checked and np.count_nonzero(np.isfinite(values)) != values.size:
             raise DomainError(f"{name} has a non-finite entry")
 
     _, keep, template = _consistent_record(a, b)
@@ -253,9 +278,6 @@ def solve_lp(c, a, b) -> SimplexResult:
     x = np.zeros(n)
     x[basis] = tableau[:m, -1]
     x[x < 0.0] = 0.0
-    return SimplexResult(
-        x=x,
-        objective=float(c @ x),
-        reduced_costs=tableau[m, :n].copy(),
-        iterations=iterations,
+    return _frozen_record(
+        SimplexResult, (x, float(c @ x), tableau[m, :n].copy(), iterations)
     )

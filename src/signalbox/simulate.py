@@ -20,6 +20,7 @@ cost; a positive deficit certifies nonclassicality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,18 +28,18 @@ import numpy as np
 
 from .correlation import (
     FULL_BASIS,
+    LOCAL_IDS,
     PLUS_LOCAL_IDS,
     STRATEGY_COSTS,
     STRATEGY_MATRIX,
     VIOLATING_IDS,
+    _COLUMNS,
     _INPUT_SLACK,
     _STRATEGY_TABLES,
     Correlation,
-    StrategyKind,
     _check_real,
     _frozen_record,
     _table_terms,
-    catalog,
     disturbance_cost,
     disturbance_from_functional,
     signaling_deltas,
@@ -66,6 +67,16 @@ _LOCAL_ENTRIES = tuple(
 _CATALOG_CONSTRAINTS = np.vstack([STRATEGY_MATRIX, np.ones((1, len(FULL_BASIS)))])
 _CATALOG_CONSTRAINTS.setflags(write=False)
 _STRATEGY_ROWS = _STRATEGY_TABLES.reshape(len(FULL_BASIS), -1)
+_LOCALS = frozenset(LOCAL_IDS)
+
+
+@functools.cache
+def _solver():
+    """The simplex module, loaded by the first priced table with the catalog program prepared."""
+    from . import simplex
+
+    simplex._prepare(_CATALOG_CONSTRAINTS, STRATEGY_COSTS)
+    return simplex
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,10 @@ def verify_reconstruction(corr: Correlation, decomposition: Decomposition) -> fl
 
 
 def _max_residual(corr: Correlation, weights: dict) -> float:
-    rows = _STRATEGY_ROWS[[strategy_column(ident) for ident in weights]]
+    try:
+        rows = _STRATEGY_ROWS[[_COLUMNS[ident] for ident in weights]]
+    except KeyError:  # strategy_column names the unknown id
+        rows = _STRATEGY_ROWS[[strategy_column(ident) for ident in weights]]
     return _residual(corr, np.array(list(weights.values())), rows)
 
 
@@ -186,15 +200,13 @@ def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decompositio
         weights[ident] = corr._entries[k]
 
     weights = {k: v for k, v in weights.items() if v > _WEIGHT_CUTOFF}
-    one_bit = sum(
-        (v for k, v in weights.items() if catalog(k).kind is not StrategyKind.LOCAL), 0.0
-    )
+    one_bit = sum((v for k, v in weights.items() if k not in _LOCALS), 0.0)
     residual = _max_residual(corr, weights)
     if residual > _RESIDUAL_TOL:
         raise InfeasibleError(
             f"closed-form reconstruction misses the table by {residual}"
         )
-    return Decomposition(weights=weights, cost=one_bit, residual=residual)
+    return _frozen_record(Decomposition, (weights, one_bit, residual))
 
 
 def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
@@ -204,31 +216,31 @@ def lp_min_cost(corr: Correlation, basis=None) -> Decomposition:
     32-strategy catalog by default).  The equalities pin every table
     entry plus normalization; the objective charges one bit per unit of
     weight on any non-local strategy.  Infeasibility means the table is
-    outside the convex hull of the chosen basis.
+    outside the convex hull of the chosen basis; the consistency check
+    also refuses a validated table whose setting-pair sums differ by
+    more than 1e-9.
     """
-    # Imported here, so that a process that never prices a table never
-    # loads the solver; the lookup also sees whatever solve_lp is bound now.
-    from .simplex import solve_lp
-
     if isinstance(basis, str):
         raise DomainError(f"basis must be a collection of strategy ids, not {basis!r}")
-    if basis is None:
-        ids, columns = FULL_BASIS, slice(None)
-    else:
+    # By default the prepared catalog program itself, whose checks are done.
+    ids, costs, constraints, rows = FULL_BASIS, STRATEGY_COSTS, _CATALOG_CONSTRAINTS, _STRATEGY_ROWS
+    if basis is not None:
         ids = tuple(basis)
         if not ids:
             raise DomainError("basis must name at least one strategy")
         columns = [strategy_column(ident) for ident in ids]
-    rhs = corr._entries + (1.0,)
-    solution = solve_lp(STRATEGY_COSTS[columns], _CATALOG_CONSTRAINTS[:, columns], rhs)
+        costs, constraints = STRATEGY_COSTS[columns], _CATALOG_CONSTRAINTS[:, columns]
+        rows = _STRATEGY_ROWS[columns]
+    # Looked up on the module per call, so a wrapper set on solve_lp is seen.
+    solution = _solver().solve_lp(costs, constraints, corr._entries + (1.0,))
     # Bland's rule never lets a repeated id's later copy enter: kept ids are distinct.
-    kept = np.flatnonzero(solution.x > _WEIGHT_CUTOFF)
+    kept = (solution.x > _WEIGHT_CUTOFF).nonzero()[0]
     values = solution.x[kept]
-    return Decomposition(
-        weights=dict(zip([ids[k] for k in kept.tolist()], values.tolist())),
-        cost=float(solution.objective),
-        residual=_residual(corr, values, _STRATEGY_ROWS[columns].take(kept, axis=0)),
-    )
+    return _frozen_record(Decomposition, (
+        dict(zip([ids[k] for k in kept.tolist()], values.tolist())),
+        float(solution.objective),
+        _residual(corr, values, rows.take(kept, axis=0)),
+    ))
 
 
 def communication_cost(corr: Correlation) -> float:

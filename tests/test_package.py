@@ -56,6 +56,11 @@ def test_first_theta_sweep_loads_quantum():
     assert _submodules_after("sb.theta_sweep(0.9, 1.2, 5)") == EAGER | {"signalbox.quantum"}
 
 
+def test_sweep_with_its_crossover_never_loads_simplex():
+    script = "sb.theta_sweep(1.0, 1.2, 61)\nsb.find_crossover(1.0, 1.2)"
+    assert _submodules_after(script) == EAGER | {"signalbox.quantum"}
+
+
 def test_lazy_names_are_served_and_never_bound():
     """Each lazy name is its submodule's object, looked up afresh, never cached here."""
     lazy = sb._LAZY

@@ -224,7 +224,7 @@ def test_frozen_record_classes_store_only_their_init_arguments():
     generated ``__init__`` does nothing else: frozen dataclasses with no
     ``__post_init__``, no defaults, and no ``init=False`` or pseudo-fields."""
     classes = _frozen_record_classes()
-    assert classes == {sb.ClassificationReport, sb.SweepRow}
+    assert classes == {sb.ClassificationReport, sb.SweepRow, sb.Decomposition, sb.SimplexResult}
     for cls in classes:
         assert cls.__dataclass_params__.frozen
         assert not hasattr(cls, "__post_init__")

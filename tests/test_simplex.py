@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import signalbox as sb
-from signalbox import correlation, simplex
+from signalbox import correlation, simplex, simulate
 from conftest import (
     random_quantum_instance,
     random_table,
@@ -166,18 +166,27 @@ def test_matches_scipy_on_strategy_membership(rng):
         ([np.nan, 1.0], [[1.0, 1.0]], [1.0], "c"),
         # Both A and b are non-finite: the checks run c, then A, then b.
         ([1.0, 1.0], [[np.nan, 1.0]], [-np.inf], "A"),
+        # The prepared catalog program skips only its own A's and c's checks.
+        ("catalog", "catalog", [np.nan] + [0.0] * 16, "b"),
+        ([np.inf] + [0.0] * 31, "catalog", [np.nan] * 17, "c"),
     ],
-    ids=["inf-in-A", "nan-in-b", "nan-in-c", "nan-in-A-and-inf-in-b"],
+    ids=[
+        "inf-in-A", "nan-in-b", "nan-in-c", "nan-in-A-and-inf-in-b",
+        "nan-in-b-of-the-prepared-program", "inf-in-c-beside-the-prepared-matrix",
+    ],
 )
 def test_non_finite_program_is_rejected(monkeypatch, c, a, b, name):
     """A NaN or infinity raises DomainError, naming the first bad array, before any elimination."""
+    simulate._solver()  # prepares the catalog program
+    catalog = {"c": correlation.STRATEGY_COSTS, "A": simulate._CATALOG_CONSTRAINTS}
 
     def no_elimination(*args):
         raise AssertionError("elimination ran on non-finite input")
 
     monkeypatch.setattr(simplex, "_consistent_record", no_elimination)
+    c, a = (catalog[k] if v == "catalog" else np.array(v) for k, v in (("c", c), ("A", a)))
     with pytest.raises(sb.DomainError, match=f"^{name} has a non-finite entry$"):
-        sb.solve_lp(np.array(c), np.array(a), np.array(b))
+        sb.solve_lp(c, a, np.array(b))
 
 
 def _rows_eliminated_together(a, b, tol):
@@ -459,3 +468,55 @@ def test_lp_hot_path_is_bit_identical_to_the_fresh_tableau_chain(rng):
     # and programs that eject an artificial, where the solver's pivots may
     # leave its cost row stale.
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _catalog_right_hand_sides(rng):
+    """Right-hand sides of the catalog program: every table family, -0.0 entries, b < 0."""
+    tables = [sub_cost_mixture(rng)[0] for _ in range(20)]
+    tables += [super_cost_mixture(rng, toward)[0] for toward in ("bob", "alice") * 5]
+    for w in rng.dirichlet(np.full(32, 0.3), size=20):
+        tables.append(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
+    qubits = (random_quantum_instance(rng) for _ in range(20))
+    tables += [sb.sequential_correlation(state, *obs) for state, obs in qubits]
+    tables += [random_table(rng) for _ in range(20)]
+    for corr in tables:
+        yield corr._entries + (1.0,)
+    for ident in sb.FULL_BASIS:  # single strategies: zeros everywhere, written as -0.0
+        b = np.append(sb.catalog(ident).as_correlation().p.ravel(), 1.0)
+        yield np.where(b == 0.0, -0.0, b)
+    for corr in tables[::4]:  # every row flipped, or a few: infeasible or inconsistent
+        b = np.append(corr.p.ravel(), 1.0)
+        yield -b
+        yield np.where(rng.random(17) < 0.2, -b, b)
+
+
+def test_prepared_catalog_program_matches_the_bytes_keyed_path(rng):
+    """The prepared catalog matrix gives the bits, or the error, of a writable copy."""
+    prepared = simulate._solver()._PROGRAMS[id(simulate._CATALOG_CONSTRAINTS)][0]
+    assert prepared is simulate._CATALOG_CONSTRAINTS
+    copy = np.array(prepared)
+    costs = (correlation.STRATEGY_COSTS, np.array(correlation.STRATEGY_COSTS), rng.normal(size=32))
+    programs = [(c, b) for b in _catalog_right_hand_sides(rng) for c in costs]
+    cache = simplex._eliminate.cache_info()
+    got = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
+    assert simplex._eliminate.cache_info() == cache  # never hashed into the LRU cache
+    assert got == [_lp_key(sb.solve_lp, c, copy, b) for c, b in programs]
+    messages = [key[1] for key in got if isinstance(key[0], type)]
+    assert len(got) - len(messages) >= 150
+    assert sum(m.startswith("equality system is inconsistent") for m in messages) >= 20
+    assert sum(m.startswith("no nonnegative solution") for m in messages) >= 20
+    with pytest.raises(sb.DomainError, match="prepared program"):
+        simplex._prepare(copy, correlation.STRATEGY_COSTS)  # writable
+
+
+def test_catalog_lps_leave_the_elimination_cache_alone(rng):
+    """lp_min_cost's default program is prepared once; no solve hashes it into the LRU cache."""
+    sb.lp_min_cost(sb.pr_box())
+    cache = simplex._eliminate.cache_info()
+    for _ in range(30):
+        try:
+            sb.lp_min_cost(random_table(rng))
+        except sb.InfeasibleError:
+            pass
+        sb.lp_min_cost(sub_cost_mixture(rng)[0])
+    assert simplex._eliminate.cache_info() == cache

@@ -101,6 +101,27 @@ def test_lp_infeasible_outside_basis_hull():
         sb.lp_min_cost(sb.tsirelson_signal_box())
 
 
+def _skewed_local_mixture(eps):
+    """A mixture of the 16 locals with pair (0, 0) scaled by 1 + eps and pair (1, 1) by 1 - eps."""
+    weights = np.random.default_rng(0).dirichlet(np.ones(16))
+    p = sb.mix(weights, [sb.catalog(ident).as_correlation() for ident in sb.LOCAL_IDS]).p.copy()
+    p[0, 0] *= 1.0 + eps
+    p[1, 1] *= 1.0 - eps
+    return sb.Correlation(p)
+
+
+def test_lp_consistency_check_at_the_normalization_bound():
+    """Setting-pair sums 1e-9 apart still price; 1.8e-9 apart, a validated table is refused."""
+    dec = sb.lp_min_cost(_skewed_local_mixture(0.5e-9))
+    assert dec.cost == pytest.approx(5.8036e-10, rel=1e-4)
+    assert 0.99e-9 < dec.residual <= 1e-9
+    table = _skewed_local_mixture(0.9e-9)  # Correlation accepts each sum within 1e-9 of one
+    with pytest.raises(
+        sb.InfeasibleError, match=r"^equality system is inconsistent \(residual -1\.800e-09\)$"
+    ):
+        sb.lp_min_cost(table)
+
+
 def test_lp_rejects_unknown_basis_entry():
     with pytest.raises(sb.UnknownStrategyError):
         sb.lp_min_cost(sb.pr_box(), basis=("local_0_0", "signal_q_q"))
@@ -109,8 +130,8 @@ def test_lp_rejects_unknown_basis_entry():
 def test_lp_rejects_empty_basis_and_unknown_weights():
     with pytest.raises(sb.DomainError):
         sb.lp_min_cost(sb.pr_box(), basis=())
-    stray = sb.Decomposition(weights={"signal_q_q": 1.0}, cost=0.0, residual=0.0)
-    with pytest.raises(sb.UnknownStrategyError):
+    stray = sb.Decomposition(weights={"local_0_0": 0.5, "signal_q_q": 1.0}, cost=0.0, residual=0.0)
+    with pytest.raises(sb.UnknownStrategyError, match="unknown strategy 'signal_q_q'"):
         sb.verify_reconstruction(sb.pr_box(), stray)
 
 
@@ -324,10 +345,11 @@ def _closed_form_three_reads(corr, sigma=0.0):
     """closed_form_decompose as it stood: cost, shifts and marginals each read the table."""
     from signalbox.simulate import (
         PLUS_LOCAL_IDS, VIOLATING_IDS, _LOCAL_ENTRIES, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
-        Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
-        _max_residual, catalog,
+        Decomposition, DomainError, InfeasibleError, PreconditionError, _max_residual,
     )
-    from signalbox.correlation import _table_terms, disturbance_cost, signaling_deltas
+    from signalbox.correlation import (
+        StrategyKind, _table_terms, catalog, disturbance_cost, signaling_deltas,
+    )
 
     cost = disturbance_cost(corr)
     if not -1e-12 <= sigma <= cost + 1e-12:
@@ -398,9 +420,10 @@ def _closed_form_lstsq(corr, sigma=0.0):
     """closed_form_decompose with its locals fitted by lstsq to the table's remainder."""
     from signalbox.simulate import (
         PLUS_LOCAL_IDS, VIOLATING_IDS, _INPUT_SLACK, _RESIDUAL_TOL, _WEIGHT_CUTOFF,
-        Decomposition, DomainError, InfeasibleError, PreconditionError, StrategyKind,
-        _check_real, _max_residual, catalog, disturbance_from_functional,
+        Decomposition, DomainError, InfeasibleError, PreconditionError,
+        _check_real, _max_residual, disturbance_from_functional,
     )
+    from signalbox.correlation import StrategyKind, catalog
 
     # One read of the table gives the cost, the shifts and bob's marginals.
     functional, _, bob, to_bob, to_alice = _table_terms(corr._entries)
