@@ -8,7 +8,9 @@ with their reports.
 Exit codes are a stable contract for scripting: 0 success, 1 usage
 error, 2 input validation failure, 3 computation/domain failure.  All
 numeric output is rendered at 12 significant digits and is deterministic
-for a fixed invocation.
+for a fixed invocation.  One writer, ``_json_value``, prints every JSON
+output, byte for byte as ``json.dumps(payload, indent=2, sort_keys=True)``
+prints it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from . import quantum
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .correlation import (
     _read_correlation,
@@ -145,12 +147,54 @@ def _load_or_report(args):
     return None
 
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_INF = math.inf
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it.
+
+    ``value`` holds str-keyed dicts, lists, floats, bools, ints and
+    strings; ``indent`` is the newline and spaces that start its line.
+    Given an indent, CPython before 3.13 runs json's pure-Python encoder;
+    this writer takes its steps, but builds each container with one join.
+    """
+    if isinstance(value, float):
+        if -_INF < value < _INF:
+            return _float_repr(value)
+        raise DomainError(
+            "output has a non-finite number "
+            f"(Out of range float values are not JSON compliant: {value!r})"
+        )
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _encode_str(key) + ": " + _json_value(item, inner)
+            for key, item in sorted(value.items())
+        ]) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_value(item, inner) for item in value
+        ]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_text(payload) -> str:
     """Strict JSON: a NaN or infinity raises DomainError, never prints."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"output has a non-finite number ({exc})") from None
+    return _json_value(payload, "\n") + "\n"
 
 
 def cmd_analyze(args) -> int:

@@ -153,7 +153,8 @@ def _numeric_array(data, error=DomainError) -> np.ndarray:
     ``data`` is read once as it stands, so float64 input takes no second
     conversion and complex input is refused before a cast could drop its
     imaginary part.  Other real input converts as ``np.array(data,
-    dtype=float)`` converts it, failures included.
+    dtype=float)`` converts it; its failures, an int too large for a
+    float among them, raise ``error``.
     """
     try:
         arr = np.array(data)
@@ -161,7 +162,7 @@ def _numeric_array(data, error=DomainError) -> np.ndarray:
             return arr
         if arr.dtype.kind != "c":
             return np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"cannot interpret input as a numeric array: {exc}") from exc
     raise error("input has complex entries; only real numbers are accepted")
 
@@ -521,6 +522,9 @@ def to_json_dict(corr: Correlation) -> dict:
     return {"p": corr.p.tolist()}
 
 
+_FLOAT_LEAVES = [float] * 16
+
+
 def from_json_dict(payload) -> Correlation:
     """Parse the payload produced by :func:`to_json_dict`, strictly.
 
@@ -532,16 +536,27 @@ def from_json_dict(payload) -> Correlation:
         raise DomainError(f"expected a JSON object, got {type(payload).__name__}")
     if "p" not in payload:
         raise DomainError('payload is missing the "p" entry')
+    table = payload["p"]
+    # A regular (2, 2, 2, 2) nesting of lists with float leaves, as
+    # to_json_dict writes it, has no entry to refuse, and one pass finds
+    # it: any other node is skipped, so fewer than 16 types come out.
+    if type(table) is list and len(table) == 2 and [
+        type(x) for a in table if type(a) is list and len(a) == 2
+        for b in a if type(b) is list and len(b) == 2
+        for c in b if type(c) is list and len(c) == 2
+        for x in c
+    ] == _FLOAT_LEAVES:
+        return Correlation(table)
     # A loop, not recursion: the parser accepts nesting deeper than the
     # interpreter's recursion limit leaves room for here.
-    pending = [payload["p"]]
+    pending = [table]
     while pending:
         node = pending.pop()
         if isinstance(node, list):
             pending.extend(reversed(node))
         elif isinstance(node, (str, bool)):
             raise DomainError(f"table entry must be a JSON number, got {json.dumps(node)}")
-    return Correlation(payload["p"])
+    return Correlation(table)
 
 
 def _read_correlation(handle, source) -> Correlation:

@@ -29,6 +29,9 @@ class WeightError(SignalBoxError, ValueError):
 class UnknownStrategyError(SignalBoxError, KeyError):
     """A strategy identifier is not in the catalog."""
 
+    # KeyError's str() is the repr of its argument, quotes included.
+    __str__ = Exception.__str__
+
 
 class DomainError(SignalBoxError, ValueError):
     """An argument lies outside the domain of the requested computation."""

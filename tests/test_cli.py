@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import signalbox as sb
 from signalbox import cli
@@ -212,22 +214,75 @@ def test_decompose_rejects_non_finite_tol(tmp_path, capsys):
         assert captured.err == "signalbox: decompose needs a finite --tol\n"
 
 
+def _json_refusal(payload):
+    """json's own message for the first non-finite number of ``payload``."""
+    with pytest.raises(ValueError) as refused:
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return f"signalbox: output has a non-finite number ({refused.value})\n"
+
+
 def test_non_finite_json_output_is_a_computation_failure(tmp_path, capsys, monkeypatch):
-    """NaN never prints as JSON: the command exits 3 with empty stdout."""
+    """NaN never prints as JSON: the command exits 3 with empty stdout and
+    json's message for the first non-finite number in key order."""
     path = write_table(tmp_path, sb.pr_box())
-    monkeypatch.setattr(
-        "signalbox.cli.report_json_dict", lambda report: {"lambda": math.nan}
-    )
+    report = {"lambda": [0.5, {"z": math.nan, "a": -math.inf}]}
+    monkeypatch.setattr("signalbox.cli.report_json_dict", lambda _: report)
     assert run(["analyze", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("signalbox: output has a non-finite number")
-    assert captured.err.count("\n") == 1
+    assert captured.err == _json_refusal(report) == (
+        "signalbox: output has a non-finite number "
+        "(Out of range float values are not JSON compliant: -inf)\n"
+    )
     monkeypatch.setattr(
         "signalbox.cli.decomposition_json_dict", lambda dec: {"cost": math.inf}
     )
     assert run(["decompose", path]) == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _json_refusal({"cost": math.inf})
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9", "\u2603", "\U0001f600", ""]
+)
+_JSON_LEAVES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1, 1e-7, 123456789012.0])
+    | st.floats(-1e6, 1e6).map(lambda v: float(f"{v:.12g}"))
+    | st.integers()
+    | st.sampled_from([10**400, -(2**63), 2**64])
+    | st.booleans()
+    | _JSON_STRINGS
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+@example({"": [], "b": {}, "a": [[], {}, [True, False, 0, 1]], "\u00e9\"": -0.0})
+def test_json_writer_prints_the_bytes_of_json_dumps(payload):
+    """The CLI's writer against json's indented, key-sorted form."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_prints_every_cli_payload_as_json_does():
+    """Both analyze measures, a decomposition and every demo (qp on both
+    sides of 0.5), byte for byte as json.dumps prints them."""
+    table = sb.load_correlation(GOLDEN / "decompose_sub_cost.json")
+    payloads = [
+        cli.report_json_dict(cli.classify(table, measure=measure))
+        for measure in ("mutual_info", "delta")
+    ]
+    payloads.append(cli.decomposition_json_dict(cli.lp_min_cost(table)))
+    payloads += [cli._DEMOS[name](0.3) for name in DEMO_NAMES]
+    payloads.append(cli._DEMOS["qp"](0.75))
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_sweep_default_window(capsys):
@@ -460,14 +515,23 @@ def test_undecodable_or_too_deep_input_is_invalid(tmp_path, capsys, monkeypatch,
             assert reason in captured.err
 
 
+_NOT_A_NUMBER = "table entry must be a JSON number, got "
+
+
 @pytest.mark.parametrize(
-    "leaf, shown",
-    [("0.25", '"0.25"'), (True, "true"), (False, "false")],
-    ids=["string", "true", "false"],
+    "leaf, reason",
+    [
+        ("0.25", _NOT_A_NUMBER + '"0.25"'),
+        (True, _NOT_A_NUMBER + "true"),
+        (False, _NOT_A_NUMBER + "false"),
+        (10**400, "cannot interpret input as a numeric array: int too large to convert to float"),
+    ],
+    ids=["string", "true", "false", "int-too-large"],
 )
-def test_non_number_entries_are_invalid(tmp_path, capsys, monkeypatch, leaf, shown):
+def test_non_number_entries_are_invalid(tmp_path, capsys, monkeypatch, leaf, reason):
     """A string or boolean table entry exits 2, from a file and from stdin,
-    where numpy would read it as a number."""
+    where numpy would read it as a number; so does an integer too large
+    for a float."""
     p = np.full((2, 2, 2, 2), 0.25).tolist()
     p[1][0][1][0] = leaf
     text = json.dumps({"p": p})
@@ -481,9 +545,7 @@ def test_non_number_entries_are_invalid(tmp_path, capsys, monkeypatch, leaf, sho
         from_stdin = capsys.readouterr()
         for captured in (from_file, from_stdin):
             assert captured.out == ""
-            assert captured.err == (
-                f"signalbox: invalid input: table entry must be a JSON number, got {shown}\n"
-            )
+            assert captured.err == f"signalbox: invalid input: {reason}\n"
 
 
 class _UnreadableStdin(io.StringIO):

@@ -70,6 +70,15 @@ def test_table_is_read_only():
 def test_non_numeric_input():
     with pytest.raises(sb.DomainError):
         sb.Correlation([[["a", "b"]]])
+    # An integer past the float range is refused, not an OverflowError.
+    p = np.full((2, 2, 2, 2), 0.25).tolist()
+    p[0][1][1][0] = 10**400
+    for read in (sb.Correlation, lambda p: correlation.validate_tables([p]),
+                 lambda p: sb.from_json_dict({"p": p})):
+        with pytest.raises(sb.DomainError, match="int too large to convert to float"):
+            read(p)
+    with pytest.raises(sb.WeightError, match="int too large to convert to float"):
+        sb.mix([10**400, 0.0], [sb.pr_box(), sb.pr_box()])
 
 
 def test_complex_input_is_refused():
@@ -268,9 +277,13 @@ def test_derived_id_lists_match_their_literals():
 
 
 def test_unknown_strategy_names_the_full_basis():
+    """The message prints unquoted, though the class is a KeyError, whose
+    str() is the repr of its argument."""
     for lookup in (sb.catalog, correlation.strategy_column):
-        with pytest.raises(sb.UnknownStrategyError, match=r"see signalbox\.FULL_BASIS"):
+        with pytest.raises(sb.UnknownStrategyError, match=r"see signalbox\.FULL_BASIS") as caught:
             lookup("signal_q_q")
+        assert isinstance(caught.value, KeyError)
+        assert str(caught.value).startswith("unknown strategy")
 
 
 def test_catalog_rejects_unknown_id():
@@ -439,6 +452,56 @@ def test_from_json_dict_rejects_bad_payloads():
         table[0][1][1][1] = leaf
         with pytest.raises(sb.DomainError, match="must be a JSON number"):
             sb.from_json_dict({"p": table})
+    # A regular table of floats skips the walk over its nodes; every other
+    # payload must read as the walk followed by Correlation reads it: the
+    # same bytes, -0.0 kept, or the same error class and message.
+    base = sb.to_json_dict(sb.pr_box())["p"]
+    signed = json.loads(json.dumps(base))
+    signed[0][0][0][1] = signed[1][1][1][0] = -0.0
+    local = sb.to_json_dict(sb.catalog("local_0_0").as_correlation())["p"]
+
+    def put(path, leaf, table=base):
+        table = json.loads(json.dumps(table))
+        node = table
+        for index in path[:-1]:
+            node = node[index]
+        node[path[-1]] = leaf
+        return table
+
+    zeros = np.zeros(correlation.TABLE_SHAPE, int).tolist()
+    cases = [base, signed, put((0, 0, 0, 0), 1, local), zeros]
+    for depth in range(4):
+        for leaf in (True, False, "0.25", "", None, {}, {"a": 0.5}, [], 0.25):
+            cases.append(put((1, 0, 1, 0)[: depth + 1], leaf))
+    cases += [
+        None, "", True, base[:1], base + base[:1], put((0, 1, 1), [0.5, 0.0, 0.0]),
+        base[0], [base, base], put((0, 0, 0, 0), [0.5]),
+        [[[[0.5] * 4] * 2, ""], base[1]],
+    ]
+    for table in cases:
+        assert _outcome(sb.from_json_dict, {"p": table}) == _outcome(_walk_then_read, table)
+    assert np.signbit(sb.from_json_dict({"p": signed}).p).sum() == 2
+
+
+def _walk_then_read(table):
+    """The reader before its float-table fast path: refuse any string or
+    bool reached through lists, then validate."""
+    pending = [table]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):
+            pending.extend(reversed(node))
+        elif isinstance(node, (str, bool)):
+            raise sb.DomainError(f"table entry must be a JSON number, got {json.dumps(node)}")
+    return sb.Correlation(table)
+
+
+def _outcome(read, payload):
+    """The parsed table's bytes, or the error's class and message."""
+    try:
+        return read(payload).p.tobytes()
+    except sb.SignalBoxError as exc:
+        return type(exc), str(exc)
 
 
 def test_load_rejects_invalid_json(tmp_path):
