@@ -55,8 +55,9 @@ CROSSOVER_TOL = 1e-4
 # Largest sweep; one batch holds a (steps, 2, 2, 2, 2) table array.
 MAX_SWEEP_STEPS = 100_000
 
-# Outcome value (-1)**label for labels 0 and 1.
+# Outcome value (-1)**label for labels 0 and 1, and the products u v of two.
 _SIGNS = np.array([1.0, -1.0])
+_SIGN_PRODUCTS = np.outer(_SIGNS, _SIGNS)
 # Rows (outcome s, i, j): the coefficients of the Bloch components in
 # 0.5 s (v.sigma)[i, j], and the 0.5 I[i, j] added to them.  Each entry is
 # one product by +/-0.5 plus that constant, and halving commutes with
@@ -199,12 +200,9 @@ def _formula_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Shapes as in :func:`_projector_tables`, with which it shares no code.
     """
     a_r = np.einsum("nak,nk->na", a, r)[:, :, None, None, None]
-    b_r = np.einsum("nbk,nk->nb", b, r)[:, None, :, None, None]
     a_b = np.einsum("nak,nbk->nab", a, b)[:, :, :, None, None]
-    u = _SIGNS[:, None]
-    v = _SIGNS[None, :]
-    sandwich = 2.0 * a_b * a_r - b_r
-    return 0.25 + u * a_r / 4.0 + v * b_r / 8.0 + u * v * a_b / 4.0 + v * sandwich / 8.0
+    # Axes (n, a, b, x, y): alice's factor 1 + u a.r, bob's 1 + u v a.b.
+    return 0.25 * (1.0 + a_r * _SIGNS[:, None]) * (1.0 + a_b * _SIGN_PRODUCTS)
 
 
 def _checked_tables(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,15 +244,17 @@ def expanded_formula_table(rho: QubitState, a0, a1, b0, b1) -> np.ndarray:
     """Joint table by the closed-form expression, Bloch vectors only.
 
     With r the state's Bloch vector and unit directions a, b, the entry
-    at outcome values u = (-1)**x, v = (-1)**y is
+    at outcome values u = (-1)**x, v = (-1)**y is the factored Born rule
 
-        1/4 + u (a.r)/4 + v (b.r)/8 + u v (a.b)/4
-            + v (2 (a.b)(a.r) - b.r)/8
+        1/4 (1 + u a.r) (1 + u v a.b)
 
-    which packages the anticommutator and the sandwiched product
-    a b a = 2(a.b) a - b without any matrix arithmetic.  Sharing no code
-    with :func:`projector_update_table` is the point: the two routes
-    check each other.
+    alice's outcome u has probability (1 + u a.r)/2 and leaves the pure
+    state with Bloch vector u a, which bob's outcome v then finds with
+    probability (1 + v (u a).b)/2.  Expanding the sandwiched product
+    a b a = 2(a.b) a - b gives the same entries: its b.r terms cancel.
+    No matrix arithmetic is involved.  Sharing no code with
+    :func:`projector_update_table` is the point: the two routes check
+    each other.
     """
     return _formula_tables(*_single(rho, a0, a1, b0, b1))[0]
 

@@ -25,6 +25,20 @@ artificial may skip it: by then phase 1's objective has been read, and
 phase 2 rebuilds the costs.  Phase 2 runs in the same array, its
 artificial columns barred from entering; a pivot updates each column on
 its own, so the bits hold.
+
+For the same reason a prepared program can start phase 1 past its first
+pivots.  After a sequence of (leave, enter) pivots, the tableau apart
+from its rhs column depends on that sequence alone, never on b, and
+Bland's entering column reads only the cost row.  So b chooses the
+sequence through the leaving rows, and the program's memo is a tree of
+the tableaux those pivots reach, keyed by leaving row, down to a fixed
+depth and node count.  A solve whose b has no negative entry walks the
+tree with b as a list of floats: the same ratio test as the simplex loop
+picks each leaving row, and only the rhs, phase 1's objective entry
+included, is updated, with the pivot's own operations in its order.
+Where the walk stops, the solve copies that node's tableau, writes the
+rhs in and runs the loop on; each result has the bits, and the pivot
+count, of the loop run from the start.
 """
 
 from __future__ import annotations
@@ -41,7 +55,11 @@ _FEAS_TOL = 1e-9
 # Pivot and reduced-cost threshold: entries within it count as zero.
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
-# id(A) -> (A, c, record) of each prepared program; holding A keeps its id unique.
+# A prepared program's memo records phase 1's first pivots down to this
+# depth, in at most this many tableaux.
+_MEMO_DEPTH = 5
+_MEMO_NODES = 1024
+# id(A) -> (A, c, record, memo) of each prepared program; holding A keeps its id unique.
 _PROGRAMS = {}
 
 
@@ -105,6 +123,74 @@ def _eliminate(shape, data):
     return tuple(steps), keep, tableau
 
 
+class _Node:
+    """A phase-1 tableau reached from the start by one sequence of pivots.
+
+    Its rhs column is not read.  ``enter`` is Bland's entering column
+    there (-1 at a phase-1 optimum) and ``column`` that column as
+    floats, costs included; ``children`` maps a leaving row to the node
+    its pivot reaches.
+    """
+
+    __slots__ = ("tableau", "basis", "enter", "column", "children")
+
+    def __init__(self, tableau, basis, ncols):
+        tableau.setflags(write=False)
+        self.tableau, self.basis = tableau, tuple(basis)
+        self.enter = _entering(tableau[-1, :ncols])
+        self.column = tableau[:, self.enter].tolist() if self.enter >= 0 else None
+        self.children = {}
+
+
+class _OpeningMemo:
+    """Phase 1's opening pivots on one prepared matrix, a tree keyed by leaving row.
+
+    Its nodes hold the tableaux every right-hand side shares; see the
+    module docstring for why they keep every bit.  ``nodes`` counts them.
+    """
+
+    def __init__(self, template, n):
+        self.ncols = n + len(template) - 1
+        self.root = _Node(template, range(n, self.ncols), self.ncols)
+        self.nodes = 1
+
+    def start(self, values):
+        """Phase 1 after the memo's pivots from the start on rhs ``values``, a float list.
+
+        ``values`` holds b, with no negative entry, so that no row is
+        negated, then the phase-1 objective entry; it is updated in place.  Returns the tableau,
+        its basis and the pivot count, as :func:`_run_simplex` would
+        have left them after that many pivots.  A missing child below
+        the depth and node bounds is recorded on the way.
+        """
+        node, depth = self.root, 0
+        while depth < _MEMO_DEPTH and node.enter >= 0:
+            # The column ends with the entering cost, below -1e-10, which
+            # the ratio test passes over.
+            column = node.column
+            leave = _leaving_row(column, values, node.basis)
+            child = node.children.get(leave)
+            if child is None:
+                if leave < 0 or self.nodes >= _MEMO_NODES:
+                    break
+                tableau, basis = node.tableau.copy(), list(node.basis)
+                _pivot(tableau, basis, leave, node.enter)
+                child = node.children[leave] = _Node(tableau, basis, self.ncols)
+                self.nodes += 1
+            # _pivot's operations on the rhs: divide the pivot row's entry,
+            # subtract from each row whose column entry is nonzero, then
+            # overwrite the pivot row's own result with the quotient.
+            top = values[leave] / column[leave]
+            for i, coef in enumerate(column):
+                if coef != 0.0:
+                    values[i] -= coef * top
+            values[leave] = top
+            node, depth = child, depth + 1
+        tableau = node.tableau.copy()
+        tableau[:, -1] = values
+        return tableau, list(node.basis), depth
+
+
 def _prepare(a, c):
     """Check and eliminate a read-only float64 A once, with its costs c, for :func:`solve_lp`.
 
@@ -116,7 +202,8 @@ def _prepare(a, c):
             raise DomainError("a prepared program needs read-only, finite float64 arrays")
     if a.ndim != 2 or c.shape != a.shape[1:]:
         raise DomainError(f"shape mismatch: A is {a.shape}, c is {c.shape}")
-    _PROGRAMS[id(a)] = (a, c, _eliminate.__wrapped__(a.shape, a.tobytes()))
+    record = _eliminate.__wrapped__(a.shape, a.tobytes())
+    _PROGRAMS[id(a)] = (a, c, record, _OpeningMemo(record[2], a.shape[1]))
 
 
 def _consistent_record(a, b):
@@ -159,6 +246,31 @@ def _pivot(tableau, basis, leave, enter):
     basis[leave] = enter
 
 
+def _entering(costs):
+    """Bland's entering column: the first reduced cost below -1e-10, or -1 at an optimum."""
+    eligible = costs < -_PIVOT_TOL
+    enter = int(eligible.argmax())
+    return enter if eligible[enter] else -1
+
+
+def _leaving_row(column, values, basis):
+    """Bland's leaving row, or -1 when no entry of ``column`` exceeds 1e-10.
+
+    The least ratio ``values[i] / column[i]`` over the rows with
+    ``column[i] > 1e-10``; ratios within 1e-12 of the least tie, and a
+    tie goes to the row whose basic variable has the smaller index.
+    """
+    leave, best = -1, np.inf
+    for i, coef in enumerate(column):
+        if coef > _PIVOT_TOL:
+            ratio = values[i] / coef
+            if ratio < best - 1e-12:
+                best, leave = ratio, i
+            elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                leave = i
+    return leave
+
+
 def _run_simplex(tableau, basis, ncols):
     """Bland-rule simplex loop on a canonical tableau, costs in its last row.
 
@@ -170,19 +282,10 @@ def _run_simplex(tableau, basis, ncols):
     rhs = tableau[:-1, -1]
     iterations = 0
     while True:
-        eligible = costs < -_PIVOT_TOL
-        enter = int(eligible.argmax())
-        if not eligible[enter]:
+        enter = _entering(costs)
+        if enter < 0:
             return iterations
-        leave, best = -1, np.inf
-        values = rhs.tolist()
-        for i, coef in enumerate(tableau[:-1, enter].tolist()):
-            if coef > _PIVOT_TOL:
-                ratio = values[i] / coef
-                if ratio < best - 1e-12:
-                    best, leave = ratio, i
-                elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
-                    leave = i
+        leave = _leaving_row(tableau[:-1, enter].tolist(), rhs.tolist(), basis)
         if leave < 0:
             raise UnboundedError("objective is unbounded below on the feasible set")
         _pivot(tableau, basis, leave, enter)
@@ -234,20 +337,26 @@ def solve_lp(c, a, b) -> SimplexResult:
 
     # Phase 1: [A | I | b] above its costs, the artificial identity basic
     # and each row with b < 0 negated (apart from its artificial column).
-    tableau = template.copy()
+    # A prepared program with no row negated starts past its memo's pivots.
     b = b[keep]
     flip = b < 0.0
-    if np.count_nonzero(flip):
-        a = a[keep]
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        tableau[:m, :n] = a
-        tableau[m, :n] = -a.sum(axis=0)
-    tableau[:m, -1] = b
-    tableau[m, -1] = -b.sum()
-    basis = [n + i for i in range(m)]
+    flipped = np.count_nonzero(flip)
+    if program is not None and not flipped:
+        tableau, basis, iterations = program[3].start(b.tolist() + [float(-b.sum())])
+    else:
+        tableau = template.copy()
+        if flipped:
+            a = a[keep]
+            a[flip] *= -1.0
+            b[flip] *= -1.0
+            tableau[:m, :n] = a
+            tableau[m, :n] = -a.sum(axis=0)
+        tableau[:m, -1] = b
+        tableau[m, -1] = -b.sum()
+        basis = [n + i for i in range(m)]
+        iterations = 0
 
-    iterations = _run_simplex(tableau, basis, n + m)
+    iterations += _run_simplex(tableau, basis, n + m)
     if -tableau[m, -1] > _FEAS_TOL:
         raise InfeasibleError(
             f"no nonnegative solution: phase-1 optimum {-tableau[m, -1]:.3e} > 0"

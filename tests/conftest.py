@@ -48,6 +48,20 @@ def rng():
     return np.random.default_rng(20260822)
 
 
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """The catalog program prepared afresh for one test: its opening-pivot memo starts empty.
+
+    Returns the memo; the registry of prepared programs is restored afterwards.
+    """
+    from signalbox import correlation, simplex, simulate
+
+    simulate._solver()
+    monkeypatch.setattr(simplex, "_PROGRAMS", {})
+    simplex._prepare(simulate._CATALOG_CONSTRAINTS, correlation.STRATEGY_COSTS)
+    return simplex._PROGRAMS[id(simulate._CATALOG_CONSTRAINTS)][3]
+
+
 def strategy_table(ident):
     return sb.catalog(ident).as_correlation()
 

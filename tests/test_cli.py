@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signalbox as sb
-from signalbox import cli
+from signalbox import cli, correlation
 from signalbox.cli import DEMO_NAMES, run
 
 
@@ -165,6 +165,23 @@ def test_decompose_golden_bytes(capsys, name, code):
         assert (out.encode(), err) == ((GOLDEN / f"decompose_{name}.stdout").read_bytes(), "")
     else:
         assert (out, err.encode()) == ("", (GOLDEN / f"decompose_{name}.stderr").read_bytes())
+
+
+def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_memo, rng):
+    """Hundreds of priced tables fill the opening-pivot memo; every decompose
+    golden input still prints its golden stdout and stderr bytes."""
+    for w in rng.dirichlet(np.full(32, 0.3), size=300):
+        sb.lp_min_cost(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
+    assert fresh_memo.nodes > 100
+    inputs = sorted(GOLDEN.glob("decompose_*.json"))
+    assert len(inputs) == 5
+    for path in inputs:
+        stdout, stderr = (path.with_suffix(suffix) for suffix in (".stdout", ".stderr"))
+        code = run(["decompose", str(path)])
+        out, err = capsys.readouterr()
+        assert code == (0 if stdout.exists() else 3), path.name
+        assert out.encode() == (stdout.read_bytes() if stdout.exists() else b""), path.name
+        assert err.encode() == (stderr.read_bytes() if stderr.exists() else b""), path.name
 
 
 @pytest.mark.parametrize(

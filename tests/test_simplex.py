@@ -520,3 +520,102 @@ def test_catalog_lps_leave_the_elimination_cache_alone(rng):
             pass
         sb.lp_min_cost(sub_cost_mixture(rng)[0])
     assert simplex._eliminate.cache_info() == cache
+
+
+def _tree_size(node):
+    return 1 + sum(_tree_size(child) for child in node.children.values())
+
+
+def _dyadic_tables(rng, n):
+    """Mixtures of eight catalog strategies, 1/8 each: many ratio-test ties."""
+    for _ in range(n):
+        picks = rng.choice(32, size=8)
+        yield sb.Correlation(correlation.STRATEGY_MATRIX[:, picks].sum(axis=1).reshape(2, 2, 2, 2) / 8.0)
+
+
+def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_memo, monkeypatch):
+    """Solves that walk the opening-pivot memo, while it fills and once filled,
+    give the bits or the error of a solve that never reads it."""
+    prepared = simulate._CATALOG_CONSTRAINTS
+    copy = np.array(prepared)
+    tables = [sb.pr_box(), *_dyadic_tables(rng, 60)]
+    right_hand_sides = [t._entries + (1.0,) for t in tables] + list(_catalog_right_hand_sides(rng))
+    own_costs = rng.random(32)
+    programs = [(c, np.array(b)) for b in right_hand_sides for c in (correlation.STRATEGY_COSTS, own_costs)]
+    cold = [_lp_key(sb.solve_lp, c, copy, b) for c, b in programs]
+
+    # Count the walk's ratio tests that tie within 1e-12.
+    walking, ties = [False], [0]
+    start, leaving_row = simplex._OpeningMemo.start, simplex._leaving_row
+
+    def walk(memo, values):
+        walking[0] = True
+        try:
+            return start(memo, values)
+        finally:
+            walking[0] = False
+
+    def counted(column, values, basis):
+        ratios = [v / c for c, v in zip(column, values) if c > 1e-10]
+        ties[0] += walking[0] and sum(r <= min(ratios) + 1e-12 for r in ratios) > 1
+        return leaving_row(column, values, basis)
+
+    monkeypatch.setattr(simplex._OpeningMemo, "start", walk)
+    monkeypatch.setattr(simplex, "_leaving_row", counted)
+    filling = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
+    nodes = fresh_memo.nodes
+    warm = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
+    assert filling == cold and warm == cold
+    assert fresh_memo.nodes == nodes == _tree_size(fresh_memo.root) > 50
+    assert ties[0] >= 100
+    kinds = {key[0].__name__ if isinstance(key[0], type) else "solved" for key in cold}
+    assert kinds == {"solved", "InfeasibleError"}
+
+
+def _priced(table, basis=None):
+    """lp_min_cost's outcome: weights, cost and residual as hex, or the error message."""
+    try:
+        d = sb.lp_min_cost(table, basis)
+    except sb.InfeasibleError as exc:
+        return str(exc)
+    return sorted((k, v.hex()) for k, v in d.weights.items()), d.cost.hex(), d.residual.hex()
+
+
+def test_flipped_rows_and_other_matrices_bypass_the_memo(rng, fresh_memo, monkeypatch):
+    """A right-hand side with a negative entry, or a custom basis, never walks the memo."""
+    tables = [sub_cost_mixture(rng)[0] for _ in range(10)] + [random_table(rng) for _ in range(10)]
+    walked = [_priced(t) for t in tables]
+    assert sum(isinstance(key, str) for key in walked) >= 5
+
+    def refuse(memo, values):
+        raise AssertionError("the memo was walked")
+
+    monkeypatch.setattr(simplex._OpeningMemo, "start", refuse)
+    nodes = fresh_memo.nodes
+    for t, decomposition in zip(tables, walked):
+        assert _priced(t, sb.FULL_BASIS) == decomposition
+        b = np.append(t.p.ravel(), 1.0)
+        b[int(rng.integers(17))] *= -1.0
+        key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS, b)
+        assert key == _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, np.array(simulate._CATALOG_CONSTRAINTS), b)
+    assert fresh_memo.nodes == nodes
+
+
+def test_opening_memo_stays_bounded(rng, fresh_memo, monkeypatch):
+    """Full-support mixtures fill the memo under its node cap; a lower cap
+    stops it there with every bit kept, and preparing A again starts a fresh tree."""
+    for w in rng.dirichlet(np.full(32, 0.3), size=5000):
+        sb.lp_min_cost(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
+    assert 1 < fresh_memo.nodes == _tree_size(fresh_memo.root) <= simplex._MEMO_NODES
+
+    monkeypatch.setattr(simplex, "_MEMO_NODES", 40)
+    prepared = simulate._CATALOG_CONSTRAINTS
+    simplex._prepare(prepared, correlation.STRATEGY_COSTS)
+    memo = simplex._PROGRAMS[id(prepared)][3]
+    assert memo is not fresh_memo and memo.nodes == _tree_size(memo.root) == 1
+    copy = np.array(prepared)
+    for w in rng.dirichlet(np.full(32, 0.3), size=200):
+        b = np.append(correlation.STRATEGY_MATRIX @ w, 1.0)
+        key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, prepared, b)
+        assert key == _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, copy, b)
+    assert memo.nodes == _tree_size(memo.root) == 40
