@@ -6,16 +6,14 @@ columns), so a dense tableau with Bland's anti-cycling rule is both
 simple and exactly reproducible, which matters because the solver serves
 as an oracle in the test suite.  No external solver is involved.
 
-Redundant equalities are removed up front by Gaussian elimination with
-partial pivoting; an inconsistent system raises
-:class:`~signalbox.errors.InfeasibleError` at that stage already.  The
-pivot choices depend on A alone, so one record per matrix holds the
-elimination's steps, the rows it keeps and the phase-1 tableau built
-from them, all independent of b.  A solve finds a prepared program's
-record (:func:`_prepare`) by A's identity, any other by A's bytes.
-Each solve replays the steps on its right-hand side with the same
-elementwise operations, skipping zero factors, and copies the tableau
-with b written in.  The reduced costs are the tableau's last row, so
+Whatever depends on A alone is one :class:`_Program` per matrix: the
+steps of a Gaussian elimination with partial pivoting, the rows it keeps
+once redundant equalities are dropped, and a memo of phase 1's opening
+pivots rooted at the phase-1 template.  A solve finds a prepared program
+(:func:`_prepare`) by A's identity, any other in a cache of 16 keyed by
+A's bytes.  Replaying the steps on b, zero factors skipped, raises
+:class:`~signalbox.errors.InfeasibleError` for an inconsistent system
+before any pivot.  The reduced costs are the tableau's last row, so
 each pivot updates every touched row, costs included, in one masked
 operation, element by element exactly as a loop over the rows would.
 Every result is bit-identical to eliminating ``[A | b]`` and building
@@ -26,19 +24,22 @@ phase 2 rebuilds the costs.  Phase 2 runs in the same array, its
 artificial columns barred from entering; a pivot updates each column on
 its own, so the bits hold.
 
-For the same reason a prepared program can start phase 1 past its first
-pivots.  After a sequence of (leave, enter) pivots, the tableau apart
-from its rhs column depends on that sequence alone, never on b, and
-Bland's entering column reads only the cost row.  So b chooses the
-sequence through the leaving rows, and the program's memo is a tree of
-the tableaux those pivots reach, keyed by leaving row, down to a fixed
-depth and node count.  A solve whose b has no negative entry walks the
-tree with b as a list of floats: the same ratio test as the simplex loop
-picks each leaving row, and only the rhs, phase 1's objective entry
+For the same reason a solve can start phase 1 past its first pivots.
+After a sequence of (leave, enter) pivots, the tableau apart from its
+rhs column depends on that sequence alone, never on b, and Bland's
+entering column reads only the cost row.  So b chooses the sequence
+through the leaving rows, and the memo is a tree of the tableaux those
+pivots reach, keyed by leaving row, at most 5 deep.  A solve whose b has
+no negative entry walks it with b as floats: the simplex loop's ratio
+test picks each leaving row, and only the rhs, phase 1's objective entry
 included, is updated, with the pivot's own operations in its order.
 Where the walk stops, the solve copies that node's tableau, writes the
-rhs in and runs the loop on; each result has the bits, and the pivot
-count, of the loop run from the start.
+rhs in and runs the loop on, with the bits and the pivot count of the
+loop run from the start.  A negative entry negates its row, so that
+solve starts from a copy of the template instead.  The memos hold at
+most 1024 tableaux in each of 17 programs (the 16 cached and the
+prepared catalog); the 24-column basis ``LOCAL_IDS + VIOLATING_IDS``
+filled 419 over 25000 mixtures, 2.2 MB by tracemalloc.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ _FEAS_TOL = 1e-9
 # Pivot and reduced-cost threshold: entries within it count as zero.
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
-# A prepared program's memo records phase 1's first pivots down to this
-# depth, in at most this many tableaux.
+# A program's memo records phase 1's first pivots down to this depth, in
+# at most this many tableaux.
 _MEMO_DEPTH = 5
 _MEMO_NODES = 1024
-# id(A) -> (A, c, record, memo) of each prepared program; holding A keeps its id unique.
+# id(A) -> (A, c, program) of each prepared A; holding A keeps its id unique.
 _PROGRAMS = {}
 
 
@@ -76,51 +77,6 @@ class SimplexResult:
     objective: float
     reduced_costs: np.ndarray
     iterations: int
-
-
-@functools.lru_cache(maxsize=16)
-def _eliminate(shape, data):
-    """Partial-pivoting elimination of A alone, cached per matrix.
-
-    A arrives as its shape and C-order bytes, so that it can key the
-    cache.  Returns ``(steps, keep, tableau)``.  ``steps`` holds the
-    ``(pivot row, factors)`` of every elimination step, step k making row
-    k the pivot row, with only the nonzero factors kept as ``(row,
-    factor)`` pairs.  ``keep`` holds the sorted indices of a maximal
-    independent row subset.  ``tableau`` is the read-only phase-1
-    template ``[A_keep | I | 0]`` above its reduced costs
-    ``[-A_keep.sum(axis=0) | 0 | 0]``.  The pivot choices read only A's
-    columns, so one record serves every right-hand side.
-    """
-    a = np.frombuffer(data, dtype=float).reshape(shape)
-    work = a.copy()
-    m, n = shape
-    order = list(range(m))
-    steps = []
-    rank = 0
-    for col in range(n):
-        if rank >= m:
-            break
-        piv = rank + int(np.argmax(np.abs(work[rank:, col])))
-        if abs(work[piv, col]) <= _PIVOT_TOL:
-            continue
-        if piv != rank:
-            work[[rank, piv]] = work[[piv, rank]]
-            order[rank], order[piv] = order[piv], order[rank]
-        factors = work[rank + 1 :, col] / work[rank, col]
-        work[rank + 1 :] -= np.outer(factors, work[rank])
-        pairs = enumerate(factors.tolist(), rank + 1)
-        steps.append((piv, tuple((i, f) for i, f in pairs if f != 0.0)))
-        rank += 1
-    keep = np.array(sorted(order[:rank]), dtype=np.intp)
-    a_keep = a[keep]
-    tableau = np.zeros((rank + 1, n + rank + 1))
-    tableau[:rank, :n] = a_keep
-    tableau[:rank, n:-1] = np.eye(rank)
-    tableau[rank, :n] = -a_keep.sum(axis=0)
-    for array in (keep, tableau):
-        array.setflags(write=False)
-    return tuple(steps), keep, tableau
 
 
 class _Node:
@@ -142,26 +98,83 @@ class _Node:
         self.children = {}
 
 
-class _OpeningMemo:
-    """Phase 1's opening pivots on one prepared matrix, a tree keyed by leaving row.
+class _Program:
+    """What every solve on one constraint matrix A shares, built from A alone.
 
-    Its nodes hold the tableaux every right-hand side shares; see the
-    module docstring for why they keep every bit.  ``nodes`` counts them.
+    ``steps`` holds the ``(pivot row, factors)`` of every elimination
+    step, step k making row k the pivot row, with only the nonzero
+    factors kept as ``(row, factor)`` pairs.  ``keep`` holds the sorted
+    indices of a maximal independent row subset.  Unless no row is kept,
+    ``root`` is the memo's root: its tableau is the read-only phase-1
+    template ``[A_keep | I | 0]`` above its reduced costs
+    ``[-A_keep.sum(axis=0) | 0 | 0]``.  ``nodes`` counts the memo's tableaux.
     """
 
-    def __init__(self, template, n):
-        self.ncols = n + len(template) - 1
-        self.root = _Node(template, range(n, self.ncols), self.ncols)
+    def __init__(self, a):
+        work = a.copy()
+        m, n = a.shape
+        order = list(range(m))
+        steps = []
+        rank = 0
+        for col in range(n):
+            if rank >= m:
+                break
+            piv = rank + int(np.argmax(np.abs(work[rank:, col])))
+            if abs(work[piv, col]) <= _PIVOT_TOL:
+                continue
+            if piv != rank:
+                work[[rank, piv]] = work[[piv, rank]]
+                order[rank], order[piv] = order[piv], order[rank]
+            factors = work[rank + 1 :, col] / work[rank, col]
+            work[rank + 1 :] -= np.outer(factors, work[rank])
+            pairs = enumerate(factors.tolist(), rank + 1)
+            steps.append((piv, tuple((i, f) for i, f in pairs if f != 0.0)))
+            rank += 1
+        self.steps, self.keep = tuple(steps), np.array(sorted(order[:rank]), dtype=np.intp)
+        self.keep.setflags(write=False)
+        self.ncols = n + rank
+        a_keep = a[self.keep]
+        tableau = np.zeros((rank + 1, self.ncols + 1))
+        tableau[:rank, :n] = a_keep
+        tableau[:rank, n:-1] = np.eye(rank)
+        tableau[rank, :n] = -a_keep.sum(axis=0)
+        # Without a kept row no solve pivots, and no column could enter.
+        self.root = _Node(tableau, range(n, self.ncols), self.ncols) if rank else None
         self.nodes = 1
+
+    def check(self, b):
+        """Raise InfeasibleError unless b is consistent with A.
+
+        Replays the elimination on b with the same elementwise operations,
+        so b is reduced exactly as if it were a column of A, and refuses a
+        dependent row left at |beta| > 1e-9.  A zero factor is skipped:
+        with a finite pivot entry it would subtract a zero, whose sign the
+        check does not read.  Only a replay that overflows, with b near the
+        largest float, makes that product NaN and so hides a contradictory
+        row that the skip reports.
+        """
+        beta = b.tolist()
+        for rank, (piv, factors) in enumerate(self.steps):
+            if piv != rank:
+                beta[rank], beta[piv] = beta[piv], beta[rank]
+            top = beta[rank]
+            for i, factor in factors:
+                beta[i] -= factor * top
+        for i in range(len(self.keep), len(beta)):
+            if abs(beta[i]) > _FEAS_TOL:
+                raise InfeasibleError(
+                    f"equality system is inconsistent (residual {beta[i]:.3e})"
+                )
 
     def start(self, values):
         """Phase 1 after the memo's pivots from the start on rhs ``values``, a float list.
 
-        ``values`` holds b, with no negative entry, so that no row is
-        negated, then the phase-1 objective entry; it is updated in place.  Returns the tableau,
-        its basis and the pivot count, as :func:`_run_simplex` would
-        have left them after that many pivots.  A missing child below
-        the depth and node bounds is recorded on the way.
+        ``values`` holds the kept rows of b, with no negative entry, so
+        that no row is negated, then the phase-1 objective entry; it is
+        updated in place.  Returns the tableau, its basis and the pivot
+        count, as :func:`_run_simplex` would have left them after that
+        many pivots.  A missing child below the depth and node bounds is
+        recorded on the way.
         """
         node, depth = self.root, 0
         while depth < _MEMO_DEPTH and node.enter >= 0:
@@ -191,8 +204,14 @@ class _OpeningMemo:
         return tableau, list(node.basis), depth
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_program(shape, data):
+    """The :class:`_Program` of the A with this shape and these C-order bytes."""
+    return _Program(np.frombuffer(data, dtype=float).reshape(shape))
+
+
 def _prepare(a, c):
-    """Check and eliminate a read-only float64 A once, with its costs c, for :func:`solve_lp`.
+    """Check a read-only float64 A once, with its costs c, and pin its program by A's identity.
 
     A solve on this A skips A's conversion and checks, and c's too when c
     is this very object; neither array may be written afterwards.
@@ -202,38 +221,7 @@ def _prepare(a, c):
             raise DomainError("a prepared program needs read-only, finite float64 arrays")
     if a.ndim != 2 or c.shape != a.shape[1:]:
         raise DomainError(f"shape mismatch: A is {a.shape}, c is {c.shape}")
-    record = _eliminate.__wrapped__(a.shape, a.tobytes())
-    _PROGRAMS[id(a)] = (a, c, record, _OpeningMemo(record[2], a.shape[1]))
-
-
-def _consistent_record(a, b):
-    """The elimination record of A, once b is checked consistent with it.
-
-    Replays the elimination of A on b with the same elementwise
-    operations, so b is reduced exactly as if it were a column of A.  A
-    zero factor is skipped: with a finite pivot entry it would subtract
-    a zero, whose sign the check below does not read.  Only a replay
-    that overflows, with b near the largest float, makes that product
-    NaN and so hides a contradictory row that the skip reports.  Raises
-    InfeasibleError when elimination exposes a row 0 = beta with beta
-    nonzero, i.e. the equality system is contradictory.
-    """
-    program = _PROGRAMS.get(id(a))
-    record = _eliminate(a.shape, a.tobytes()) if program is None else program[2]
-    steps, keep = record[:2]
-    beta = b.tolist()
-    for rank, (piv, factors) in enumerate(steps):
-        if piv != rank:
-            beta[rank], beta[piv] = beta[piv], beta[rank]
-        top = beta[rank]
-        for i, factor in factors:
-            beta[i] -= factor * top
-    for i in range(len(keep), len(beta)):
-        if abs(beta[i]) > _FEAS_TOL:
-            raise InfeasibleError(
-                f"equality system is inconsistent (residual {beta[i]:.3e})"
-            )
-    return record
+    _PROGRAMS[id(a)] = (a, c, _Program(a))
 
 
 def _pivot(tableau, basis, leave, enter):
@@ -308,14 +296,14 @@ def solve_lp(c, a, b) -> SimplexResult:
     Raises :class:`~signalbox.errors.DomainError` for mismatched shapes,
     or a NaN, infinite, complex or non-numeric entry in ``c``, ``A`` or ``b``.
     """
-    program = _PROGRAMS.get(id(a))
-    if program is None:
+    prepared = _PROGRAMS.get(id(a))
+    if prepared is None:
         c, a, b = map(_numeric_array, (c, a, b))
         if a.ndim != 2:
             raise DomainError(f"constraint matrix must be 2-d, got {a.ndim}-d")
         checked = ()
     else:  # a prepared A, and its own c, were converted and checked once
-        checked = ("A", "c") if c is program[1] else ("A",)
+        checked = ("A", "c") if c is prepared[1] else ("A",)
         c, b = c if "c" in checked else _numeric_array(c), _numeric_array(b)
     m, n = a.shape
     if c.shape != (n,) or b.shape != (m,):
@@ -327,7 +315,9 @@ def solve_lp(c, a, b) -> SimplexResult:
         if name not in checked and np.count_nonzero(np.isfinite(values)) != values.size:
             raise DomainError(f"{name} has a non-finite entry")
 
-    _, keep, template = _consistent_record(a, b)
+    program = _cached_program(a.shape, a.tobytes()) if prepared is None else prepared[2]
+    program.check(b)
+    keep = program.keep
     m = len(keep)
     if m == 0:
         # Every equation was vacuous; the origin is optimal for c >= 0.
@@ -337,24 +327,21 @@ def solve_lp(c, a, b) -> SimplexResult:
 
     # Phase 1: [A | I | b] above its costs, the artificial identity basic
     # and each row with b < 0 negated (apart from its artificial column).
-    # A prepared program with no row negated starts past its memo's pivots.
+    # With no row negated the solve starts past its memo's pivots.
     b = b[keep]
     flip = b < 0.0
-    flipped = np.count_nonzero(flip)
-    if program is not None and not flipped:
-        tableau, basis, iterations = program[3].start(b.tolist() + [float(-b.sum())])
-    else:
-        tableau = template.copy()
-        if flipped:
-            a = a[keep]
-            a[flip] *= -1.0
-            b[flip] *= -1.0
-            tableau[:m, :n] = a
-            tableau[m, :n] = -a.sum(axis=0)
+    if np.count_nonzero(flip):
+        tableau = program.root.tableau.copy()
+        a = a[keep]
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        tableau[:m, :n] = a
+        tableau[m, :n] = -a.sum(axis=0)
         tableau[:m, -1] = b
         tableau[m, -1] = -b.sum()
-        basis = [n + i for i in range(m)]
-        iterations = 0
+        basis, iterations = [n + i for i in range(m)], 0
+    else:
+        tableau, basis, iterations = program.start(b.tolist() + [float(-b.sum())])
 
     iterations += _run_simplex(tableau, basis, n + m)
     if -tableau[m, -1] > _FEAS_TOL:

@@ -72,7 +72,12 @@ _LOCALS = frozenset(LOCAL_IDS)
 
 @functools.cache
 def _solver():
-    """The simplex module, loaded by the first priced table with the catalog program prepared."""
+    """The simplex module, loaded by the first priced table.
+
+    The catalog's program, its elimination and opening-pivot memo, is
+    prepared here once and found by identity; each custom basis gets its
+    own program, kept in the simplex's cache of the 16 latest matrices.
+    """
     from . import simplex
 
     simplex._prepare(_CATALOG_CONSTRAINTS, STRATEGY_COSTS)

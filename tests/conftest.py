@@ -49,17 +49,17 @@ def rng():
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
+def fresh_program(monkeypatch):
     """The catalog program prepared afresh for one test: its opening-pivot memo starts empty.
 
-    Returns the memo; the registry of prepared programs is restored afterwards.
+    Returns the program; the registry of prepared programs is restored afterwards.
     """
     from signalbox import correlation, simplex, simulate
 
     simulate._solver()
     monkeypatch.setattr(simplex, "_PROGRAMS", {})
     simplex._prepare(simulate._CATALOG_CONSTRAINTS, correlation.STRATEGY_COSTS)
-    return simplex._PROGRAMS[id(simulate._CATALOG_CONSTRAINTS)][3]
+    return simplex._PROGRAMS[id(simulate._CATALOG_CONSTRAINTS)][2]
 
 
 def strategy_table(ident):

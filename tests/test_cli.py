@@ -167,12 +167,12 @@ def test_decompose_golden_bytes(capsys, name, code):
         assert (out, err.encode()) == ("", (GOLDEN / f"decompose_{name}.stderr").read_bytes())
 
 
-def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_memo, rng):
+def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_program, rng):
     """Hundreds of priced tables fill the opening-pivot memo; every decompose
     golden input still prints its golden stdout and stderr bytes."""
     for w in rng.dirichlet(np.full(32, 0.3), size=300):
         sb.lp_min_cost(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
-    assert fresh_memo.nodes > 100
+    assert fresh_program.nodes > 100
     inputs = sorted(GOLDEN.glob("decompose_*.json"))
     assert len(inputs) == 5
     for path in inputs:

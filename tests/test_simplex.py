@@ -183,7 +183,8 @@ def test_non_finite_program_is_rejected(monkeypatch, c, a, b, name):
     def no_elimination(*args):
         raise AssertionError("elimination ran on non-finite input")
 
-    monkeypatch.setattr(simplex, "_consistent_record", no_elimination)
+    monkeypatch.setattr(simplex, "_cached_program", no_elimination)
+    monkeypatch.setattr(simplex._Program, "check", no_elimination)
     c, a = (catalog[k] if v == "catalog" else np.array(v) for k, v in (("c", c), ("A", a)))
     with pytest.raises(sb.DomainError, match=f"^{name} has a non-finite entry$"):
         sb.solve_lp(c, a, np.array(b))
@@ -222,9 +223,16 @@ def _outcome(fn):
         return str(exc)
 
 
+def _checked_rows(a, b):
+    """The rows A's program keeps, once its consistency check passes b."""
+    program = simplex._cached_program(a.shape, a.tobytes())
+    program.check(b)
+    return program.keep
+
+
 def test_replayed_elimination_matches_joint_elimination(rng):
     """Rows kept and inconsistency residuals are those of [A | b] itself."""
-    simplex._eliminate.cache_clear()
+    simplex._cached_program.cache_clear()
     for _ in range(60):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, n + 3))
@@ -232,7 +240,7 @@ def test_replayed_elimination_matches_joint_elimination(rng):
         if m > 1:
             a[-1] = a[0] * rng.normal()
         for b in (a @ rng.random(n), rng.normal(size=m), a @ rng.random(n) + 1e-7):
-            got = _outcome(lambda: simplex._consistent_record(a, b)[1])
+            got = _outcome(lambda: _checked_rows(a, b))
             want = _outcome(lambda: _rows_eliminated_together(a, b, 1e-10))
             assert got == want
 
@@ -242,11 +250,11 @@ def test_cached_elimination_is_bitwise_transparent(rng):
     ids = sb.FULL_BASIS
     a = np.vstack([correlation.STRATEGY_MATRIX, np.ones((1, len(ids)))])
     rhs = np.concatenate([correlation.STRATEGY_MATRIX @ rng.dirichlet(np.ones(32)), [1.0]])
-    simplex._eliminate.cache_clear()
+    simplex._cached_program.cache_clear()
     cold = sb.solve_lp(correlation.STRATEGY_COSTS, a, rhs)
-    assert simplex._eliminate.cache_info().currsize == 1
+    assert simplex._cached_program.cache_info().currsize == 1
     warm = sb.solve_lp(correlation.STRATEGY_COSTS, a, rhs)
-    assert simplex._eliminate.cache_info().hits >= 1
+    assert simplex._cached_program.cache_info().hits >= 1
     assert cold.x.tobytes() == warm.x.tobytes()
     assert float(cold.objective).hex() == float(warm.objective).hex()
     assert cold.reduced_costs.tobytes() == warm.reduced_costs.tobytes()
@@ -259,11 +267,11 @@ def test_cached_elimination_is_bitwise_transparent(rng):
 
 
 def test_elimination_cache_stays_bounded(rng):
-    size = simplex._eliminate.cache_info().maxsize
+    size = simplex._cached_program.cache_info().maxsize
     for _ in range(size + 5):
         a = rng.normal(size=(2, 3))
         sb.solve_lp(np.ones(3), a, a @ rng.random(3))
-    assert simplex._eliminate.cache_info().currsize == size
+    assert simplex._cached_program.cache_info().currsize == size
 
 
 def test_masked_pivot_matches_row_loop(rng):
@@ -457,10 +465,10 @@ def test_lp_hot_path_is_bit_identical_to_the_fresh_tableau_chain(rng):
         ejections = []
         want = _lp_key(lambda *lp: _chain_solve_lp(*lp, ejections), c, a, b)
         outcomes["ejecting"] += bool(ejections)
-        simplex._eliminate.cache_clear()
+        simplex._cached_program.cache_clear()
         cold = _lp_key(sb.solve_lp, c, a, b)
         warm = _lp_key(sb.solve_lp, c, a, b)
-        assert simplex._eliminate.cache_info().hits >= 1
+        assert simplex._cached_program.cache_info().hits >= 1
         assert cold == warm == want
         kind = want[0].__name__ if isinstance(want[0], type) else "solved"
         outcomes[kind] += 1
@@ -497,9 +505,9 @@ def test_prepared_catalog_program_matches_the_bytes_keyed_path(rng):
     copy = np.array(prepared)
     costs = (correlation.STRATEGY_COSTS, np.array(correlation.STRATEGY_COSTS), rng.normal(size=32))
     programs = [(c, b) for b in _catalog_right_hand_sides(rng) for c in costs]
-    cache = simplex._eliminate.cache_info()
+    cache = simplex._cached_program.cache_info()
     got = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
-    assert simplex._eliminate.cache_info() == cache  # never hashed into the LRU cache
+    assert simplex._cached_program.cache_info() == cache  # never hashed into the LRU cache
     assert got == [_lp_key(sb.solve_lp, c, copy, b) for c, b in programs]
     messages = [key[1] for key in got if isinstance(key[0], type)]
     assert len(got) - len(messages) >= 150
@@ -512,14 +520,14 @@ def test_prepared_catalog_program_matches_the_bytes_keyed_path(rng):
 def test_catalog_lps_leave_the_elimination_cache_alone(rng):
     """lp_min_cost's default program is prepared once; no solve hashes it into the LRU cache."""
     sb.lp_min_cost(sb.pr_box())
-    cache = simplex._eliminate.cache_info()
+    cache = simplex._cached_program.cache_info()
     for _ in range(30):
         try:
             sb.lp_min_cost(random_table(rng))
         except sb.InfeasibleError:
             pass
         sb.lp_min_cost(sub_cost_mixture(rng)[0])
-    assert simplex._eliminate.cache_info() == cache
+    assert simplex._cached_program.cache_info() == cache
 
 
 def _tree_size(node):
@@ -533,7 +541,7 @@ def _dyadic_tables(rng, n):
         yield sb.Correlation(correlation.STRATEGY_MATRIX[:, picks].sum(axis=1).reshape(2, 2, 2, 2) / 8.0)
 
 
-def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_memo, monkeypatch):
+def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_program, monkeypatch):
     """Solves that walk the opening-pivot memo, while it fills and once filled,
     give the bits or the error of a solve that never reads it."""
     prepared = simulate._CATALOG_CONSTRAINTS
@@ -546,12 +554,12 @@ def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_memo, monk
 
     # Count the walk's ratio tests that tie within 1e-12.
     walking, ties = [False], [0]
-    start, leaving_row = simplex._OpeningMemo.start, simplex._leaving_row
+    start, leaving_row = simplex._Program.start, simplex._leaving_row
 
-    def walk(memo, values):
+    def walk(program, values):
         walking[0] = True
         try:
-            return start(memo, values)
+            return start(program, values)
         finally:
             walking[0] = False
 
@@ -560,13 +568,13 @@ def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_memo, monk
         ties[0] += walking[0] and sum(r <= min(ratios) + 1e-12 for r in ratios) > 1
         return leaving_row(column, values, basis)
 
-    monkeypatch.setattr(simplex._OpeningMemo, "start", walk)
+    monkeypatch.setattr(simplex._Program, "start", walk)
     monkeypatch.setattr(simplex, "_leaving_row", counted)
     filling = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
-    nodes = fresh_memo.nodes
+    nodes = fresh_program.nodes
     warm = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
     assert filling == cold and warm == cold
-    assert fresh_memo.nodes == nodes == _tree_size(fresh_memo.root) > 50
+    assert fresh_program.nodes == nodes == _tree_size(fresh_program.root) > 50
     assert ties[0] >= 100
     kinds = {key[0].__name__ if isinstance(key[0], type) else "solved" for key in cold}
     assert kinds == {"solved", "InfeasibleError"}
@@ -581,41 +589,112 @@ def _priced(table, basis=None):
     return sorted((k, v.hex()) for k, v in d.weights.items()), d.cost.hex(), d.residual.hex()
 
 
-def test_flipped_rows_and_other_matrices_bypass_the_memo(rng, fresh_memo, monkeypatch):
-    """A right-hand side with a negative entry, or a custom basis, never walks the memo."""
-    tables = [sub_cost_mixture(rng)[0] for _ in range(10)] + [random_table(rng) for _ in range(10)]
-    walked = [_priced(t) for t in tables]
-    assert sum(isinstance(key, str) for key in walked) >= 5
+def test_flipped_rows_never_walk_the_memo(rng, fresh_program, monkeypatch):
+    """A right-hand side with a negative kept row copies the template, on the
+    prepared matrix, a copy of it, a custom basis or rows negated in A and b
+    alike, with the chain's bits or error."""
+    tables = [sub_cost_mixture(rng)[0] for _ in range(10)] + list(_dyadic_tables(rng, 10))
+    tables += [random_table(rng) for _ in range(10)]
+    for t in tables:  # fill the catalog's memo first
+        _priced(t)
 
-    def refuse(memo, values):
+    def refuse(program, values):
         raise AssertionError("the memo was walked")
 
-    monkeypatch.setattr(simplex._OpeningMemo, "start", refuse)
-    nodes = fresh_memo.nodes
-    for t, decomposition in zip(tables, walked):
-        assert _priced(t, sb.FULL_BASIS) == decomposition
+    monkeypatch.setattr(simplex._Program, "start", refuse)
+    nodes = fresh_program.nodes
+    costs, prepared = correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS
+    columns = [correlation.strategy_column(i) for i in sb.LOCAL_IDS + sb.VIOLATING_IDS]
+    keep = fresh_program.keep
+    outcomes = []
+    for t in tables:
         b = np.append(t.p.ravel(), 1.0)
-        b[int(rng.integers(17))] *= -1.0
-        key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS, b)
-        assert key == _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, np.array(simulate._CATALOG_CONSTRAINTS), b)
-    assert fresh_memo.nodes == nodes
+        one_negated = b.copy()
+        one_negated[rng.choice(keep[b[keep] > 0.0])] *= -1.0
+        signs = np.where(rng.random(17) < 0.3, -1.0, 1.0)
+        x = rng.dirichlet(np.ones(32))
+        x[rng.integers(32)] -= 2.0  # table entries of -1 or less, consistent
+        programs = [
+            (costs, prepared, one_negated),
+            (costs, np.array(prepared), one_negated),
+            (costs[columns], prepared[:, columns], one_negated),
+            (costs, prepared * signs[:, None], b * signs),
+            (costs, prepared, prepared @ x),
+        ]
+        for c, a, rhs in programs:
+            kept = simplex._cached_program(a.shape, a.tobytes()).keep
+            assert (rhs[kept] < 0.0).any()
+            key = _lp_key(sb.solve_lp, c, a, rhs)
+            assert key == _lp_key(_chain_solve_lp, c, a, rhs)
+            outcomes.append(key[1].split(" (")[0].split(":")[0] if isinstance(key[0], type) else "solved")
+    assert fresh_program.nodes == nodes
+    counts = {kind: outcomes.count(kind) for kind in set(outcomes)}
+    assert counts.keys() == {"solved", "equality system is inconsistent", "no nonnegative solution"}
+    assert min(counts.values()) >= 15, counts
 
 
-def test_opening_memo_stays_bounded(rng, fresh_memo, monkeypatch):
+def test_custom_bases_walk_their_own_memo(rng, fresh_program, monkeypatch):
+    """lp_min_cost on a 24-column basis, and on one with repeated ids, walks
+    that basis's own memo: filling and filled, each solve has the chain's bits or error."""
+    solve_lp, solves = simplex.solve_lp, [0]
+
+    def checked(c, a, b):
+        assert _lp_key(solve_lp, c, a, b) == _lp_key(_chain_solve_lp, c, a, b)
+        solves[0] += 1
+        return solve_lp(c, a, b)
+
+    monkeypatch.setattr(simplex, "solve_lp", checked)
+    tables = [sb.pr_box(), *_dyadic_tables(rng, 40)]
+    tables += [sub_cost_mixture(rng)[0] for _ in range(20)] + [random_table(rng) for _ in range(10)]
+    simplex._cached_program.cache_clear()
+    for basis in (sb.LOCAL_IDS + sb.VIOLATING_IDS, sb.FULL_BASIS + sb.VIOLATING_IDS[:3]):
+        a = simulate._CATALOG_CONSTRAINTS[:, [correlation.strategy_column(i) for i in basis]]
+        filling = [_priced(t, basis) for t in tables]
+        program = simplex._cached_program(a.shape, a.tobytes())
+        nodes = program.nodes
+        assert [_priced(t, basis) for t in tables] == filling
+        assert program.nodes == nodes == _tree_size(program.root) > 20
+        solved = sum(not isinstance(key, str) for key in filling)
+        assert 20 <= solved < len(tables)
+    assert solves[0] == 4 * len(tables)
+    assert fresh_program.nodes == 1  # the catalog's memo is not walked
+
+
+def test_degenerate_programs_keep_their_outcomes():
+    """No column, no row or an all-zero A: the empty optimum, the origin, or
+    the error, on a cold program and a warm one, as the chain gives them."""
+    z = np.zeros
+    programs = [
+        (z(0), z((1, 0)), z(1)),  # the empty optimum
+        (z(0), z((1, 0)), np.ones(1)),  # 0 = 1
+        (np.array([1.0, 0.0, 2.0]), z((0, 3)), z(0)),  # the origin
+        (np.array([1.0, -1.0]), z((2, 2)), z(2)),  # unbounded
+    ]
+    simplex._cached_program.cache_clear()
+    cold = [_lp_key(sb.solve_lp, *lp) for lp in programs]
+    assert cold == [_lp_key(sb.solve_lp, *lp) for lp in programs]
+    assert cold == [_lp_key(_chain_solve_lp, *lp) for lp in programs]
+    assert cold[0] == (b"", (0.0).hex(), b"", 0)
+    assert cold[1] == (sb.InfeasibleError, "equality system is inconsistent (residual 1.000e+00)")
+    assert cold[2] == (z(3).tobytes(), (0.0).hex(), np.array([1.0, 0.0, 2.0]).tobytes(), 0)
+    assert cold[3] == (sb.UnboundedError, "no constraints remain and the objective decreases")
+
+
+def test_opening_memo_stays_bounded(rng, fresh_program, monkeypatch):
     """Full-support mixtures fill the memo under its node cap; a lower cap
     stops it there with every bit kept, and preparing A again starts a fresh tree."""
     for w in rng.dirichlet(np.full(32, 0.3), size=5000):
         sb.lp_min_cost(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
-    assert 1 < fresh_memo.nodes == _tree_size(fresh_memo.root) <= simplex._MEMO_NODES
+    assert 1 < fresh_program.nodes == _tree_size(fresh_program.root) <= simplex._MEMO_NODES
 
     monkeypatch.setattr(simplex, "_MEMO_NODES", 40)
     prepared = simulate._CATALOG_CONSTRAINTS
     simplex._prepare(prepared, correlation.STRATEGY_COSTS)
-    memo = simplex._PROGRAMS[id(prepared)][3]
-    assert memo is not fresh_memo and memo.nodes == _tree_size(memo.root) == 1
+    program = simplex._PROGRAMS[id(prepared)][2]
+    assert program is not fresh_program and program.nodes == _tree_size(program.root) == 1
     copy = np.array(prepared)
     for w in rng.dirichlet(np.full(32, 0.3), size=200):
         b = np.append(correlation.STRATEGY_MATRIX @ w, 1.0)
         key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, prepared, b)
         assert key == _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, copy, b)
-    assert memo.nodes == _tree_size(memo.root) == 40
+    assert program.nodes == _tree_size(program.root) == 40

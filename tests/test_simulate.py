@@ -91,6 +91,32 @@ def test_lp_respects_the_lower_bound(rng):
         assert dec.residual <= 1e-9
 
 
+def _catalog_mixtures(rng, n):
+    """Weights over the 32 strategies, on 2 to 32 of them, with the tables they build."""
+    for _ in range(n):
+        w = np.zeros(32)
+        support = rng.choice(32, size=int(rng.integers(2, 33)), replace=False)
+        w[support] = rng.dirichlet(np.full(support.size, rng.choice([0.2, 1.0, 3.0])))
+        yield w, sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2))
+
+
+def test_lp_price_of_a_catalog_mixture_is_at_most_its_one_bit_weight(rng):
+    """The price is a minimum over decompositions, the known mixture among them."""
+    for w, table in _catalog_mixtures(rng, 150):
+        assert sb.lp_min_cost(table).cost <= float(correlation.STRATEGY_COSTS @ w) + 1e-12
+
+
+def test_lp_price_is_convex_along_a_segment(rng):
+    """Mixing two tables mixes their optimal decompositions, so the price at a
+    point of the segment is at most the same mixture of the end prices."""
+    mixtures = [table for _, table in _catalog_mixtures(rng, 60)]
+    for first, second in zip(mixtures[::2], mixtures[1::2]):
+        ends = sb.lp_min_cost(first).cost, sb.lp_min_cost(second).cost
+        for t in (1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6):
+            inner = sb.Correlation((1.0 - t) * first.p + t * second.p)
+            assert sb.lp_min_cost(inner).cost <= (1.0 - t) * ends[0] + t * ends[1] + 1e-12
+
+
 def test_lp_infeasible_outside_basis_hull():
     with pytest.raises(sb.InfeasibleError):
         sb.lp_min_cost(sb.pr_box(), basis=sb.LOCAL_IDS)
