@@ -8,8 +8,8 @@ as an oracle in the test suite.  No external solver is involved.
 
 Whatever depends on A alone is one :class:`_Program` per matrix: the
 steps of a Gaussian elimination with partial pivoting, the rows it keeps
-once redundant equalities are dropped, and a memo of phase 1's opening
-pivots rooted at the phase-1 template.  A solve finds a prepared program
+once redundant equalities are dropped, and a memo of whole solves rooted
+at the phase-1 template.  A solve finds a prepared program
 (:func:`_prepare`) by A's identity, any other in a cache of 16 keyed by
 A's bytes.  Replaying the steps on b, zero factors skipped, raises
 :class:`~signalbox.errors.InfeasibleError` for an inconsistent system
@@ -24,22 +24,32 @@ phase 2 rebuilds the costs.  Phase 2 runs in the same array, its
 artificial columns barred from entering; a pivot updates each column on
 its own, so the bits hold.
 
-For the same reason a solve can start phase 1 past its first pivots.
-After a sequence of (leave, enter) pivots, the tableau apart from its
-rhs column depends on that sequence alone, never on b, and Bland's
-entering column reads only the cost row.  So b chooses the sequence
-through the leaving rows, and the memo is a tree of the tableaux those
-pivots reach, keyed by leaving row, at most 5 deep.  A solve whose b has
-no negative entry walks it with b as floats: the simplex loop's ratio
-test picks each leaving row, and only the rhs, phase 1's objective entry
-included, is updated, with the pivot's own operations in its order.
-Where the walk stops, the solve copies that node's tableau, writes the
-rhs in and runs the loop on, with the bits and the pivot count of the
-loop run from the start.  A negative entry negates its row, so that
-solve starts from a copy of the template instead.  The memos hold at
-most 1024 tableaux in each of 17 programs (the 16 cached and the
-prepared catalog); the 24-column basis ``LOCAL_IDS + VIOLATING_IDS``
-filled 419 over 25000 mixtures, 2.2 MB by tracemalloc.
+For the same reason a solve can skip its pivots.  After a sequence of
+(leave, enter) pivots, the tableau apart from its rhs column depends on
+that sequence alone, never on b, and Bland's entering column reads only
+the cost row.  So b chooses the sequence through the leaving rows, and
+the memo is one tree keyed by leaving row: phase 1's pivots, then, keyed
+by the bytes of c, the pivots that eject artificials and phase 2's
+pivots for that c.  A solve whose b has no negative entry walks it with
+b as floats: the loop's ratio test picks each leaving row, and only the
+rhs, phase 1's objective entry included, is updated, with the pivot's
+own operations in its order.  A walk that reaches phase 2's optimum
+reads x off the rhs, and the reduced costs and the dual off the node,
+with no tableau pivot.  A node keeps only what the walk reads, the
+entering column's nonzero entries, apart from the first 5 levels, which
+keep their tableaux.  Where the walk leaves the tree, the solve copies
+the deepest tableau on its path, replays the pivots below it, writes the
+rhs in and runs the loop on, recording the nodes it reaches, with the
+bits, the error and the pivot count of the loop run from the start.  A
+negative entry negates its row, so that solve starts from a copy of the
+template, and a program from the cache records nothing on its first
+solve, so a matrix solved once builds no tree.  A memo holds at most
+16384 nodes and 1024 tableaux, in each of 17 programs (the 16 cached and
+the prepared catalog).  Over perfbench's ``decompose`` inputs (seed
+3451) the catalog's memo held 1197 nodes, 147 with tableaux, after 120
+operations, 1.46 MB by tracemalloc against 1.07 MB for a memo of phase
+1's first 5 pivots alone; after 25000 it was full, with 400 tableaux, in
+9.2 MB, about 0.4 KB a node beyond the tableaux.
 """
 
 from __future__ import annotations
@@ -56,10 +66,11 @@ _FEAS_TOL = 1e-9
 # Pivot and reduced-cost threshold: entries within it count as zero.
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
-# A program's memo records phase 1's first pivots down to this depth, in
-# at most this many tableaux.
+# A program's memo holds at most this many nodes; those within this many
+# pivots of the root keep their tableaux, at most this many of them.
+_MEMO_NODES = 16384
 _MEMO_DEPTH = 5
-_MEMO_NODES = 1024
+_MEMO_TABLEAUX = 1024
 # id(A) -> (A, c, program) of each prepared A; holding A keeps its id unique.
 _PROGRAMS = {}
 
@@ -70,32 +81,47 @@ class SimplexResult:
 
     ``reduced_costs`` are the final phase-2 reduced costs; at an optimum
     every entry is >= -1e-10, which callers can use as an optimality
-    certificate without re-running the solver.
+    certificate without re-running the solver.  ``dual`` holds one price
+    per row of A, 0 on the rows dropped as redundant: ``A^T dual`` is c
+    less the reduced costs, and ``dual . b`` the objective, up to
+    rounding.  Both arrays are read-only.
     """
 
     x: np.ndarray
     objective: float
     reduced_costs: np.ndarray
     iterations: int
+    dual: np.ndarray
 
 
 class _Node:
-    """A phase-1 tableau reached from the start by one sequence of pivots.
+    """A tableau reached from the phase-1 template by one sequence of pivots.
 
-    Its rhs column is not read.  ``enter`` is Bland's entering column
-    there (-1 at a phase-1 optimum) and ``column`` that column as
-    floats, costs included; ``children`` maps a leaving row to the node
-    its pivot reaches.
+    ``enter`` is Bland's entering column there, -1 at its phase's optimum,
+    and ``column`` that column's nonzero entries, costs included, as
+    ``(row, float)`` pairs in row order, each pair shared with equal pairs
+    of other nodes (a zero's sign is never read here).  ``children`` maps
+    a leaving row to the node its pivot reaches; at phase 1's optimum it
+    maps the bytes of a cost vector to phase 2's first tableau for it,
+    whose ``eject`` holds the ``(row, enter, pivot entry, column)`` of the
+    pivots that ejected artificials on the way.  At phase 2's optimum
+    ``final`` holds the read-only reduced costs and dual.  Near the root
+    the node keeps its read-only ``tableau``, with a zero rhs column, and
+    ``basis``; elsewhere both are None.
     """
 
-    __slots__ = ("tableau", "basis", "enter", "column", "children")
+    __slots__ = ("enter", "column", "children", "tableau", "basis", "eject", "final")
 
-    def __init__(self, tableau, basis, ncols):
-        tableau.setflags(write=False)
-        self.tableau, self.basis = tableau, tuple(basis)
+    def __init__(self, tableau, basis, ncols, interned, snapshot):
         self.enter = _entering(tableau[-1, :ncols])
-        self.column = tableau[:, self.enter].tolist() if self.enter >= 0 else None
+        self.column = None if self.enter < 0 else _sparse(tableau[:, self.enter], interned)
         self.children = {}
+        self.tableau = self.basis = self.eject = self.final = None
+        if snapshot:
+            # A zero rhs stays zero, and finite, under any replayed pivot.
+            self.tableau, self.basis = tableau.copy(), tuple(basis)
+            self.tableau[:, -1] = 0.0
+            self.tableau.setflags(write=False)
 
 
 class _Program:
@@ -107,10 +133,13 @@ class _Program:
     indices of a maximal independent row subset.  Unless no row is kept,
     ``root`` is the memo's root: its tableau is the read-only phase-1
     template ``[A_keep | I | 0]`` above its reduced costs
-    ``[-A_keep.sum(axis=0) | 0 | 0]``.  ``nodes`` counts the memo's tableaux.
+    ``[-A_keep.sum(axis=0) | 0 | 0]``.  ``nodes`` and ``tableaux`` count
+    the memo's nodes and the tableaux they keep.  ``warm`` says whether a
+    solve records nodes: a prepared program from its first solve, a
+    cached one from its second.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, warm=False):
         work = a.copy()
         m, n = a.shape
         order = list(range(m))
@@ -132,15 +161,19 @@ class _Program:
             rank += 1
         self.steps, self.keep = tuple(steps), np.array(sorted(order[:rank]), dtype=np.intp)
         self.keep.setflags(write=False)
-        self.ncols = n + rank
+        self.rows, self.ncols = m, n + rank
+        # Equal (row, float) pairs and cost keys of the memo's nodes, shared.
+        self.interned = {}
         a_keep = a[self.keep]
         tableau = np.zeros((rank + 1, self.ncols + 1))
         tableau[:rank, :n] = a_keep
         tableau[:rank, n:-1] = np.eye(rank)
         tableau[rank, :n] = -a_keep.sum(axis=0)
         # Without a kept row no solve pivots, and no column could enter.
-        self.root = _Node(tableau, range(n, self.ncols), self.ncols) if rank else None
-        self.nodes = 1
+        basis = range(n, self.ncols)
+        self.root = _Node(tableau, basis, self.ncols, self.interned, True) if rank else None
+        self.nodes = self.tableaux = 1
+        self.warm = warm
 
     def check(self, b):
         """Raise InfeasibleError unless b is consistent with A.
@@ -166,42 +199,185 @@ class _Program:
                     f"equality system is inconsistent (residual {beta[i]:.3e})"
                 )
 
-    def start(self, values):
-        """Phase 1 after the memo's pivots from the start on rhs ``values``, a float list.
+    def walk(self, c, b):
+        """Solve with the kept rows ``b`` of a b with no negative entry, walking the memo.
 
-        ``values`` holds the kept rows of b, with no negative entry, so
-        that no row is negated, then the phase-1 objective entry; it is
-        updated in place.  Returns the tableau, its basis and the pivot
-        count, as :func:`_run_simplex` would have left them after that
-        many pivots.  A missing child below the depth and node bounds is
-        recorded on the way.
+        The rhs is a float list, updated in place; ``basis`` follows the
+        walk, and ``trail`` holds the keys taken below ``snap``, the
+        deepest node on the path that keeps its tableau.  A cold program
+        takes the loop from the template and records nothing.
         """
-        node, depth = self.root, 0
-        while depth < _MEMO_DEPTH and node.enter >= 0:
-            # The column ends with the entering cost, below -1e-10, which
-            # the ratio test passes over.
-            column = node.column
-            leave = _leaving_row(column, values, node.basis)
-            child = node.children.get(leave)
-            if child is None:
-                if leave < 0 or self.nodes >= _MEMO_NODES:
+        m = len(b)
+        values = b.tolist()
+        # -b.sum() without ndarray.sum's Python wrapper: the same reduce.
+        values.append(float(-np.add.reduce(b)))
+        node, basis, iterations = self.root, list(self.root.basis), 0
+        if not self.warm:
+            self.warm = True
+            tableau = node.tableau.copy()
+            tableau[:, -1] = values
+            return self.finish(c, tableau, basis)
+        snap, trail, key, leave = node, [], None, -1
+        while True:
+            enter = node.enter
+            if enter >= 0:
+                leave, top = _leaving_row(node.column, values, basis)
+                child = node.children.get(leave)
+                if child is None:
                     break
-                tableau, basis = node.tableau.copy(), list(node.basis)
-                _pivot(tableau, basis, leave, node.enter)
-                child = node.children[leave] = _Node(tableau, basis, self.ncols)
-                self.nodes += 1
-            # _pivot's operations on the rhs: divide the pivot row's entry,
-            # subtract from each row whose column entry is nonzero, then
-            # overwrite the pivot row's own result with the quotient.
-            top = values[leave] / column[leave]
-            for i, coef in enumerate(column):
-                if coef != 0.0:
-                    values[i] -= coef * top
-            values[leave] = top
-            node, depth = child, depth + 1
-        tableau = node.tableau.copy()
+                _rhs_pivot(values, node.column, leave, top)
+                basis[leave] = enter
+                iterations += 1
+            elif key is None:  # phase 1's optimum
+                if -values[m] > _FEAS_TOL:
+                    raise InfeasibleError(
+                        f"no nonnegative solution: phase-1 optimum {-values[m]:.3e} > 0"
+                    )
+                key = c.tobytes()
+                child = node.children.get(key)
+                if child is None:
+                    leave = -1
+                    break
+                for row, enter, entry, column in child.eject:
+                    _rhs_pivot(values, column, row, values[row] / entry)
+                    basis[row] = enter
+                iterations += len(child.eject)
+                leave = key
+            else:  # phase 2's optimum
+                return _result(c, values[:m], basis, iterations, *node.final)
+            if child.tableau is None:
+                trail.append(leave)
+            else:
+                snap, trail = child, []
+            node = child
+
+        # Off the tree: the deepest kept tableau, the pivots below it replayed.
+        tableau, replayed, at = snap.tableau.copy(), list(snap.basis), snap
+        for step in trail:
+            child = at.children[step]
+            if at.enter >= 0:
+                _pivot(tableau, replayed, step, at.enter)
+            else:
+                for row, enter, *_ in child.eject:
+                    _pivot(tableau, replayed, row, enter)
+                _phase2_costs(tableau, replayed, c, self.ncols - m)
+            at = child
         tableau[:, -1] = values
-        return tableau, list(node.basis), depth
+        stage = 0 if key is None else 1 if node.enter < 0 else 2
+        return self.finish(c, tableau, basis, stage, node, leave, iterations)
+
+    def finish(self, c, tableau, basis, stage=0, node=None, leave=-1, iterations=0, flip=None):
+        """Run the solve on in ``tableau`` from ``stage``, recording below ``node``.
+
+        Stage 0 is phase 1, 1 the ejection of artificials at phase 1's
+        optimum, 2 phase 2.  ``node`` is the memo's node of the tableau's
+        state, or None to record nothing; ``leave`` the leaving row of a
+        pivot already chosen there; ``iterations`` the pivots taken so far;
+        ``flip`` the rows negated, for the dual.
+        """
+        m = len(basis)
+        n = self.ncols - m
+        if stage == 0:
+            count, node = self.loop(tableau, basis, self.ncols, node, leave, iterations)
+            iterations += count
+            if -tableau[m, -1] > _FEAS_TOL:
+                raise InfeasibleError(
+                    f"no nonnegative solution: phase-1 optimum {-tableau[m, -1]:.3e} > 0"
+                )
+            leave = -1
+        if stage < 2:
+            # Eject any artificial still basic at value zero.  After rank
+            # reduction the real columns span every row, so a pivot always
+            # exists.  A pivot here may leave the cost row stale; phase 2
+            # rebuilds it.
+            eject = []
+            for i in range(m):
+                if basis[i] >= n:
+                    eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
+                    if eligible.size == 0:
+                        raise ConsistencyError(
+                            "redundant row survived rank reduction; cannot eject artificial"
+                        )
+                    enter = int(eligible[0])
+                    if node is not None:
+                        column = _sparse(tableau[:, enter], self.interned)
+                        eject.append((i, enter, float(tableau[i, enter]), column))
+                    _pivot(tableau, basis, i, enter)
+                    iterations += 1
+            _phase2_costs(tableau, basis, c, n)
+            if node is not None:
+                key = c.tobytes()
+                key = self.interned.setdefault(key, key)
+                node = self.grow(node, key, tableau, basis, n, iterations, tuple(eject))
+        count, node = self.loop(tableau, basis, n, node, leave, iterations)
+        iterations += count
+        final = self.certificates(tableau, n, flip) if node is None else node.final
+        return _result(c, tableau[:m, -1].tolist(), basis, iterations, *final)
+
+    def certificates(self, tableau, n, flip=None):
+        """The read-only reduced costs and dual at phase 2's optimum in ``tableau``.
+
+        y = c_B B^-1 is minus the cost row over the artificial columns,
+        where B^-1 stands; a row negated by ``flip`` negates its price.
+        """
+        m = len(self.keep)
+        dual = -tableau[m, n:-1]
+        if flip is not None:
+            np.negative(dual, out=dual, where=flip)
+        if m < self.rows:
+            dual, prices = np.zeros(self.rows), dual
+            dual[self.keep] = prices
+        return _read_only(tableau[m, :n].copy(), dual)
+
+    def loop(self, tableau, basis, ncols, node, leave, depth):
+        """Bland-rule loop on a canonical tableau, costs in its last row.
+
+        ``ncols`` is the number of eligible entering columns (the rhs
+        column and any columns beyond ncols never enter).  Each tableau
+        reached is recorded as a child of ``node``, at ``depth`` plus the
+        pivots taken, while the memo has room; ``leave``, unless -1, is
+        the first pivot's leaving row.  Returns the pivot count and the
+        node of the optimum, or None.
+        """
+        # Views: each pivot writes through them, so they stay current.
+        costs, rhs = tableau[-1, :ncols], tableau[:, -1]
+        iterations = 0
+        while True:
+            enter = _entering(costs) if node is None else node.enter
+            if enter < 0:
+                return iterations, node
+            if leave < 0:
+                column = enumerate(tableau[:, enter].tolist()) if node is None else node.column
+                leave = _leaving_row(column, rhs.tolist(), basis)[0]
+                if leave < 0:
+                    raise UnboundedError("objective is unbounded below on the feasible set")
+            _pivot(tableau, basis, leave, enter)
+            iterations += 1
+            if iterations > _MAX_PIVOTS:
+                raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
+            if node is not None:
+                node = self.grow(node, leave, tableau, basis, ncols, depth + iterations)
+            leave = -1
+
+    def grow(self, parent, key, tableau, basis, ncols, depth, eject=None):
+        """Record ``tableau``, reached by ``parent``'s pivot ``key``, as its child.
+
+        ``eject`` holds the ejections taken on the way into phase 2.  The
+        child is complete before ``parent`` holds it, its certificates
+        included at phase 2's optimum.  Returns the child, or None once
+        the memo holds ``_MEMO_NODES``.
+        """
+        if self.nodes >= _MEMO_NODES:
+            return None
+        snapshot = depth <= _MEMO_DEPTH and self.tableaux < _MEMO_TABLEAUX
+        child = _Node(tableau, basis, ncols, self.interned, snapshot)
+        child.eject = eject
+        if child.enter < 0 and ncols < self.ncols:
+            child.final = self.certificates(tableau, ncols)
+        parent.children[key] = child
+        self.nodes += 1
+        self.tableaux += snapshot
+        return child
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,7 +397,7 @@ def _prepare(a, c):
             raise DomainError("a prepared program needs read-only, finite float64 arrays")
     if a.ndim != 2 or c.shape != a.shape[1:]:
         raise DomainError(f"shape mismatch: A is {a.shape}, c is {c.shape}")
-    _PROGRAMS[id(a)] = (a, c, _Program(a))
+    _PROGRAMS[id(a)] = (a, c, _Program(a, warm=True))
 
 
 def _pivot(tableau, basis, leave, enter):
@@ -234,6 +410,36 @@ def _pivot(tableau, basis, leave, enter):
     basis[leave] = enter
 
 
+def _sparse(column, interned):
+    """The nonzero entries of a tableau column as ``(row, float)`` pairs, equal pairs shared."""
+    pairs = enumerate(column.tolist())
+    return tuple(interned.setdefault(pair, pair) for pair in pairs if pair[1] != 0.0)
+
+
+def _rhs_pivot(values, column, leave, top):
+    """:func:`_pivot`'s operations on the rhs ``values``, a float list.
+
+    ``top`` is the pivot row's entry divided by the pivot entry, and
+    ``column`` the entering column's nonzero ``(row, float)`` pairs:
+    subtract from each of their rows, then overwrite the pivot row's own
+    result with the quotient.
+    """
+    for i, coef in column:
+        values[i] -= coef * top
+    values[leave] = top
+
+
+def _phase2_costs(tableau, basis, c, n):
+    """Rebuild the last row's reduced costs for c.
+
+    Subtracts the rows ``c_B[i] * T[i]`` from ``[c | 0]`` one after another.
+    """
+    terms = np.zeros(tableau.shape)
+    terms[0, :n] = c
+    np.multiply(c[basis][:, None], tableau[:-1], out=terms[1:])
+    np.subtract.reduce(terms, axis=0, out=tableau[-1])
+
+
 def _entering(costs):
     """Bland's entering column: the first reduced cost below -1e-10, or -1 at an optimum."""
     eligible = costs < -_PIVOT_TOL
@@ -242,44 +448,40 @@ def _entering(costs):
 
 
 def _leaving_row(column, values, basis):
-    """Bland's leaving row, or -1 when no entry of ``column`` exceeds 1e-10.
+    """Bland's leaving row and its ratio, or -1 when no entry of ``column`` exceeds 1e-10.
 
-    The least ratio ``values[i] / column[i]`` over the rows with
-    ``column[i] > 1e-10``; ratios within 1e-12 of the least tie, and a
-    tie goes to the row whose basic variable has the smaller index.
+    ``column`` yields the entering column's ``(row, float)`` pairs; a
+    zero entry may be left out.  The least ratio ``values[i] / coef``
+    over the rows with ``coef > 1e-10``; ratios within 1e-12 of the least
+    tie, and a tie goes to the row whose basic variable has the smaller
+    index.  The entering column's cost entry is below -1e-10, so the cost
+    row never leaves.
     """
-    leave, best = -1, np.inf
-    for i, coef in enumerate(column):
+    leave, best, top = -1, np.inf, np.inf
+    for i, coef in column:
         if coef > _PIVOT_TOL:
             ratio = values[i] / coef
             if ratio < best - 1e-12:
-                best, leave = ratio, i
-            elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                best = top = ratio
                 leave = i
-    return leave
+            elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                leave, top = i, ratio
+    return leave, top
 
 
-def _run_simplex(tableau, basis, ncols):
-    """Bland-rule simplex loop on a canonical tableau, costs in its last row.
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
-    ``ncols`` is the number of eligible entering columns (the rhs column
-    and any columns beyond ncols never enter).  Returns the pivot count.
-    """
-    # Views: each pivot writes through them, so they stay current.
-    costs = tableau[-1, :ncols]
-    rhs = tableau[:-1, -1]
-    iterations = 0
-    while True:
-        enter = _entering(costs)
-        if enter < 0:
-            return iterations
-        leave = _leaving_row(tableau[:-1, enter].tolist(), rhs.tolist(), basis)
-        if leave < 0:
-            raise UnboundedError("objective is unbounded below on the feasible set")
-        _pivot(tableau, basis, leave, enter)
-        iterations += 1
-        if iterations > _MAX_PIVOTS:
-            raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
+
+def _result(c, rhs, basis, iterations, reduced, dual):
+    """The record of an optimum with basic values ``rhs``, a float list; a negative one is 0."""
+    x = [0.0] * len(c)
+    for j, value in zip(basis, rhs):
+        x[j] = 0.0 if value < 0.0 else value
+    x = np.array(x)
+    return _frozen_record(SimplexResult, (x, float(c @ x), reduced, iterations, dual))
 
 
 def solve_lp(c, a, b) -> SimplexResult:
@@ -322,58 +524,24 @@ def solve_lp(c, a, b) -> SimplexResult:
     if m == 0:
         # Every equation was vacuous; the origin is optimal for c >= 0.
         if np.all(c >= 0.0):
-            return SimplexResult(np.zeros(n), 0.0, c.copy(), 0)
+            reduced, dual = _read_only(c.copy(), np.zeros(len(b)))
+            return SimplexResult(np.zeros(n), 0.0, reduced, 0, dual)
         raise UnboundedError("no constraints remain and the objective decreases")
 
-    # Phase 1: [A | I | b] above its costs, the artificial identity basic
-    # and each row with b < 0 negated (apart from its artificial column).
-    # With no row negated the solve starts past its memo's pivots.
+    # Phase 1: [A | I | b] above its costs, the artificial identity basic.
+    # With no row negated the solve walks its program's memo; a row with
+    # b < 0 is negated (apart from its artificial column), and that solve
+    # takes the loop from the start.
     b = b[keep]
     flip = b < 0.0
-    if np.count_nonzero(flip):
-        tableau = program.root.tableau.copy()
-        a = a[keep]
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        tableau[:m, :n] = a
-        tableau[m, :n] = -a.sum(axis=0)
-        tableau[:m, -1] = b
-        tableau[m, -1] = -b.sum()
-        basis, iterations = [n + i for i in range(m)], 0
-    else:
-        tableau, basis, iterations = program.start(b.tolist() + [float(-b.sum())])
-
-    iterations += _run_simplex(tableau, basis, n + m)
-    if -tableau[m, -1] > _FEAS_TOL:
-        raise InfeasibleError(
-            f"no nonnegative solution: phase-1 optimum {-tableau[m, -1]:.3e} > 0"
-        )
-
-    # Eject any artificial still basic at value zero.  After rank
-    # reduction the real columns span every row, so a pivot always exists.
-    # A pivot here may leave the cost row stale; phase 2 rebuilds it.
-    for i in range(m):
-        if basis[i] >= n:
-            eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-            if eligible.size == 0:
-                raise ConsistencyError(
-                    "redundant row survived rank reduction; cannot eject artificial"
-                )
-            _pivot(tableau, basis, i, int(eligible[0]))
-            iterations += 1
-
-    # Phase 2, in the same array: rebuild the last row's reduced costs
-    # for c, subtracting the rows c_B[i] * T[i] one after another.
-    terms = np.zeros(tableau.shape)
-    terms[0, :n] = c
-    np.multiply(c[basis][:, None], tableau[:m], out=terms[1:])
-    np.subtract.reduce(terms, axis=0, out=tableau[m])
-
-    iterations += _run_simplex(tableau, basis, n)
-
-    x = np.zeros(n)
-    x[basis] = tableau[:m, -1]
-    x[x < 0.0] = 0.0
-    return _frozen_record(
-        SimplexResult, (x, float(c @ x), tableau[m, :n].copy(), iterations)
-    )
+    if not np.count_nonzero(flip):
+        return program.walk(c, b)
+    tableau = program.root.tableau.copy()
+    a = a[keep]
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau[:m, :n] = a
+    tableau[m, :n] = -a.sum(axis=0)
+    tableau[:m, -1] = b
+    tableau[m, -1] = -b.sum()
+    return program.finish(c, tableau, [n + i for i in range(m)], flip=flip)

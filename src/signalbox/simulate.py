@@ -74,7 +74,7 @@ _LOCALS = frozenset(LOCAL_IDS)
 def _solver():
     """The simplex module, loaded by the first priced table.
 
-    The catalog's program, its elimination and opening-pivot memo, is
+    The catalog's program, its elimination and its memo of whole solves, is
     prepared here once and found by identity; each custom basis gets its
     own program, kept in the simplex's cache of the 16 latest matrices.
     """
@@ -144,9 +144,12 @@ def _residual(corr: Correlation, values: np.ndarray, rows: np.ndarray) -> float:
     # Max-norm gap to ``values`` times the (k, 16) strategy rows.  A reduce
     # down axis 0 adds the stacked ``value * row`` one after another from
     # zero, bit for bit a loop of adds; a matrix product may move bits.
+    # The gap and its absolute value are taken in place, and the largest
+    # entry by the reduce that ndarray.max calls, without its wrapper.
     weighted = values.reshape(-1, 1) * rows
-    total = np.add.reduce(weighted, axis=0, initial=0.0)
-    return float(np.abs(corr.p.ravel() - total).max())
+    gap = np.add.reduce(weighted, axis=0, initial=0.0)
+    np.subtract(corr.p.ravel(), gap, out=gap)
+    return float(np.maximum.reduce(np.abs(gap, out=gap)))
 
 
 def closed_form_decompose(corr: Correlation, sigma: float = 0.0) -> Decomposition:

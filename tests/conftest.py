@@ -50,7 +50,7 @@ def rng():
 
 @pytest.fixture
 def fresh_program(monkeypatch):
-    """The catalog program prepared afresh for one test: its opening-pivot memo starts empty.
+    """The catalog program prepared afresh for one test: its memo starts empty.
 
     Returns the program; the registry of prepared programs is restored afterwards.
     """

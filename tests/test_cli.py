@@ -167,21 +167,34 @@ def test_decompose_golden_bytes(capsys, name, code):
         assert (out, err.encode()) == ("", (GOLDEN / f"decompose_{name}.stderr").read_bytes())
 
 
-def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_program, rng):
-    """Hundreds of priced tables fill the opening-pivot memo; every decompose
-    golden input still prints its golden stdout and stderr bytes."""
+def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_program, rng, monkeypatch):
+    """Hundreds of priced tables fill the LP's memo; every decompose golden
+    input, run twice, prints its golden stdout and stderr bytes, and the
+    second run walks the whole memo with no tableau pivot."""
+    from signalbox import simplex
+
     for w in rng.dirichlet(np.full(32, 0.3), size=300):
         sb.lp_min_cost(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
     assert fresh_program.nodes > 100
     inputs = sorted(GOLDEN.glob("decompose_*.json"))
     assert len(inputs) == 5
-    for path in inputs:
-        stdout, stderr = (path.with_suffix(suffix) for suffix in (".stdout", ".stderr"))
-        code = run(["decompose", str(path)])
-        out, err = capsys.readouterr()
-        assert code == (0 if stdout.exists() else 3), path.name
-        assert out.encode() == (stdout.read_bytes() if stdout.exists() else b""), path.name
-        assert err.encode() == (stderr.read_bytes() if stderr.exists() else b""), path.name
+    pivots, pivot = [0], simplex._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    for second in (False, True):
+        pivots[0] = 0
+        for path in inputs:
+            stdout, stderr = (path.with_suffix(suffix) for suffix in (".stdout", ".stderr"))
+            code = run(["decompose", str(path)])
+            out, err = capsys.readouterr()
+            assert code == (0 if stdout.exists() else 3), path.name
+            assert out.encode() == (stdout.read_bytes() if stdout.exists() else b""), path.name
+            assert err.encode() == (stderr.read_bytes() if stderr.exists() else b""), path.name
+        assert (pivots[0] == 0) == second
 
 
 @pytest.mark.parametrize(

@@ -378,12 +378,13 @@ def _chain_solve_lp(c, a, b, ejections=None):
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
     n = a.shape[1]
     keep = _chain_independent_rows(a, b, 1e-10)
+    full_b = b
     a = a[keep].copy()
     b = b[keep].copy()
     m = len(keep)
     if m == 0:
         if np.all(c >= 0.0):
-            return sb.SimplexResult(np.zeros(n), 0.0, c.copy(), 0)
+            return sb.SimplexResult(np.zeros(n), 0.0, c.copy(), 0, np.zeros(len(full_b)))
         raise sb.UnboundedError("no constraints remain and the objective decreases")
     flip = b < 0.0
     a[flip] *= -1.0
@@ -409,8 +410,9 @@ def _chain_solve_lp(c, a, b, ejections=None):
             if ejections is not None:
                 ejections.append(i)
             iterations += 1
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    cost_row = np.zeros(n + 1)
+    # The artificial columns stay, barred from entering: a pivot updates
+    # each column on its own, and their costs give the dual.
+    cost_row = np.zeros(n + m + 1)
     cost_row[:n] = c
     for i in range(m):
         cost_row -= c[basis[i]] * tableau[i]
@@ -419,7 +421,9 @@ def _chain_solve_lp(c, a, b, ejections=None):
     for i in range(m):
         x[basis[i]] = tableau[i, -1]
     x[x < 0.0] = 0.0
-    return sb.SimplexResult(x, float(c @ x), cost_row[:n].copy(), iterations)
+    dual = np.zeros(len(full_b))
+    dual[keep] = np.where(flip, cost_row[n:-1], -cost_row[n:-1])
+    return sb.SimplexResult(x, float(c @ x), cost_row[:n].copy(), iterations, dual)
 
 
 def _lp_key(solve, c, a, b):
@@ -428,7 +432,13 @@ def _lp_key(solve, c, a, b):
         res = solve(c, a, b)
     except sb.SignalBoxError as exc:
         return type(exc), str(exc)
-    return res.x.tobytes(), res.objective.hex(), res.reduced_costs.tobytes(), res.iterations
+    return (
+        res.x.tobytes(),
+        res.objective.hex(),
+        res.reduced_costs.tobytes(),
+        res.iterations,
+        res.dual.tobytes(),
+    )
 
 
 def _hot_path_programs(rng):
@@ -542,7 +552,7 @@ def _dyadic_tables(rng, n):
 
 
 def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_program, monkeypatch):
-    """Solves that walk the opening-pivot memo, while it fills and once filled,
+    """Solves that walk the memo, while it fills and once filled,
     give the bits or the error of a solve that never reads it."""
     prepared = simulate._CATALOG_CONSTRAINTS
     copy = np.array(prepared)
@@ -552,23 +562,31 @@ def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_program, m
     programs = [(c, np.array(b)) for b in right_hand_sides for c in (correlation.STRATEGY_COSTS, own_costs)]
     cold = [_lp_key(sb.solve_lp, c, copy, b) for c, b in programs]
 
-    # Count the walk's ratio tests that tie within 1e-12.
+    # Count the walk's ratio tests that tie within 1e-12; the loop that
+    # finishes a solve off the tree is not the walk.
     walking, ties = [False], [0]
-    start, leaving_row = simplex._Program.start, simplex._leaving_row
+    walk_on, finish = simplex._Program.walk, simplex._Program.finish
+    leaving_row = simplex._leaving_row
 
-    def walk(program, values):
+    def walk(program, c, b):
         walking[0] = True
         try:
-            return start(program, values)
+            return walk_on(program, c, b)
         finally:
             walking[0] = False
 
+    def finished(program, *args, **kwargs):
+        walking[0] = False
+        return finish(program, *args, **kwargs)
+
     def counted(column, values, basis):
-        ratios = [v / c for c, v in zip(column, values) if c > 1e-10]
+        column = list(column)  # (row, entry) pairs
+        ratios = [values[i] / c for i, c in column if c > 1e-10]
         ties[0] += walking[0] and sum(r <= min(ratios) + 1e-12 for r in ratios) > 1
         return leaving_row(column, values, basis)
 
-    monkeypatch.setattr(simplex._Program, "start", walk)
+    monkeypatch.setattr(simplex._Program, "walk", walk)
+    monkeypatch.setattr(simplex._Program, "finish", finished)
     monkeypatch.setattr(simplex, "_leaving_row", counted)
     filling = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
     nodes = fresh_program.nodes
@@ -598,10 +616,10 @@ def test_flipped_rows_never_walk_the_memo(rng, fresh_program, monkeypatch):
     for t in tables:  # fill the catalog's memo first
         _priced(t)
 
-    def refuse(program, values):
+    def refuse(program, c, b):
         raise AssertionError("the memo was walked")
 
-    monkeypatch.setattr(simplex._Program, "start", refuse)
+    monkeypatch.setattr(simplex._Program, "walk", refuse)
     nodes = fresh_program.nodes
     costs, prepared = correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS
     columns = [correlation.strategy_column(i) for i in sb.LOCAL_IDS + sb.VIOLATING_IDS]
@@ -674,9 +692,9 @@ def test_degenerate_programs_keep_their_outcomes():
     cold = [_lp_key(sb.solve_lp, *lp) for lp in programs]
     assert cold == [_lp_key(sb.solve_lp, *lp) for lp in programs]
     assert cold == [_lp_key(_chain_solve_lp, *lp) for lp in programs]
-    assert cold[0] == (b"", (0.0).hex(), b"", 0)
+    assert cold[0] == (b"", (0.0).hex(), b"", 0, z(1).tobytes())
     assert cold[1] == (sb.InfeasibleError, "equality system is inconsistent (residual 1.000e+00)")
-    assert cold[2] == (z(3).tobytes(), (0.0).hex(), np.array([1.0, 0.0, 2.0]).tobytes(), 0)
+    assert cold[2] == (z(3).tobytes(), (0.0).hex(), np.array([1.0, 0.0, 2.0]).tobytes(), 0, b"")
     assert cold[3] == (sb.UnboundedError, "no constraints remain and the objective decreases")
 
 
@@ -693,8 +711,119 @@ def test_opening_memo_stays_bounded(rng, fresh_program, monkeypatch):
     program = simplex._PROGRAMS[id(prepared)][2]
     assert program is not fresh_program and program.nodes == _tree_size(program.root) == 1
     copy = np.array(prepared)
-    for w in rng.dirichlet(np.full(32, 0.3), size=200):
-        b = np.append(correlation.STRATEGY_MATRIX @ w, 1.0)
+    weights = rng.dirichlet(np.full(32, 0.3), size=200)
+    right_hand_sides = [np.append(correlation.STRATEGY_MATRIX @ w, 1.0) for w in weights]
+    for b in right_hand_sides:
         key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, prepared, b)
         assert key == _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, copy, b)
     assert program.nodes == _tree_size(program.root) == 40
+    # At the cap a solve walks as far as the tree goes and loops on, recording nothing.
+    for b in right_hand_sides[:50]:
+        key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, prepared, b)
+        assert key == _lp_key(_chain_solve_lp, correlation.STRATEGY_COSTS, copy, b)
+    assert program.nodes == _tree_size(program.root) == 40
+
+    # Below a cap of 3 tableaux, walks that leave the tree replay from deeper
+    # up the path: every bit is kept, and the tree keeps 3 tableaux.
+    monkeypatch.setattr(simplex, "_MEMO_NODES", 10**5)
+    monkeypatch.setattr(simplex, "_MEMO_TABLEAUX", 3)
+    simplex._prepare(prepared, correlation.STRATEGY_COSTS)
+    program = simplex._PROGRAMS[id(prepared)][2]
+    for b in right_hand_sides + right_hand_sides[:50]:
+        key = _lp_key(sb.solve_lp, correlation.STRATEGY_COSTS, prepared, b)
+        assert key == _lp_key(_chain_solve_lp, correlation.STRATEGY_COSTS, copy, b)
+    assert program.tableaux == _tree_tableaux(program.root) == 3
+    assert 500 < program.nodes == _tree_size(program.root)
+
+
+def _tree_tableaux(node):
+    below = sum(_tree_tableaux(child) for child in node.children.values())
+    return (node.tableau is not None) + below
+
+
+def _ejecting_right_hand_sides(rng):
+    """Catalog right-hand sides whose solve ejects an artificial: mixtures of a few strategies."""
+    found = []
+    while len(found) < 10:
+        picks = rng.choice(32, size=int(rng.integers(1, 4)), replace=False)
+        weights = rng.dirichlet(np.ones(len(picks)))
+        b = np.append(correlation.STRATEGY_MATRIX[:, picks] @ weights, 1.0)
+        ejections = []
+        _chain_solve_lp(correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS, b, ejections)
+        if ejections:
+            found.append(b)
+    return found
+
+
+def test_repeat_solves_walk_the_whole_memo(rng, fresh_program, monkeypatch):
+    """A second solve of the same program is the chain's, hex for hex; with
+    no row negated it walks the whole memo and makes no tableau pivot."""
+    pivots, pivot = [0], simplex._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    prepared, costs = simulate._CATALOG_CONSTRAINTS, correlation.STRATEGY_COSTS
+    qubits = (random_quantum_instance(rng) for _ in range(40))
+    tables = (sb.sequential_correlation(s, *obs) for s, obs in qubits)
+    outside = [t._entries + (1.0,) for t in tables]
+    ejecting = _ejecting_right_hand_sides(rng)
+    own_costs = rng.random(32)
+    right_hand_sides = [*_catalog_right_hand_sides(rng), *outside, *ejecting]
+    programs = [(costs, np.array(b)) for b in right_hand_sides]
+    programs += [(own_costs, b) for _, b in programs[:40]]
+    columns = [correlation.strategy_column(i) for i in sb.LOCAL_IDS + sb.VIOLATING_IDS]
+    basis_programs = [(costs[columns], prepared[:, columns], b) for _, b in programs[:40]]
+    kinds = []
+    for c, b in programs:
+        want = _lp_key(_chain_solve_lp, c, prepared, b)
+        first = _lp_key(sb.solve_lp, c, prepared, b)
+        pivots[0] = 0
+        second = _lp_key(sb.solve_lp, c, prepared, b)
+        assert first == second == want
+        walked = not (b[fresh_program.keep] < 0.0).any()
+        assert pivots[0] == 0 or not walked
+        raised = isinstance(want[0], type)
+        kinds.append(want[1].split(":")[0].split(" (")[0] if raised else "solved")
+    assert kinds.count("no nonnegative solution") >= 40 and kinds.count("solved") >= 150
+    assert all(isinstance(_lp_key(sb.solve_lp, costs, prepared, b)[0], bytes) for b in ejecting)
+    # A custom basis: a cached program records nothing on its first solve,
+    # so a matrix solved once builds no tree; it records from its second.
+    simplex._cached_program.cache_clear()
+    c, a, b = basis_programs[0]
+    program = simplex._cached_program(a.shape, a.tobytes())
+    sb.solve_lp(c, a, b)
+    assert program.nodes == _tree_size(program.root) == 1
+    for c, a, b in basis_programs * 3:
+        assert _lp_key(sb.solve_lp, c, a, b) == _lp_key(_chain_solve_lp, c, a, b)
+    assert program.nodes == _tree_size(program.root) > 20
+    pivots[0] = 0
+    for lp in basis_programs:
+        _lp_key(sb.solve_lp, *lp)
+    assert pivots[0] == 0
+
+
+def test_dual_certifies_catalog_prices(rng, fresh_program):
+    """y is feasible for the dual, prices b at the objective, and is the same
+    array whether the solve walked the memo or ran the loop."""
+    prepared, costs = simulate._CATALOG_CONSTRAINTS, correlation.STRATEGY_COSTS
+    copy = np.array(prepared)
+    keep = fresh_program.keep
+    tables = [sub_cost_mixture(rng)[0] for _ in range(40)] + list(_dyadic_tables(rng, 40))
+    for w in rng.dirichlet(np.full(32, 0.3), size=80):
+        tables.append(sb.Correlation((correlation.STRATEGY_MATRIX @ w).reshape(2, 2, 2, 2)))
+    for t in tables:
+        b = np.append(t.p.ravel(), 1.0)
+        simplex._cached_program.cache_clear()
+        looped = sb.solve_lp(costs, copy, b)  # a cold cached program: the loop
+        sb.solve_lp(costs, prepared, b)
+        walked = sb.solve_lp(costs, prepared, b)
+        assert walked.dual.tobytes() == looped.dual.tobytes()
+        y = walked.dual
+        assert y.shape == (17,)
+        assert not y.flags.writeable and not walked.reduced_costs.flags.writeable
+        assert (y[np.setdiff1d(np.arange(17), keep)] == 0.0).all()
+        assert (prepared[keep].T @ y[keep] - costs).max() <= 1e-12
+        assert abs(y[keep] @ b[keep] - walked.objective) <= 1e-12
