@@ -30,26 +30,24 @@ that sequence alone, never on b, and Bland's entering column reads only
 the cost row.  So b chooses the sequence through the leaving rows, and
 the memo is one tree keyed by leaving row: phase 1's pivots, then, keyed
 by the bytes of c, the pivots that eject artificials and phase 2's
-pivots for that c.  A solve whose b has no negative entry walks it with
-b as floats: the loop's ratio test picks each leaving row, and only the
-rhs, phase 1's objective entry included, is updated, with the pivot's
-own operations in its order.  A walk that reaches phase 2's optimum
-reads x off the rhs, and the reduced costs and the dual off the node,
+pivots for that c.  One driver, :meth:`_Program.solve`, runs every
+solve.  Each step takes the entering column off the memo's node, or off
+the cost row where there is none, and runs one ratio test on the rhs,
+a float list.  While the memo holds the child, the step updates only
+the rhs, phase 1's objective entry included, with the pivot's own
+operations in its order; a solve whose whole path is in the tree reads
+x off the rhs, and the reduced costs and the dual off its last node,
 with no tableau pivot.  A node keeps only what the walk reads, the
 entering column's nonzero entries, apart from the first 5 levels, which
-keep their tableaux.  Where the walk leaves the tree, the solve copies
-the deepest tableau on its path, replays the pivots below it, writes the
-rhs in and runs the loop on, recording the nodes it reaches, with the
-bits, the error and the pivot count of the loop run from the start.  A
-negative entry negates its row, so that solve starts from a copy of the
-template, and a program from the cache records nothing on its first
-solve, so a matrix solved once builds no tree.  A memo holds at most
-16384 nodes and 1024 tableaux, in each of 17 programs (the 16 cached and
-the prepared catalog).  Over perfbench's ``decompose`` inputs (seed
-3451) the catalog's memo held 1197 nodes, 147 with tableaux, after 120
-operations, 1.46 MB by tracemalloc against 1.07 MB for a memo of phase
-1's first 5 pivots alone; after 25000 it was full, with 400 tableaux, in
-9.2 MB, about 0.4 KB a node beyond the tableaux.
+keep their tableaux.  Where the path leaves the tree, the driver copies
+the deepest tableau on it, replays the pivots below it, writes the rhs
+in and pivots on in the tableau, recording the nodes it reaches, with
+the bits, the error and the pivot count of a solve that never read the
+memo.  A negative entry of b negates its row, so that solve starts from
+a copy of the template, and a program from the cache records nothing on
+its first solve, so a matrix solved once builds no tree.  A memo holds
+at most 16384 nodes and 1024 tableaux, in each of 17 programs (the 16
+cached and the prepared catalog), and interns only what its nodes hold.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ class _Node:
 
     def __init__(self, tableau, basis, ncols, interned, snapshot):
         self.enter = _entering(tableau[-1, :ncols])
-        self.column = None if self.enter < 0 else _sparse(tableau[:, self.enter], interned)
+        self.column = None if self.enter < 0 else _sparse(tableau[:, self.enter].tolist(), interned)
         self.children = {}
         self.tableau = self.basis = self.eject = self.final = None
         if snapshot:
@@ -199,120 +197,108 @@ class _Program:
                     f"equality system is inconsistent (residual {beta[i]:.3e})"
                 )
 
-    def walk(self, c, b):
-        """Solve with the kept rows ``b`` of a b with no negative entry, walking the memo.
+    def solve(self, c, values, tableau=None, flip=None):
+        """The two-phase solve from the template, with ``values`` as its rhs.
 
-        The rhs is a float list, updated in place; ``basis`` follows the
-        walk, and ``trail`` holds the keys taken below ``snap``, the
-        deepest node on the path that keeps its tableau.  A cold program
-        takes the loop from the template and records nothing.
+        ``values`` is a float list: the kept rows' right-hand sides, then
+        phase 1's objective entry.  With no ``tableau`` the solve walks the
+        memo from its root, each step's entering column read off the node
+        and only ``values`` updated; ``trail`` holds the keys taken below
+        ``snap``, the deepest node on the path that keeps its tableau.
+        Where the walk leaves the tree, :meth:`replay` builds the tableau,
+        and the solve pivots on in it, each entering column read off the
+        costs and each tableau reached recorded while the memo has room.
+        A given ``tableau``, the template with the rows of ``flip``
+        negated, and a cold program's first solve record nothing.
         """
-        m = len(b)
-        values = b.tolist()
-        # -b.sum() without ndarray.sum's Python wrapper: the same reduce.
-        values.append(float(-np.add.reduce(b)))
-        node, basis, iterations = self.root, list(self.root.basis), 0
-        if not self.warm:
+        m = len(values) - 1
+        n = self.ncols - m
+        node, basis, snap, trail = self.root, list(self.root.basis), self.root, []
+        if tableau is not None:
+            node = None
+        elif not self.warm:
             self.warm = True
-            tableau = node.tableau.copy()
-            tableau[:, -1] = values
-            return self.finish(c, tableau, basis)
-        snap, trail, key, leave = node, [], None, -1
+            node, tableau = None, self.replay(snap, trail, c, values)
+        ncols, key, iterations = self.ncols, None, 0
         while True:
-            enter = node.enter
+            enter = _entering(tableau[-1, :ncols]) if node is None else node.enter
             if enter >= 0:
-                leave, top = _leaving_row(node.column, values, basis)
-                child = node.children.get(leave)
-                if child is None:
-                    break
-                _rhs_pivot(values, node.column, leave, top)
-                basis[leave] = enter
-                iterations += 1
-            elif key is None:  # phase 1's optimum
+                column = enumerate(tableau[:, enter].tolist()) if node is None else node.column
+                leave, top = _leaving_row(column, values, basis)
+                if leave < 0:
+                    raise UnboundedError("objective is unbounded below on the feasible set")
+            elif key is None:  # phase 1's optimum; the next step is keyed by c
                 if -values[m] > _FEAS_TOL:
                     raise InfeasibleError(
                         f"no nonnegative solution: phase-1 optimum {-values[m]:.3e} > 0"
                     )
-                key = c.tobytes()
-                child = node.children.get(key)
-                if child is None:
-                    leave = -1
-                    break
-                for row, enter, entry, column in child.eject:
-                    _rhs_pivot(values, column, row, values[row] / entry)
-                    basis[row] = enter
-                iterations += len(child.eject)
+                ncols, key = n, c.tobytes()
                 leave = key
             else:  # phase 2's optimum
-                return _result(c, values[:m], basis, iterations, *node.final)
-            if child.tableau is None:
-                trail.append(leave)
+                final = self.certificates(tableau, n, flip) if node is None else node.final
+                return _result(c, values[:m], basis, iterations, *final)
+            child = None if node is None else node.children.get(leave)
+            if child is not None:  # on the tree: the rhs alone
+                if enter >= 0:
+                    _rhs_pivot(values, node.column, leave, top)
+                    basis[leave] = enter
+                    iterations += 1
+                else:
+                    for row, enter, entry, column in child.eject:
+                        _rhs_pivot(values, column, row, values[row] / entry)
+                        basis[row] = enter
+                    iterations += len(child.eject)
+                if child.tableau is None:
+                    trail.append(leave)
+                else:
+                    snap, trail = child, []
+                node = child
+                continue
+            if tableau is None:
+                tableau = self.replay(snap, trail, c, values)
+            eject = None
+            if enter >= 0:
+                _pivot(tableau, basis, leave, enter)
+                iterations += 1
             else:
-                snap, trail = child, []
-            node = child
+                # Eject any artificial still basic at value zero.  After rank
+                # reduction the real columns span every row, so a pivot
+                # always exists.  A pivot here may leave the cost row stale;
+                # phase 2 rebuilds it.
+                eject = []
+                for i in range(m):
+                    if basis[i] >= n:
+                        eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
+                        if eligible.size == 0:
+                            raise ConsistencyError(
+                                "redundant row survived rank reduction; cannot eject artificial"
+                            )
+                        enter = int(eligible[0])
+                        if node is not None:
+                            eject.append((i, enter, float(tableau[i, enter]), tableau[:, enter].tolist()))
+                        _pivot(tableau, basis, i, enter)
+                        iterations += 1
+                _phase2_costs(tableau, basis, c, n)
+            if iterations > _MAX_PIVOTS:
+                raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
+            values = tableau[:, -1].tolist()
+            if node is not None:
+                node = self.grow(node, leave, tableau, basis, ncols, iterations, eject)
 
-        # Off the tree: the deepest kept tableau, the pivots below it replayed.
-        tableau, replayed, at = snap.tableau.copy(), list(snap.basis), snap
+    def replay(self, snap, trail, c, values):
+        """A copy of ``snap``'s tableau with the pivots of ``trail`` replayed and ``values`` as rhs."""
+        tableau, basis, at = snap.tableau.copy(), list(snap.basis), snap
         for step in trail:
             child = at.children[step]
             if at.enter >= 0:
-                _pivot(tableau, replayed, step, at.enter)
+                _pivot(tableau, basis, step, at.enter)
             else:
                 for row, enter, *_ in child.eject:
-                    _pivot(tableau, replayed, row, enter)
-                _phase2_costs(tableau, replayed, c, self.ncols - m)
+                    _pivot(tableau, basis, row, enter)
+                _phase2_costs(tableau, basis, c, self.ncols - len(basis))
             at = child
         tableau[:, -1] = values
-        stage = 0 if key is None else 1 if node.enter < 0 else 2
-        return self.finish(c, tableau, basis, stage, node, leave, iterations)
-
-    def finish(self, c, tableau, basis, stage=0, node=None, leave=-1, iterations=0, flip=None):
-        """Run the solve on in ``tableau`` from ``stage``, recording below ``node``.
-
-        Stage 0 is phase 1, 1 the ejection of artificials at phase 1's
-        optimum, 2 phase 2.  ``node`` is the memo's node of the tableau's
-        state, or None to record nothing; ``leave`` the leaving row of a
-        pivot already chosen there; ``iterations`` the pivots taken so far;
-        ``flip`` the rows negated, for the dual.
-        """
-        m = len(basis)
-        n = self.ncols - m
-        if stage == 0:
-            count, node = self.loop(tableau, basis, self.ncols, node, leave, iterations)
-            iterations += count
-            if -tableau[m, -1] > _FEAS_TOL:
-                raise InfeasibleError(
-                    f"no nonnegative solution: phase-1 optimum {-tableau[m, -1]:.3e} > 0"
-                )
-            leave = -1
-        if stage < 2:
-            # Eject any artificial still basic at value zero.  After rank
-            # reduction the real columns span every row, so a pivot always
-            # exists.  A pivot here may leave the cost row stale; phase 2
-            # rebuilds it.
-            eject = []
-            for i in range(m):
-                if basis[i] >= n:
-                    eligible = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-                    if eligible.size == 0:
-                        raise ConsistencyError(
-                            "redundant row survived rank reduction; cannot eject artificial"
-                        )
-                    enter = int(eligible[0])
-                    if node is not None:
-                        column = _sparse(tableau[:, enter], self.interned)
-                        eject.append((i, enter, float(tableau[i, enter]), column))
-                    _pivot(tableau, basis, i, enter)
-                    iterations += 1
-            _phase2_costs(tableau, basis, c, n)
-            if node is not None:
-                key = c.tobytes()
-                key = self.interned.setdefault(key, key)
-                node = self.grow(node, key, tableau, basis, n, iterations, tuple(eject))
-        count, node = self.loop(tableau, basis, n, node, leave, iterations)
-        iterations += count
-        final = self.certificates(tableau, n, flip) if node is None else node.final
-        return _result(c, tableau[:m, -1].tolist(), basis, iterations, *final)
+        return tableau
 
     def certificates(self, tableau, n, flip=None):
         """The read-only reduced costs and dual at phase 2's optimum in ``tableau``.
@@ -329,49 +315,22 @@ class _Program:
             dual[self.keep] = prices
         return _read_only(tableau[m, :n].copy(), dual)
 
-    def loop(self, tableau, basis, ncols, node, leave, depth):
-        """Bland-rule loop on a canonical tableau, costs in its last row.
-
-        ``ncols`` is the number of eligible entering columns (the rhs
-        column and any columns beyond ncols never enter).  Each tableau
-        reached is recorded as a child of ``node``, at ``depth`` plus the
-        pivots taken, while the memo has room; ``leave``, unless -1, is
-        the first pivot's leaving row.  Returns the pivot count and the
-        node of the optimum, or None.
-        """
-        # Views: each pivot writes through them, so they stay current.
-        costs, rhs = tableau[-1, :ncols], tableau[:, -1]
-        iterations = 0
-        while True:
-            enter = _entering(costs) if node is None else node.enter
-            if enter < 0:
-                return iterations, node
-            if leave < 0:
-                column = enumerate(tableau[:, enter].tolist()) if node is None else node.column
-                leave = _leaving_row(column, rhs.tolist(), basis)[0]
-                if leave < 0:
-                    raise UnboundedError("objective is unbounded below on the feasible set")
-            _pivot(tableau, basis, leave, enter)
-            iterations += 1
-            if iterations > _MAX_PIVOTS:
-                raise ConsistencyError("simplex failed to terminate (cycling guard hit)")
-            if node is not None:
-                node = self.grow(node, leave, tableau, basis, ncols, depth + iterations)
-            leave = -1
-
     def grow(self, parent, key, tableau, basis, ncols, depth, eject=None):
         """Record ``tableau``, reached by ``parent``'s pivot ``key``, as its child.
 
-        ``eject`` holds the ejections taken on the way into phase 2.  The
-        child is complete before ``parent`` holds it, its certificates
-        included at phase 2's optimum.  Returns the child, or None once
-        the memo holds ``_MEMO_NODES``.
+        ``eject`` holds the ejections taken on the way into phase 2, each
+        entering column a float list.  The child is complete before
+        ``parent`` holds it, its certificates included at phase 2's
+        optimum.  Returns the child, or None once the memo holds
+        ``_MEMO_NODES``; only a recorded node's pairs and key are interned.
         """
         if self.nodes >= _MEMO_NODES:
             return None
         snapshot = depth <= _MEMO_DEPTH and self.tableaux < _MEMO_TABLEAUX
         child = _Node(tableau, basis, ncols, self.interned, snapshot)
-        child.eject = eject
+        if eject is not None:
+            key = self.interned.setdefault(key, key)
+            child.eject = tuple((i, j, entry, _sparse(col, self.interned)) for i, j, entry, col in eject)
         if child.enter < 0 and ncols < self.ncols:
             child.final = self.certificates(tableau, ncols)
         parent.children[key] = child
@@ -411,9 +370,8 @@ def _pivot(tableau, basis, leave, enter):
 
 
 def _sparse(column, interned):
-    """The nonzero entries of a tableau column as ``(row, float)`` pairs, equal pairs shared."""
-    pairs = enumerate(column.tolist())
-    return tuple(interned.setdefault(pair, pair) for pair in pairs if pair[1] != 0.0)
+    """The nonzero entries of a tableau column, a float list, as ``(row, float)`` pairs, equal pairs shared."""
+    return tuple(interned.setdefault(pair, pair) for pair in enumerate(column) if pair[1] != 0.0)
 
 
 def _rhs_pivot(values, column, leave, top):
@@ -535,7 +493,10 @@ def solve_lp(c, a, b) -> SimplexResult:
     b = b[keep]
     flip = b < 0.0
     if not np.count_nonzero(flip):
-        return program.walk(c, b)
+        values = b.tolist()
+        # -b.sum() without ndarray.sum's Python wrapper: the same reduce.
+        values.append(float(-np.add.reduce(b)))
+        return program.solve(c, values)
     tableau = program.root.tableau.copy()
     a = a[keep]
     a[flip] *= -1.0
@@ -544,4 +505,4 @@ def solve_lp(c, a, b) -> SimplexResult:
     tableau[m, :n] = -a.sum(axis=0)
     tableau[:m, -1] = b
     tableau[m, -1] = -b.sum()
-    return program.finish(c, tableau, [n + i for i in range(m)], flip=flip)
+    return program.solve(c, tableau[:, -1].tolist(), tableau, flip)

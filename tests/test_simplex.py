@@ -466,7 +466,9 @@ def _hot_path_programs(rng):
 
 
 def test_lp_hot_path_is_bit_identical_to_the_fresh_tableau_chain(rng):
-    """solve_lp, cold and warm, against the replaced chain: same bits or same error."""
+    """solve_lp against the replaced chain, same bits or same error: cold,
+    then recording its memo, then walking it, the walk's own unbounded and
+    phase-1 infeasible exits included."""
     programs = list(_hot_path_programs(rng))
     outcomes = {"InfeasibleError": 0, "UnboundedError": 0, "solved": 0, "ejecting": 0}
     assert any((b < 0.0).any() for _, _, b in programs)
@@ -478,8 +480,9 @@ def test_lp_hot_path_is_bit_identical_to_the_fresh_tableau_chain(rng):
         simplex._cached_program.cache_clear()
         cold = _lp_key(sb.solve_lp, c, a, b)
         warm = _lp_key(sb.solve_lp, c, a, b)
-        assert simplex._cached_program.cache_info().hits >= 1
-        assert cold == warm == want
+        walked = _lp_key(sb.solve_lp, c, a, b)
+        assert simplex._cached_program.cache_info().hits >= 2
+        assert cold == warm == walked == want
         kind = want[0].__name__ if isinstance(want[0], type) else "solved"
         outcomes[kind] += 1
     # Each family is reached: optima, infeasible tables, unbounded programs,
@@ -562,22 +565,22 @@ def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_program, m
     programs = [(c, np.array(b)) for b in right_hand_sides for c in (correlation.STRATEGY_COSTS, own_costs)]
     cold = [_lp_key(sb.solve_lp, c, copy, b) for c, b in programs]
 
-    # Count the walk's ratio tests that tie within 1e-12; the loop that
-    # finishes a solve off the tree is not the walk.
+    # Count the walk's ratio tests that tie within 1e-12: those of a solve
+    # given no tableau, until it replays one to leave the tree.
     walking, ties = [False], [0]
-    walk_on, finish = simplex._Program.walk, simplex._Program.finish
+    solve, replay = simplex._Program.solve, simplex._Program.replay
     leaving_row = simplex._leaving_row
 
-    def walk(program, c, b):
-        walking[0] = True
+    def walk(program, c, values, tableau=None, flip=None):
+        walking[0] = tableau is None
         try:
-            return walk_on(program, c, b)
+            return solve(program, c, values, tableau, flip)
         finally:
             walking[0] = False
 
-    def finished(program, *args, **kwargs):
+    def replayed(program, *args):
         walking[0] = False
-        return finish(program, *args, **kwargs)
+        return replay(program, *args)
 
     def counted(column, values, basis):
         column = list(column)  # (row, entry) pairs
@@ -585,8 +588,8 @@ def test_warm_memo_solves_are_bit_identical_to_cold_solves(rng, fresh_program, m
         ties[0] += walking[0] and sum(r <= min(ratios) + 1e-12 for r in ratios) > 1
         return leaving_row(column, values, basis)
 
-    monkeypatch.setattr(simplex._Program, "walk", walk)
-    monkeypatch.setattr(simplex._Program, "finish", finished)
+    monkeypatch.setattr(simplex._Program, "solve", walk)
+    monkeypatch.setattr(simplex._Program, "replay", replayed)
     monkeypatch.setattr(simplex, "_leaving_row", counted)
     filling = [_lp_key(sb.solve_lp, c, prepared, b) for c, b in programs]
     nodes = fresh_program.nodes
@@ -616,10 +619,14 @@ def test_flipped_rows_never_walk_the_memo(rng, fresh_program, monkeypatch):
     for t in tables:  # fill the catalog's memo first
         _priced(t)
 
-    def refuse(program, c, b):
-        raise AssertionError("the memo was walked")
+    solve = simplex._Program.solve
 
-    monkeypatch.setattr(simplex._Program, "walk", refuse)
+    def flipped(program, c, values, tableau=None, flip=None):
+        if tableau is None or flip is None:
+            raise AssertionError("the memo was walked")
+        return solve(program, c, values, tableau, flip)
+
+    monkeypatch.setattr(simplex._Program, "solve", flipped)
     nodes = fresh_program.nodes
     costs, prepared = correlation.STRATEGY_COSTS, simulate._CATALOG_CONSTRAINTS
     columns = [correlation.strategy_column(i) for i in sb.LOCAL_IDS + sb.VIOLATING_IDS]
@@ -734,6 +741,26 @@ def test_opening_memo_stays_bounded(rng, fresh_program, monkeypatch):
         assert key == _lp_key(_chain_solve_lp, correlation.STRATEGY_COSTS, copy, b)
     assert program.tableaux == _tree_tableaux(program.root) == 3
     assert 500 < program.nodes == _tree_size(program.root)
+
+
+def test_full_memo_interns_nothing(rng, fresh_program, monkeypatch):
+    """At the node cap, solves with fresh costs keep the chain's bits and
+    leave the intern table as it was: no cost key, no ejected column."""
+    monkeypatch.setattr(simplex, "_MEMO_NODES", 300)
+    prepared, costs = simulate._CATALOG_CONSTRAINTS, correlation.STRATEGY_COSTS
+
+    def mixture():  # a few strategies: many solves eject an artificial
+        picks = rng.choice(32, size=int(rng.integers(1, 4)), replace=False)
+        return np.append(correlation.STRATEGY_MATRIX[:, picks] @ rng.dirichlet(np.ones(len(picks))), 1.0)
+
+    for _ in range(40):
+        sb.solve_lp(costs, prepared, mixture())
+    assert fresh_program.nodes == 300
+    interned = len(fresh_program.interned)
+    for _ in range(500):
+        c, b = rng.random(32), mixture()
+        assert _lp_key(sb.solve_lp, c, prepared, b) == _lp_key(_chain_solve_lp, c, prepared, b)
+    assert fresh_program.nodes == 300 and len(fresh_program.interned) == interned
 
 
 def _tree_tableaux(node):
