@@ -62,8 +62,8 @@ class Correlation:
     Entries in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything more negative raises
     :class:`~signalbox.errors.NegativeProbabilityError`.  The entry
-    checks are those :func:`validate_tables` runs on a batch, with the
-    same errors and messages, and input that is not numeric raises
+    checks are :func:`_check_table`'s, which :func:`validate_tables` runs
+    on each table of a batch, and input that is not numeric raises
     :class:`~signalbox.errors.DomainError` in both.  The 16 checked
     entries are kept as a tuple of floats, ``_entries``, in
     ``p[a][b][x][y]`` order, so the kernels read the table once.
@@ -87,38 +87,16 @@ class Correlation:
         return float(np.einsum("xy,x,y->", cell, OUTCOME_VALUES, OUTCOME_VALUES))
 
 
-def _check_entries(arr: np.ndarray) -> None:
-    """NaN, negativity and normalization checks of a batch ``(N, 2, 2, 2, 2)``.
-
-    Clamps entries in ``[-1e-9, 0)`` to zero in place.  One table takes
-    :func:`_check_table`, with the same checks and messages.
-    """
-    # NaN propagates through min(), and infinities fail the checks below.
-    low = float(arr.min())
-    if math.isnan(low):
-        raise DomainError("correlation table has a NaN entry")
-    if low < -NEGATIVITY_TOL:
-        raise NegativeProbabilityError(
-            f"probability entry {low} is negative beyond tolerance"
-        )
-    if low < 0.0:
-        arr[arr < 0.0] = 0.0
-    with np.errstate(over="ignore"):  # an inf sum fails below, as in _check_table
-        worst = float(np.abs(arr.sum(axis=(-2, -1)) - 1.0).max())
-    if worst > NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"per-setting outcome sums deviate from 1 by {worst}"
-        )
-
-
 def _check_table(arr: np.ndarray) -> tuple:
-    """:func:`_check_entries` of one ``(2, 2, 2, 2)`` table, over its 16 floats.
+    """NaN, negativity and normalization checks of one ``(2, 2, 2, 2)`` table.
 
-    The same checks in the same order, with the same errors, messages and
-    clamp, in plain float arithmetic instead of five numpy reductions on
-    a 16-entry array.  A setting pair's sum is ``(((0.0 + p0) + p1) + p2)
-    + p3``, the order of numpy's ``sum(axis=(-2, -1))``, so ``worst`` has
-    its bits.  Returns the 16 entries as clamped, ``-0.0`` kept: those of
+    The package's one entry check, run by :class:`Correlation` and on each
+    table by :func:`validate_tables`, in plain float arithmetic over the
+    16 floats.  Entries in ``[-1e-9, 0)`` are clamped to zero in ``arr``
+    itself, so a view clamps its batch.  A setting pair's sum is
+    ``(((0.0 + p0) + p1) + p2) + p3``, the order of numpy's
+    ``sum(axis=(-2, -1))``, so ``worst`` has its bits.  Returns the 16
+    entries as clamped, ``-0.0`` kept: those of
     ``arr.reshape(16).tolist()`` after the clamp.
     """
     t = arr.reshape(16).tolist()
@@ -170,9 +148,9 @@ def _numeric_array(data, error=DomainError) -> np.ndarray:
 def validate_tables(data) -> np.ndarray:
     """Validated float64 copy of a batch of tables, shape ``(N, 2, 2, 2, 2)``.
 
-    The batched form of :class:`Correlation`'s checks, with the same
-    error classes and messages; entries in ``[-1e-9, 0)`` are clamped
-    to zero.  Input that is not numeric, an empty batch or any other
+    Each table in turn takes :func:`_check_table`, :class:`Correlation`'s
+    check, clamp included; the first bad table raises its error class and
+    message.  Input that is not numeric, an empty batch or any other
     shape raises :class:`~signalbox.errors.DomainError`.
     """
     arr = _numeric_array(data)
@@ -180,7 +158,8 @@ def validate_tables(data) -> np.ndarray:
         raise DomainError(
             f"table batch must have shape (N, 2, 2, 2, 2) with N >= 1, got {arr.shape}"
         )
-    _check_entries(arr)
+    for table in arr:
+        _check_table(table)
     return arr
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .correlation import (
     _INPUT_SLACK, Correlation, _check_bit, _check_real, _frozen_record, _numeric_array,
-    validate_tables,
 )
 from .errors import ConsistencyError, DomainError, NoCrossoverError, NormalizationError
 from .signaling import signal_info
@@ -539,9 +538,9 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
     """Rows of the angle sweep, ascending, endpoints included.
 
     All angles run as one batch (see :func:`_theta_batch`), and so do
-    their verdicts: the tables are validated as ``classify_batch`` does,
-    and each row is read off its table's plain verdict row, with no
-    report built; ``classical`` is the channel-information verdict.  Raises
+    their verdicts: each row is read off the plain verdict row of its
+    route-checked table as built, with no second validation and no
+    report; ``classical`` is the channel-information verdict.  Raises
     :class:`~signalbox.errors.DomainError` for ``steps`` that is not an
     integer (bools included), fewer than 2 or more than ``MAX_SWEEP_STEPS``
     steps, an endpoint not real or outside (0, pi/2), or an empty range.
@@ -564,7 +563,7 @@ def theta_sweep(theta_min: float, theta_max: float, steps: int):
             SweepRow, (theta, lam, lam / 2.0, info, floor, chi, _verdict(floor, info)[2])
         )
         for theta, (lam, floor, info, *_), chi in zip(
-            thetas.tolist(), _verdict_rows(validate_tables(tables)), chis.tolist()
+            thetas.tolist(), _verdict_rows(tables), chis.tolist()
         )
     ]
 
@@ -591,12 +590,13 @@ def sweep_csv(rows) -> str:
 def _crossover_gaps(thetas) -> list:
     """``restricted_info - disturbance`` at each angle, in one batch.
 
-    The gap is ``info - floor`` of each table's plain verdict row, the
+    The gap is ``info - floor`` of each route-checked table's plain
+    verdict row, read as built with no second validation: the
     ``signal_mutual_info - disturbance`` of ``classify_batch``, and bit
     for bit the gap of ``sequential_correlation(*theta_geometry(t))``.
     Angles must lie in (0, pi/2).
     """
-    rows = _verdict_rows(validate_tables(_theta_tables(np.array(thetas, dtype=float))[1]))
+    rows = _verdict_rows(_theta_tables(np.array(thetas, dtype=float))[1])
     return [info - floor for _, floor, info, *_ in rows]
 
 

@@ -305,11 +305,11 @@ def classify_batch(tables, measure: str = "mutual_info") -> list:
     """:func:`classify` of every table in an ``(N, 2, 2, 2, 2)`` array.
 
     Returns the N reports in order, each equal field for field to
-    ``classify(Correlation(p), measure)``.  The tables are validated
-    together, with the checks and error classes of
-    :class:`~signalbox.correlation.Correlation`; an empty batch or a
-    wrong shape raises :class:`~signalbox.errors.DomainError`.  The
-    reports wrap the plain rows of :func:`_verdict_rows`.
+    ``classify(Correlation(p), measure)``.  Each table in turn takes
+    :class:`~signalbox.correlation.Correlation`'s check, and the first bad
+    table raises its error; an empty batch or a wrong shape raises
+    :class:`~signalbox.errors.DomainError`.  The reports wrap the plain
+    rows of :func:`_verdict_rows`.
     """
     _check_measure(measure)
     return [_report(row, measure) for row in _verdict_rows(validate_tables(tables))]

@@ -217,12 +217,19 @@ def test_decompose_golden_bytes_after_a_warm_memo(capsys, fresh_program, rng, mo
         )
         for table in ("sub_cost", "super_cost", "unbalanced_pr_0.3")
         for measure in ("mutual_info", "delta")
+    ]
+    + [
+        (
+            "sweep_0.001_1.5697_1000",
+            ["sweep", "--theta-min", "0.001", "--theta-max", "1.5697", "--steps", "1000"],
+        ),
     ],
 )
 def test_sweep_and_demo_golden_bytes(capsys, name, argv):
     """The exact bytes of the default sweep, a window without a crossover,
-    every demo, and analyze on the decompose inputs under both measures,
-    frozen under tests/golden."""
+    a 1000-step window reaching both near-pure ends, every demo, and
+    analyze on the decompose inputs under both measures, frozen under
+    tests/golden."""
     assert run(argv) == 0
     out, err = capsys.readouterr()
     assert (out.encode(), err) == ((GOLDEN / f"{name}.stdout").read_bytes(), "")

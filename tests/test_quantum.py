@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import signalbox as sb
-from signalbox import quantum
+from signalbox import correlation, quantum
 from conftest import random_bloch_vector, random_observable, random_quantum_instance, random_state
 
 MU = math.log2(5.0) - 2.0
@@ -1032,6 +1032,41 @@ def test_crossover_gaps_match_scalar_route():
             table = sb.sequential_correlation(*sb.theta_geometry(theta))
             want.append((sb.signal_info(table).info - sb.disturbance_cost(table)).hex())
         assert [gap.hex() for gap in quantum._crossover_gaps(batch)] == want
+
+
+def test_sweep_tables_pass_the_table_check_as_built(monkeypatch):
+    """The sweep and the crossover read their route-checked tables unvalidated.
+
+    Every table ``_theta_tables`` builds for a wide 1000-step sweep, the
+    benchmark's 61-step window and the angles of ``find_crossover(0.9,
+    1.2)`` passes ``correlation._check_table``, which returns its 16
+    entries hex for hex, so a second validation would change nothing;
+    and neither call runs the table check.
+    """
+    built, checks = [], []
+    theta_tables, check_table = quantum._theta_tables, correlation._check_table
+
+    def keep(thetas):
+        alice, tables = theta_tables(thetas)
+        built.append(tables.copy())
+        return alice, tables
+
+    def counting(arr):
+        checks.append(arr)
+        return check_table(arr)
+
+    monkeypatch.setattr(quantum, "_theta_tables", keep)
+    monkeypatch.setattr(correlation, "_check_table", counting)
+    sb.theta_sweep(0.001, 1.5697, 1000)
+    sb.theta_sweep(0.9, 1.2, 61)
+    sb.find_crossover(0.9, 1.2)
+    assert checks == []
+    monkeypatch.undo()
+    assert [len(tables) for tables in built] == [1000, 61, 14]
+    for tables in built:
+        want = tables.reshape(len(tables), 16).tolist()
+        got = [correlation._check_table(table.copy()) for table in tables]
+        assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
 
 
 def test_crossover_gaps_are_classify_batch_gaps(monkeypatch):

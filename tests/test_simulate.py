@@ -876,8 +876,12 @@ def test_classify_batch_validation_parity():
             want = _raised(sb.Correlation, bad)
             assert _raised(correlation.validate_tables, bad[None]) == want
             assert _raised(sb.classify_batch, bad[None]) == want
-            kind, _ = _raised(sb.classify_batch, np.stack([good, bad, good]))
-            assert kind is want[0]
+            assert _raised(sb.classify_batch, np.stack([good, bad, good])) == want
+    # Several bad tables: the first one's error is raised, class and message.
+    for first, second in ((negative, nan), (nan, negative)):
+        want = _raised(sb.Correlation, first)
+        for check in (correlation.validate_tables, sb.classify_batch):
+            assert _raised(check, np.stack([good, first, second])) == want
     for shape in ((0, 2, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (1, 2, 2, 2, 3), (4,)):
         with pytest.raises(sb.DomainError):
             sb.classify_batch(np.full(shape, 0.25))
